@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 a conjecture check came back refuted-in-window,
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import closedforms, quasifit
 from . import verify as slopecheck
@@ -199,11 +198,8 @@ def _verify_one(args, spec, db):
 def cmd_verify(args):
     db = load_slope_db(args.slope_db) if args.slope_db else None
     if args.all:
-        keys = sorted(bundled_knot_table())
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = {key: pool.submit(_verify_one, args, Named(key), db)
-                       for key in keys}
-            reports = [(key, futures[key].result()) for key in keys]
+        reports = [(key, _verify_one(args, Named(key), db))
+                   for key in sorted(bundled_knot_table())]
         if args.json:
             print(json.dumps([rep.to_dict() for _, rep in reports]))
         else:

@@ -439,24 +439,10 @@ def _load_seq(path):
     return vals
 
 
-def _bracket_degrees(pd, kind, n_max, limit_mb):
-    out = []
-    for n in range(n_max + 1):
-        j = bracket_colored_jones(pd, n, limit_mb=limit_mb)
-        out.append(_kind_value(j, kind))
-    return out
-
-
-def _kind_value(j, kind):
-    if kind == "max":
-        return j.deg()
-    if kind == "min":
-        return j.mindeg()
-    if kind == "span":
-        return j.deg() - j.mindeg()
-    if kind == "sum":
-        return j.deg() + j.mindeg()
-    raise ValueError("unknown degree kind %r" % kind)
+def _polynomial_degrees(kind, polys):
+    """The kind's degree sequence of polynomials taken one at a time."""
+    ends = [(j.deg(), j.mindeg()) for j in polys]
+    return _combine(kind, [hi for hi, _ in ends], [lo for _, lo in ends])
 
 
 def _combine(kind, dmax, dmin):
@@ -485,11 +471,9 @@ def degree_sequence(spec, kind, n_max, limit_mb=None):
     from . import closedforms
 
     if isinstance(spec, Torus):
-        vals = []
-        for n in range(n_max + 1):
-            j = morton_colored_jones(spec.a, spec.b, n)
-            vals.append(_kind_value(j, kind))
-        return vals
+        return _polynomial_degrees(kind, (
+            morton_colored_jones(spec.a, spec.b, n)
+            for n in range(n_max + 1)))
     if isinstance(spec, Pretzel237):
         pairs = [closedforms.pretzel_degrees(spec.p, n, limit_mb=limit_mb)
                  for n in range(n_max + 1)]
@@ -533,4 +517,6 @@ def _pd_degrees(pd, kind, n_max, limit_mb):
         dmax = [pr[0] for pr in pairs]
         dmin = [pr[1] for pr in pairs]
         return _combine(kind, dmax, dmin)
-    return _bracket_degrees(pd, kind, n_max, limit_mb)
+    return _polynomial_degrees(kind, (
+        bracket_colored_jones(pd, n, limit_mb=limit_mb)
+        for n in range(n_max + 1)))

@@ -364,22 +364,7 @@ def canonical_pd(pd):
     pd = tuple(tuple(int(x) for x in cr) for cr in pd)
     if not pd:
         return pd
-    ends = _arc_endpoints(pd)
-    entries = {}
-    ci, entry = 0, 0
-    for step in range(2 * len(pd) + 1):
-        if (ci, entry) in entries:
-            break
-        entries[(ci, entry)] = step
-        exit_slot = (entry + 2) % 4
-        arc = pd[ci][exit_slot]
-        (c1, s1), (c2, s2) = _arc_endpoints_pair(ends, arc)
-        if (c1, s1) == (ci, exit_slot):
-            ci, entry = c2, s2
-        else:
-            ci, entry = c1, s1
-    if len(entries) != 2 * len(pd):
-        raise ValueError("diagram has more than one component")
+    entries = _component_walk(pd, _arc_endpoints(pd))
     fixed = []
     for ci, cr in enumerate(pd):
         if (ci, 0) in entries:
@@ -715,13 +700,8 @@ def boundary_slopes_for(spec, db=None):
     if isinstance(spec, Pretzel237):
         p = spec.p
         if p >= 7 or p <= -1:
-            base = frozenset({
-                Fraction(0),
-                Fraction(16 if p >= 7 else 10),
-                Fraction(2 * (p * p - p - 5), p - 3) if p >= 7
-                else Fraction(2 * (p + 1) ** 2, p),
-                Fraction(2 * (3 + p)),
-            })
+            from .closedforms import pretzel_boundary_slopes
+            base = frozenset(pretzel_boundary_slopes(p))
         else:
             row = db.get(spec.render().replace("mirror:", ""))
             if row is None:

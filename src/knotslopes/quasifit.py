@@ -3,15 +3,15 @@
 A quasi-polynomial here is a function s(n) = c2(n) n^2 + c1(n) n + c0(n)
 whose coefficients are periodic with some period, valid from some
 transient index on.  Sequences of this shape have rational generating
-functions whose poles are roots of unity, and the fitter works through
-that representation: difference three times, detect the period of the
-tail, rebuild the generating function, reduce it to lowest terms, and
-read the per-class coefficients off its partial fractions.  When the
-third difference is not periodic (the coefficient functions themselves
-can carry a linear part), the fitter instead interpolates a quadratic
-per residue class and reconstructs the same generating function by
-convolving the sequence with (1 - z^p)^3.  Either way the result is
-cross-checked against the other route before anything is returned.
+functions whose poles are roots of unity of order at most three.
+
+The fitter scans (transient, period) pairs and interpolates a quadratic
+through the first three samples of each residue class, checked on every
+later sample of the class.  Convolving the sequence with (1 - z^p)^3
+turns an accepted candidate into a generating function; reduced to
+lowest terms, that function fixes the reported period and transient and
+must reproduce every sample.  A sequence whose third difference settles
+into a period with a nonzero sum grows like n^3 and is refused.
 
 All arithmetic uses Fractions; nothing is floated.
 """
@@ -21,9 +21,8 @@ from math import gcd
 
 __all__ = [
     "QuasiPolynomial", "RationalGF", "cyclotomic", "difference",
-    "detect_period", "gf_from_periodic", "integrate_gf",
-    "partial_fractions", "fit", "slopes", "estimate_cluster_slopes",
-    "integrality_check", "load_sequence",
+    "detect_period", "partial_fractions", "fit", "slopes",
+    "estimate_cluster_slopes", "integrality_check", "load_sequence",
 ]
 
 
@@ -37,20 +36,6 @@ def _pstrip(p):
     return p
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _pstrip(out)
-
-
-def _pneg(a):
-    return [-c for c in a]
-
-
 def _pmul(a, b):
     if not a or not b:
         return []
@@ -60,13 +45,6 @@ def _pmul(a, b):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return _pstrip(out)
-
-
-def _pscale(a, c):
-    c = Fraction(c)
-    if not c:
-        return []
-    return [x * c for x in a]
 
 
 def _pdivmod(a, b):
@@ -87,31 +65,6 @@ def _pdivmod(a, b):
             a[k + i] -= c * cb
         a.pop()
     return _pstrip(q), _pstrip(a)
-
-
-def _pxgcd(a, b):
-    """Extended Euclid: returns (g, u, v) with u a + v b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _padd(u0, _pneg(_pmul(q, u1)))
-        v0, v1 = v1, _padd(v0, _pneg(_pmul(q, v1)))
-    if r0:
-        lead = r0[-1]
-        r0 = _pscale(r0, 1 / lead)
-        u0 = _pscale(u0, 1 / lead)
-        v0 = _pscale(v0, 1 / lead)
-    return r0, u0, v0
-
-
-def _peval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _poly_str(p, var="z"):
@@ -251,11 +204,8 @@ class QuasiPolynomial:
     """Piecewise quadratic model: classes[n % period] gives (c2, c1, c0),
     guaranteed to match the fitted data for n >= transient.
 
-    When produced by fit() or partial_fractions(), the instance also
-    carries the reduced generating function as ``gf`` and its
-    partial-fraction data as ``poly_part`` (transient corrections) and
-    ``blocks`` (one (d, multiplicity, numerator) triple per cyclotomic
-    denominator factor, d = 1 meaning 1 - z).
+    fit() and partial_fractions() also attach the reduced generating
+    function as ``gf``; otherwise it is None.
     """
 
     def __init__(self, period, transient, classes):
@@ -265,8 +215,6 @@ class QuasiPolynomial:
         self.transient = transient
         self.classes = [tuple(Fraction(c) for c in trip) for trip in classes]
         self.gf = None
-        self.poly_part = None
-        self.blocks = None
 
     def evaluate(self, n):
         """The class formula at n.  Below the transient this extrapolates;
@@ -354,74 +302,6 @@ def _cyclotomic_split(power_of, mult):
     return den
 
 
-def gf_from_periodic(values):
-    """Generating function of the periodic sequence that repeats the
-    given block: (v_0 + v_1 z + ... + v_{p-1} z^{p-1}) / (1 - z^p),
-    with the denominator stored in cyclotomic factors."""
-    values = [Fraction(v) for v in values]
-    if not values:
-        raise ValueError("need at least one value per period")
-    return RationalGF(values, _cyclotomic_split(len(values), 1))
-
-
-def integrate_gf(g, first_value):
-    """Generating function of the partial-sum inverse of differencing:
-    if g generates the differences of a, this generates a itself,
-    anchored at a(0) = first_value."""
-    first_value = Fraction(first_value)
-    num = _padd([first_value * c for c in g.den_poly()],
-                [Fraction(0)] + list(g.num))
-    den = dict(g.den)
-    den[1] = den.get(1, 0) + 1
-    return RationalGF(num, den)
-
-
-# ---------------------------------------------------------------------------
-# partial fractions
-
-
-def _exact_div(a, b):
-    q, r = _pdivmod(a, b)
-    if r:
-        raise AssertionError("expected exact polynomial division")
-    return q
-
-
-def _pf_blocks(g):
-    """Split P/Q into (polynomial part, per-factor blocks).
-
-    blocks is a list of (d, multiplicity, numerator) with the numerator
-    of degree below the degree of factor^multiplicity; d = 1 denotes the
-    factor 1 - z.
-    """
-    factors = []
-    for d, m in sorted(g.den.items()):
-        base = cyclotomic(d) if d > 1 else [Fraction(1), Fraction(-1)]
-        poly = [Fraction(1)]
-        for _ in range(m):
-            poly = _pmul(poly, base)
-        factors.append((d, m, poly))
-    if not factors:
-        return list(g.num), []
-    whole = g.den_poly()
-    poly_part, rem = _pdivmod(list(g.num), whole)
-    blocks = []
-    for i, (d, m, fpoly) in enumerate(factors):
-        if i == len(factors) - 1:
-            blocks.append((d, m, rem))
-            break
-        rest = [Fraction(1)]
-        for _, _, gpoly in factors[i + 1:]:
-            rest = _pmul(rest, gpoly)
-        gcd_, u, v = _pxgcd(fpoly, rest)
-        if gcd_ != [Fraction(1)]:
-            raise AssertionError("denominator factors are not coprime")
-        _, r_a = _pdivmod(_pmul(rem, v), fpoly)
-        blocks.append((d, m, r_a))
-        rem = _exact_div(_padd(rem, _pneg(_pmul(r_a, rest))), fpoly)
-    return poly_part, blocks
-
-
 def _interpolate_quadratic(points):
     """Exact quadratic through three (n, value) points."""
     (x0, y0), (x1, y1), (x2, y2) = points
@@ -436,28 +316,24 @@ def _interpolate_quadratic(points):
     return c2, c1, c0
 
 
-class _PoleOrderError(ValueError):
-    """A reduced generating function has a pole of order above three."""
-
-
 def partial_fractions(g):
     """Extract the quadratic quasi-polynomial a rational generating
     function represents.
 
     The function is reduced to lowest terms first.  Any pole of order
     above three means the coefficients grow faster than quadratically
-    and is an error.  The polynomial part of the division shows up as
-    the transient of the result.
+    and is an error.  A numerator of degree at least the denominator's
+    leaves a polynomial part, whose length is the transient of the
+    result.
     """
     r = g.reduced()
     for d, m in r.den.items():
         if m > 3:
-            raise _PoleOrderError(
+            raise ValueError(
                 "pole of order %d at a root of z^%d = 1: coefficients "
                 "are not quadratic" % (m, d))
-    poly_part, blocks = _pf_blocks(r)
     period = r.period_lcm()
-    transient = len(poly_part)
+    transient = max(0, len(r.num) - len(r.den_poly()) + 1)
     count = transient + 4 * period + 3
     sample = r.series(count)
     classes = []
@@ -471,8 +347,6 @@ def partial_fractions(g):
             raise AssertionError("partial fractions disagree with the "
                                  "series at n=%d" % n)
     quasi.gf = r
-    quasi.poly_part = poly_part
-    quasi.blocks = blocks
     return quasi
 
 
@@ -523,53 +397,34 @@ def _finish(seq, g):
     return quasi
 
 
-def _fit_differences(seq, max_period, max_transient):
-    """The difference route: period-detect the third difference, rebuild
-    the generating function from one period of its tail, and integrate
-    back up three times."""
-    d1 = difference(seq)
-    d2 = difference(d1)
-    d3 = difference(d2)
-    period, t3 = detect_period(d3, max_period, max_transient)
-    tail = gf_from_periodic(d3[t3:t3 + period])
-    if t3:
-        head = [Fraction(x) for x in d3[:t3]]
-        num = _padd(_pmul(head, tail.den_poly()),
-                    [Fraction(0)] * t3 + list(tail.num))
-        tail = RationalGF(num, tail.den)
-    g = integrate_gf(tail, d2[0])
-    g = integrate_gf(g, d1[0])
-    g = integrate_gf(g, seq[0])
-    return _finish(seq, g)
-
-
 def _fit_classes(seq, max_period, max_transient):
-    """The interpolation route: scan (transient, period) pairs in
-    lexicographic order, fit a quadratic per residue class, and rebuild
-    the generating function by convolving with (1 - z^p)^3."""
-    feasible = False
-    for t in range(max_transient + 1):
-        for p in range(1, max_period + 1):
-            if len(seq) - t < 3 * p:
-                continue
-            feasible = True
-            classes = _try_classes(seq, t, p)
-            if classes is None:
-                continue
-            den3 = _cyclotomic_split(p, 3)
-            denpoly = RationalGF([1], den3).den_poly()
-            cutoff = t + 3 * p
-            conv = []
-            for n in range(min(len(seq), cutoff)):
-                c = Fraction(0)
-                for k in range(min(n, len(denpoly) - 1) + 1):
-                    c += denpoly[k] * seq[n - k]
-                conv.append(c)
-            try:
-                return _finish(seq, RationalGF(conv, den3))
-            except ValueError:
-                continue
-    if not feasible:
+    """Scan (transient, period) pairs, fit a quadratic per residue
+    class, and rebuild the generating function by convolving the
+    sequence with (1 - z^p)^3.
+
+    Pairs that leave every class a fourth sample, so that some sample
+    checks each class, are tried first; pairs whose thinnest class
+    holds only its three interpolation points come after.  Both passes
+    run in lexicographic (t, p) order."""
+    pairs = [(t, p) for t in range(max_transient + 1)
+             for p in range(1, max_period + 1) if (len(seq) - t) // p >= 3]
+    pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
+    for t, p in pairs:
+        if _try_classes(seq, t, p) is None:
+            continue
+        den3 = _cyclotomic_split(p, 3)
+        denpoly = RationalGF([1], den3).den_poly()
+        conv = []
+        for n in range(min(len(seq), t + 3 * p)):
+            c = Fraction(0)
+            for k in range(min(n, len(denpoly) - 1) + 1):
+                c += denpoly[k] * seq[n - k]
+            conv.append(c)
+        try:
+            return _finish(seq, RationalGF(conv, den3))
+        except ValueError:
+            continue
+    if not pairs:
         raise ValueError(
             "not enough samples: fitting period p needs at least 3p "
             "values past the transient, got %d" % len(seq))
@@ -578,33 +433,38 @@ def _fit_classes(seq, max_period, max_transient):
         "<= %d fits the data" % (max_period, max_transient))
 
 
+def _reject_cubic(seq, max_period, max_transient):
+    """Refuse a sequence whose third difference is eventually periodic
+    with a nonzero sum over one period: it grows like n^3, and the class
+    scan would otherwise interpolate it with no sample left to check."""
+    if len(seq) < 4:
+        return
+    d3 = difference(seq, 3)
+    try:
+        period, t = detect_period(d3, max_period, max_transient)
+    except ValueError:
+        return
+    if sum(d3[t:t + period]):
+        raise ValueError("sequence is not quasi-quadratic in the "
+                         "window: third differences have period but "
+                         "a nonzero mean")
+
+
 def fit(seq, max_period=16, max_transient=8):
     """Fit an exact quadratic quasi-polynomial to a sequence.
 
-    The difference route runs first; when the third difference is not
-    eventually periodic within the window (the per-class coefficients
-    can carry a linear part, which differencing never flattens), the
-    per-class interpolation route takes over.  Both end in the same
-    checks: the reduced generating function must reproduce every input
-    sample, its poles must be roots of unity of order at most three,
-    an independent per-class interpolation must agree, and every slope
-    times the squared period must be an integer.
+    Candidates come from per-class interpolation over (transient,
+    period) pairs with period <= max_period and transient <=
+    max_transient, pairs with a spare sample in every class first.  A
+    candidate is returned only when its reduced generating function
+    reproduces every sample, has poles of order at most three at roots
+    of unity, agrees with a second per-class interpolation at the
+    reduced (transient, period), and every slope times the squared
+    period is an integer.  Sequences whose third difference settles
+    into a period with a nonzero sum are refused as cubic.
     """
     seq = [Fraction(x) for x in seq]
-    if len(seq) >= 4:
-        try:
-            return _fit_differences(seq, max_period, max_transient)
-        except _PoleOrderError:
-            # The third difference settled into a period, yet the summed
-            # generating function still has a pole of order four: the
-            # sequence genuinely grows faster than n^2 in this window,
-            # and letting the per-class route interpolate it anyway
-            # would fabricate a model with no samples left to check it.
-            raise ValueError("sequence is not quasi-quadratic in the "
-                             "window: third differences have period but "
-                             "a nonzero mean")
-        except ValueError:
-            pass
+    _reject_cubic(seq, max_period, max_transient)
     return _fit_classes(seq, max_period, max_transient)
 
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from knotslopes import engine
 from knotslopes.cli import main
 
 
@@ -160,7 +161,10 @@ def test_slopes_json_deterministic(capsys):
     assert doc["period"] == 3
 
 
-def test_limit_exit_code(capsys):
+def test_limit_exit_code(capsys, monkeypatch):
+    # the bracket memo ignores the budget, so a value cached by an
+    # earlier test would bypass the limit
+    monkeypatch.setattr(engine, "_BRACKET_CACHE", {})
     code, _, err = run(capsys, "compute", "name:8_19", "--n", "2",
                        "--limit-mb", "0")
     assert code == 3

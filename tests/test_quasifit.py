@@ -1,6 +1,5 @@
 """Tests for quasi-polynomial fitting and the generating-function toolkit."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,13 +9,17 @@ from hypothesis import strategies as st
 from knotslopes.quasifit import (QuasiPolynomial, RationalGF, cyclotomic,
                                  detect_period, difference,
                                  estimate_cluster_slopes, fit,
-                                 gf_from_periodic, integrality_check,
-                                 integrate_gf, load_sequence,
+                                 integrality_check, load_sequence,
                                  partial_fractions, slopes)
 
 # (-2,3,7) pretzel maximum degrees, colors 0..19
 P237_DELTA = [0, 13, 35, 67, 108, 158, 217, 286, 364, 451, 547, 653, 768,
               892, 1025, 1168, 1320, 1481, 1651, 1831]
+
+# Its generating function: the third difference repeats 1, -1, 0, 0,
+# whose generating function (1 - z) / (1 - z^4) sums three times from
+# the anchors delta(0) = 0, (D delta)(0) = 13, (D^2 delta)(0) = 9
+P237_GF = RationalGF([0, 13, 9, 10, 9, -4], {1: 3, 2: 1, 4: 1})
 
 # 8_19 maximum degrees, colors 0..12
 D819 = [0, 8, 23, 43, 70, 102, 141, 185, 236, 292, 355, 423, 498]
@@ -58,15 +61,12 @@ def test_detect_period_failure():
         detect_period(list(range(40)), max_period=4, max_transient=2)
 
 
-def test_gf_from_periodic():
-    g = gf_from_periodic([1, -1, 0, 0])
-    assert g.num == [Fraction(1), Fraction(-1)]
-    assert g.den == {1: 1, 2: 1, 4: 1}  # the factored 1 - z^4
+def test_periodic_gf_series():
+    g = RationalGF([1, -1], {1: 1, 2: 1, 4: 1})  # (1 - z) / (1 - z^4)
     assert g.series(9) == [1, -1, 0, 0, 1, -1, 0, 0, 1]
-    assert gf_from_periodic([5]).series(4) == [5, 5, 5, 5]
-    assert gf_from_periodic([0, 1]).series(5) == [0, 1, 0, 1, 0]
-    with pytest.raises(ValueError):
-        gf_from_periodic([])
+    assert g.reduced().den == {2: 1, 4: 1}
+    assert RationalGF([5], {1: 1}).series(4) == [5, 5, 5, 5]
+    assert RationalGF([0, 1], {1: 1, 2: 1}).series(5) == [0, 1, 0, 1, 0]
 
 
 def test_cyclotomic_factors():
@@ -76,28 +76,22 @@ def test_cyclotomic_factors():
     assert cyclotomic(6) == [Fraction(1), Fraction(-1), Fraction(1)]
 
 
-def test_integrate_gf():
-    g = integrate_gf(RationalGF([5], {1: 1}), 0)
+def test_linear_gf_series():
+    g = RationalGF([0, 5], {1: 2})
     assert str(g) == "(5z) / ((1 - z)^2)"
     assert g.series(5) == [0, 5, 10, 15, 20]
-    const = integrate_gf(RationalGF([], {}), 7)
-    assert const.series(4) == [7, 7, 7, 7]
+    assert RationalGF([7], {1: 1}).series(4) == [7, 7, 7, 7]
 
 
-def test_integrate_gf_three_times():
-    # third-difference pipeline: anchor values delta(0)=0, (D delta)(0)=13,
-    # (D^2 delta)(0)=9 rebuild the full generating function
-    g3 = RationalGF([1], {2: 1, 4: 1})
-    g = integrate_gf(integrate_gf(integrate_gf(g3, 9), 13), 0)
-    assert str(g) == "(13z + 9z^2 + 10z^3 + 9z^4 - 4z^5)" \
-                     " / ((1 - z)^3 (1 + z) (1 + z^2))"
-    assert g.series(len(P237_DELTA)) == P237_DELTA
+def test_p237_gf_series():
+    assert str(P237_GF) == "(13z + 9z^2 + 10z^3 + 9z^4 - 4z^5)" \
+                           " / ((1 - z)^3 (1 + z) (1 + z^2))"
+    assert P237_GF.series(len(P237_DELTA)) == P237_DELTA
+    assert difference(P237_GF.series(12), 3) == [1, -1, 0, 0] * 2 + [1]
 
 
 def test_partial_fractions_classes():
-    g = integrate_gf(integrate_gf(integrate_gf(
-        RationalGF([1], {2: 1, 4: 1}), 9), 13), 0)
-    q = partial_fractions(g)
+    q = partial_fractions(P237_GF)
     assert q.period == 4
     assert q.transient == 0
     assert q.classes == [
@@ -106,12 +100,6 @@ def test_partial_fractions_classes():
         (Fraction(37, 8), Fraction(17, 2), Fraction(-1, 2)),
         (Fraction(37, 8), Fraction(17, 2), Fraction(-1, 8)),
     ]
-    assert q.blocks == [
-        (1, 3, [Fraction(-3, 16), Fraction(27, 2), Fraction(-65, 16)]),
-        (2, 1, [Fraction(-1, 16)]),
-        (4, 1, [Fraction(1, 4)]),
-    ]
-    assert q.poly_part == []
 
 
 def test_partial_fractions_constant():
@@ -186,15 +174,27 @@ def test_fit_with_transient():
         assert q.evaluate(n) == vals[n]
 
 
+def test_fit_prefers_checked_classes():
+    # the period-3 model with no transient interpolates each class
+    # through its only three samples; the period-1 model from n = 1
+    # leaves five samples to check it, so the scan takes it first
+    q = fit([0] + [n * n - 3 * n - 3 for n in range(1, 9)])
+    assert (q.period, q.transient) == (1, 1)
+    assert q.classes == [(1, -3, -3)]
+
+
+def test_fit_checked_transient_beats_unchecked_period():
+    # n^2 for even n, n^2 - n for odd n >= 1; n = 0 is off the pattern
+    seq = [-1, 0, 4, 6, 16, 20, 36, 42, 64, 72, 100, 110]
+    q = fit(seq)
+    assert (q.period, q.transient) == (2, 1)
+    assert q.evaluate(12) == 144
+
+
 def test_mono_sloped_pole_order():
     # a genuinely quadratic sequence has a pole of order exactly 3 at z=1
     q = fit(D819)
     assert q.gf.den[1] == 3
-    # numerator-sum relation on the (1-z)^3 residue block: the quadratic
-    # class coefficient doubles to the slope
-    d, mult, num = q.blocks[0]
-    assert (d, mult) == (1, 3)
-    assert sum(num) == 6 == 2 * q.classes[0][0]
 
 
 def test_slopes_dedupes_classes():
@@ -269,29 +269,3 @@ def test_round_trip_property(q):
     assert slopes(r) == slopes(q)
     for n in range(r.transient, n_hi + 1):
         assert r.evaluate(n) == seq[n]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-50, 50), min_size=8, max_size=20))
-def test_difference_gf_identity(seq):
-    # z*G_{Da}(z) + a(0) = (1-z)*G_a(z): extend the sample to a series
-    # that is eventually zero, so both sides are honest rational
-    # functions, and undo the difference with integrate_gf
-    ga = RationalGF([Fraction(v) for v in seq], {})
-    gd = RationalGF([Fraction(v) for v in difference(seq + [0])], {})
-    n = len(seq) + 4
-    assert integrate_gf(gd, seq[0]).series(n) == ga.series(n)
-
-
-def test_difference_gf_identity_on_gfs():
-    rng = random.Random(7)
-    for _ in range(25):
-        period = rng.randint(1, 4)
-        vals = [rng.randint(-6, 6) for _ in range(period)]
-        g = gf_from_periodic(vals)
-        a0 = rng.randint(-5, 5)
-        ga = integrate_gf(g, a0)
-        n = 12
-        series = ga.series(n + 1)
-        assert series[0] == a0
-        assert difference(series) == g.series(n)
