@@ -14,14 +14,10 @@ import argparse
 import json
 import sys
 
-from . import closedforms, quasifit
+from . import quasifit
 from . import verify as slopecheck
-from .engine import (EngineLimitError, bracket_colored_jones,
-                     bundled_degrees_available, degree_sequence,
-                     morton_colored_jones)
-from .knots import (AlternatingData, Diagram, Named, Pretzel237, Torus,
-                    bundled_knot_table, is_alternating, load_slope_db,
-                    parse_knot, pretzel_pd, smoothing_counts, torus_pd)
+from .engine import EngineLimitError, degree_sequence
+from .knots import Named, bundled_knot_table, load_slope_db, parse_knot
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -39,57 +35,9 @@ def _knot_spec(args):
     return parse_knot(texts[0])
 
 
-def _default_colors(spec):
-    """Sample depth when --max-n is not given: deep enough for the fit,
-    shallow where every color costs a state sum."""
-    if isinstance(spec, Torus):
-        return 16
-    if isinstance(spec, Pretzel237):
-        period, _, _ = closedforms.pretzel_slopes(spec.p)
-        return max(20, 3 * period + 6)
-    if isinstance(spec, AlternatingData):
-        return 20
-    if isinstance(spec, Named) and bundled_degrees_available(spec.name):
-        return 20
-    if isinstance(spec, (Named, Diagram)):
-        pd = spec.resolved_pd()
-        if pd and is_alternating(pd):
-            return 20
-    return 6
-
-
-def _diagram_stats(spec):
-    """Signed crossing and smoothing-circle counts for specs that carry
-    or imply a diagram; None otherwise."""
-    if isinstance(spec, AlternatingData):
-        data = spec.mirrored() if spec.mirror else spec
-        from .knots import DiagramStats
-        return DiagramStats(data.c_plus, data.c_minus,
-                            data.a_circles, data.b_circles)
-    if isinstance(spec, Torus):
-        pd = torus_pd(spec.a, spec.b)
-        return smoothing_counts(pd)
-    if isinstance(spec, Pretzel237):
-        pd = pretzel_pd([-2, 3, spec.p])
-        from .knots import mirror_pd
-        return smoothing_counts(mirror_pd(pd) if spec.mirror else pd)
-    if isinstance(spec, (Named, Diagram)):
-        return smoothing_counts(spec.resolved_pd())
-    return None
-
-
-def _polynomial(spec, n, limit_mb):
-    if isinstance(spec, Torus):
-        return morton_colored_jones(spec.a, spec.b, n)
-    if isinstance(spec, Pretzel237):
-        j = bracket_colored_jones(pretzel_pd([-2, 3, spec.p]), n,
-                                  limit_mb=limit_mb)
-        return j.mirror() if spec.mirror else j
-    if isinstance(spec, (Named, Diagram)):
-        return bracket_colored_jones(spec.resolved_pd(), n,
-                                     limit_mb=limit_mb)
-    raise ValueError("no polynomial route for %s specs; alt: data only "
-                     "determines degrees" % spec.render())
+def _colors(args, spec):
+    """The sample depth: --max-n, else the spec's default."""
+    return args.max_n if args.max_n is not None else spec.default_colors()
 
 
 def _quasi_dict(q):
@@ -114,7 +62,7 @@ def _print_fit(q, out):
 
 def cmd_compute(args):
     spec = _knot_spec(args)
-    j = _polynomial(spec, args.n, args.limit_mb)
+    j = spec.polynomial(args.n, args.limit_mb)
     if args.json:
         print(json.dumps({"knot": spec.render(), "n": args.n,
                           "polynomial": str(j)}))
@@ -125,7 +73,7 @@ def cmd_compute(args):
 
 def cmd_degrees(args):
     spec = _knot_spec(args)
-    n_max = args.max_n if args.max_n is not None else _default_colors(spec)
+    n_max = _colors(args, spec)
     vals = degree_sequence(spec, args.kind, n_max, limit_mb=args.limit_mb)
     if args.json:
         print(json.dumps({"knot": spec.render(), "kind": args.kind,
@@ -146,8 +94,7 @@ def cmd_fit(args):
         source = args.input
     else:
         spec = _knot_spec(args)
-        n_max = (args.max_n if args.max_n is not None
-                 else _default_colors(spec))
+        n_max = _colors(args, spec)
         seq = degree_sequence(spec, args.kind, n_max, limit_mb=args.limit_mb)
         source = "%s %s degrees" % (spec.render(), args.kind)
     q = quasifit.fit(seq, max_period=args.max_period,
@@ -167,19 +114,15 @@ def cmd_fit(args):
 
 def cmd_slopes(args):
     spec = _knot_spec(args)
-    n_max = args.max_n if args.max_n is not None else _default_colors(spec)
-    report = slopecheck.analyze(spec, n_max, max_period=args.max_period,
+    report = slopecheck.analyze(spec, _colors(args, spec),
+                                max_period=args.max_period,
                                 max_transient=args.max_transient,
                                 limit_mb=args.limit_mb)
     if args.json:
-        print(json.dumps({
-            "knot": spec.render(),
-            "period": report.period,
-            "delta_period": report.delta_period,
-            "js": [str(s) for s in report.js],
-            "js_star": [str(s) for s in report.js_star],
-            "jones_diameter": str(report.jones_diameter),
-        }))
+        doc = report.to_dict()
+        print(json.dumps({key: doc[key] for key in (
+            "knot", "period", "delta_period", "js", "js_star",
+            "jones_diameter")}))
     else:
         print("period: %d" % report.period)
         print("js: %s" % ", ".join(str(s) for s in report.js))
@@ -189,8 +132,8 @@ def cmd_slopes(args):
 
 
 def _verify_one(args, spec, db):
-    n_max = args.max_n if args.max_n is not None else _default_colors(spec)
-    return slopecheck.analyze(spec, n_max, max_period=args.max_period,
+    return slopecheck.analyze(spec, _colors(args, spec),
+                              max_period=args.max_period,
                               max_transient=args.max_transient,
                               limit_mb=args.limit_mb, db=db)
 
@@ -230,37 +173,26 @@ def cmd_report(args):
     db = load_slope_db(args.slope_db) if args.slope_db else None
     spec = _knot_spec(args)
     rep = _verify_one(args, spec, db)
-    stats = _diagram_stats(spec)
-    bounds = (slopecheck.check_crossing_bounds(rep, stats)
-              if stats is not None else None)
-    alt_data = None
-    if isinstance(spec, AlternatingData):
-        alt_data = spec
-    elif isinstance(spec, (Named, Diagram)):
-        pd = spec.resolved_pd()
-        if pd and is_alternating(pd):
-            st = smoothing_counts(pd)
-            alt_data = AlternatingData(st.c_plus, st.c_minus,
-                                       st.a_circles, st.b_circles)
-    n_max = args.max_n if args.max_n is not None else _default_colors(spec)
-    alt = (slopecheck.check_alternating_theorems(alt_data, n_max)
+    bounds = slopecheck.check_crossing_bounds(rep, spec.diagram_stats())
+    alt_data = spec.alternating_data()
+    alt = (slopecheck.check_alternating_theorems(alt_data,
+                                                 _colors(args, spec))
            if alt_data is not None else None)
     failed = (rep.conjecture_verdict == "refuted-in-window"
-              or (bounds is not None and not bounds["holds"])
+              or not bounds["holds"]
               or (alt is not None and not alt["holds"]))
     if args.json:
         doc = rep.to_dict()
-        if bounds is not None:
-            doc["crossing_bounds"] = {
-                "holds": bounds["holds"],
-                "max_side": [[str(s), str(b), ok]
-                             for s, b, ok in bounds["max_side"]],
-                "min_side": [[str(s), str(b), ok]
-                             for s, b, ok in bounds["min_side"]],
-                "diameter": [str(bounds["diameter"][0]),
-                             str(bounds["diameter"][1]),
-                             bounds["diameter"][2]],
-            }
+        doc["crossing_bounds"] = {
+            "holds": bounds["holds"],
+            "max_side": [[str(s), str(b), ok]
+                         for s, b, ok in bounds["max_side"]],
+            "min_side": [[str(s), str(b), ok]
+                         for s, b, ok in bounds["min_side"]],
+            "diameter": [str(bounds["diameter"][0]),
+                         str(bounds["diameter"][1]),
+                         bounds["diameter"][2]],
+        }
         if alt is not None:
             doc["alternating_checks"] = {
                 "holds": alt["holds"],
@@ -271,15 +203,14 @@ def cmd_report(args):
         print(json.dumps(doc))
     else:
         print(rep.render())
-        if bounds is not None:
-            print("crossing bounds: %s"
-                  % ("hold" if bounds["holds"] else "VIOLATED"))
-            for s, b, okk in bounds["max_side"]:
-                print("  slope %s <= c+ = %s: %s" % (s, b, okk))
-            for s, b, okk in bounds["min_side"]:
-                print("  slope %s >= -c- = %s: %s" % (s, b, okk))
-            d, c, okk = bounds["diameter"]
-            print("  diameter %s <= c = %s: %s" % (d, c, okk))
+        print("crossing bounds: %s"
+              % ("hold" if bounds["holds"] else "VIOLATED"))
+        for s, b, okk in bounds["max_side"]:
+            print("  slope %s <= c+ = %s: %s" % (s, b, okk))
+        for s, b, okk in bounds["min_side"]:
+            print("  slope %s >= -c- = %s: %s" % (s, b, okk))
+        d, c, okk = bounds["diameter"]
+        print("  diameter %s <= c = %s: %s" % (d, c, okk))
         if alt is not None:
             print("alternating checks: %s"
                   % ("hold" if alt["holds"] else "FAILED"))

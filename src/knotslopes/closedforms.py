@@ -11,7 +11,7 @@ extended by the third-order recurrence the generating function encodes.
 
 from fractions import Fraction
 
-from .knots import pretzel_pd
+from .knots import _Frozen, pretzel_pd
 from .quasifit import RationalGF, _cyclotomic_split
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-class AlternatingInvariants:
+class AlternatingInvariants(_Frozen):
     """Crossing number, writhe, and signature of an alternating knot.
 
     The signed crossing counts are derived: c_plus = (c + w) / 2 and
@@ -29,9 +29,7 @@ class AlternatingInvariants:
     """
 
     def __init__(self, c, w, sigma):
-        self.c = Fraction(c)
-        self.w = Fraction(w)
-        self.sigma = Fraction(sigma)
+        super().__init__(c=Fraction(c), w=Fraction(w), sigma=Fraction(sigma))
 
     @property
     def c_plus(self):
@@ -41,15 +39,6 @@ class AlternatingInvariants:
     def c_minus(self):
         return (self.c - self.w) / 2
 
-    def __eq__(self, other):
-        if not isinstance(other, AlternatingInvariants):
-            return NotImplemented
-        return (self.c, self.w, self.sigma) == (other.c, other.w, other.sigma)
-
-    def __repr__(self):
-        return ("AlternatingInvariants(c=%s, w=%s, sigma=%s)"
-                % (self.c, self.w, self.sigma))
-
 
 def alt_invariants(data):
     """Invariants of the alternating knot the smoothing data describes.
@@ -57,25 +46,24 @@ def alt_invariants(data):
     The signature comes out of the smoothing-circle counts: it equals
     a_circles - 1 - c_plus, and the count identity |A| + |B| = c + 2
     guarantees the B-side expression -b_circles + 1 + c_minus agrees.
+    A mirror flag on the data applies through ``diagram_stats``.
     """
-    if data.mirror:
-        data = data.mirrored()
-    sigma = data.a_circles - 1 - data.c_plus
-    return AlternatingInvariants(data.c_plus + data.c_minus,
-                                 data.c_plus - data.c_minus, sigma)
+    st = data.diagram_stats()
+    sigma = st.a_circles - 1 - st.c_plus
+    return AlternatingInvariants(st.c_plus + st.c_minus, st.writhe, sigma)
 
 
 def alt_degrees(data, n):
     """Maximum and minimum degree of the color-n Jones polynomial of the
-    alternating knot with the given smoothing data."""
-    if data.mirror:
-        data = data.mirrored()
-    c = data.c_plus + data.c_minus
-    w = data.c_plus - data.c_minus
+    alternating knot with the given smoothing data (mirror flag
+    included)."""
+    st = data.diagram_stats()
+    c = st.c_plus + st.c_minus
+    w = st.writhe
     delta = (Fraction(c + w, 4) * n * n
-             + Fraction(-data.a_circles + 2 * data.c_plus + 1, 2) * n)
+             + Fraction(-st.a_circles + 2 * st.c_plus + 1, 2) * n)
     delta_star = (Fraction(-c + w, 4) * n * n
-                  + Fraction(data.b_circles - 2 * data.c_minus - 1, 2) * n)
+                  + Fraction(st.b_circles - 2 * st.c_minus - 1, 2) * n)
     return delta, delta_star
 
 

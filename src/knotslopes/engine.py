@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .laurent import LaurentPoly
-from .knots import (Torus, Pretzel237, AlternatingData, Diagram, Named,
-                    validate_pd, smoothing_counts, is_alternating)
+from .knots import validate_pd, smoothing_counts
 import os
 
 __all__ = [
@@ -281,11 +280,20 @@ _A_PAIRING = ((0, 1), (2, 3))
 _B_PAIRING = ((1, 2), (3, 0))
 
 
+def _check_budget(entries, entry_limit):
+    if entries > entry_limit:
+        raise EngineLimitError(
+            "bracket state sum exceeded the memory budget "
+            "(%d stored terms); raise the limit to continue" % entries)
+
+
 def _bracket_raw(crossings, free_circles, entry_limit):
-    """Kauffman bracket of a raw crossing list as an A-polynomial dict."""
+    """Kauffman bracket of a raw crossing list as an A-polynomial dict,
+    with the peak number of terms the state sum stored."""
     result_scale = _delta_pow(free_circles)
     if not crossings:
-        return result_scale
+        return result_scale, 0
+    peak = 0
     order = _pick_order(crossings)
     dp = {(): {0: 1}}
     for idx in order:
@@ -331,28 +339,30 @@ def _bracket_raw(crossings, free_circles, entry_limit):
                                 dst.pop(k2, None)
         dp = {k: v for k, v in ndp.items() if v}
         entries = sum(len(p) for p in dp.values())
-        if entries > entry_limit:
-            raise EngineLimitError(
-                "bracket state sum exceeded the memory budget "
-                "(%d stored terms); raise the limit to continue" % entries)
+        _check_budget(entries, entry_limit)
+        peak = max(peak, entries)
     if list(dp) != [()]:
         raise AssertionError("frontier did not close up")
-    return _pmul(dp[()], result_scale)
+    return _pmul(dp[()], result_scale), peak
 
 
+# (pd, m) -> (bracket of the m-parallel, peak stored terms of its sum)
 _BRACKET_CACHE = {}
 
 
 def _cable_bracket(pd, m, entry_limit):
+    """Bracket of the m-parallel of pd.  A cached bracket is refused
+    under a budget that its state sum exceeded."""
     key = (pd, m)
     hit = _BRACKET_CACHE.get(key)
-    if hit is not None:
-        return hit
-    crossings, circles = _cable(pd, m)
-    val = _bracket_raw(crossings, circles, entry_limit)
-    if len(_BRACKET_CACHE) > 64:
-        _BRACKET_CACHE.clear()
-    _BRACKET_CACHE[key] = val
+    if hit is None:
+        crossings, circles = _cable(pd, m)
+        hit = _bracket_raw(crossings, circles, entry_limit)
+        if len(_BRACKET_CACHE) > 64:
+            _BRACKET_CACHE.clear()
+        _BRACKET_CACHE[key] = hit
+    val, peak = hit
+    _check_budget(peak, entry_limit)
     return val
 
 
@@ -429,6 +439,18 @@ def bundled_degrees_available(name):
             and os.path.exists(_seq_file(name, "min")))
 
 
+def bundled_degrees(name, n_max):
+    """Packaged maximum- and minimum-degree lists of the named knot for
+    colors 0..n_max."""
+    dmax, dmin = ([Fraction(v) for v in _load_seq(_seq_file(name, kind))]
+                  for kind in ("max", "min"))
+    covered = min(len(dmax), len(dmin))
+    if n_max + 1 > covered:
+        raise ValueError("bundled degree data for %s covers colors up to %d"
+                         % (name, covered - 1))
+    return dmax[:n_max + 1], dmin[:n_max + 1]
+
+
 def _load_seq(path):
     vals = []
     with open(path, encoding="utf-8") as fh:
@@ -437,12 +459,6 @@ def _load_seq(path):
             if line:
                 vals.append(int(line))
     return vals
-
-
-def _polynomial_degrees(kind, polys):
-    """The kind's degree sequence of polynomials taken one at a time."""
-    ends = [(j.deg(), j.mindeg()) for j in polys]
-    return _combine(kind, [hi for hi, _ in ends], [lo for _, lo in ends])
 
 
 def _combine(kind, dmax, dmin):
@@ -460,63 +476,15 @@ def _combine(kind, dmax, dmin):
 def degree_sequence(spec, kind, n_max, limit_mb=None):
     """Degree sequence [value at color 0, ..., value at color n_max].
 
-    kind is one of max, min, span, sum.  Torus knots go through the
-    state-sum evaluator, pretzel and alternating specs through their
-    closed forms, named knots through bundled degree files when
-    present, and explicit diagrams through the bracket (with an
-    alternating-diagram shortcut).
+    kind is one of max, min, span, sum.  The spec supplies the maximum
+    and minimum degrees (``spec.degrees``): torus knots through Morton's
+    formula, pretzel and alternating specs through their closed forms,
+    named knots through bundled degree files when present, and
+    diagrams through the alternating closed forms or the cabled
+    bracket.  Every spec computes them for the unmirrored knot, and the
+    one mirror rule of ``knots._Spec`` turns (dmax, dmin) into
+    (-dmin, -dmax).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    from . import closedforms
-
-    if isinstance(spec, Torus):
-        return _polynomial_degrees(kind, (
-            morton_colored_jones(spec.a, spec.b, n)
-            for n in range(n_max + 1)))
-    if isinstance(spec, Pretzel237):
-        pairs = [closedforms.pretzel_degrees(spec.p, n, limit_mb=limit_mb)
-                 for n in range(n_max + 1)]
-        dmax = [pr[0] for pr in pairs]
-        dmin = [pr[1] for pr in pairs]
-        if spec.mirror:
-            dmax, dmin = [-v for v in dmin], [-v for v in dmax]
-        return _combine(kind, dmax, dmin)
-    if isinstance(spec, AlternatingData):
-        pairs = [closedforms.alt_degrees(spec, n) for n in range(n_max + 1)]
-        dmax = [pr[0] for pr in pairs]
-        dmin = [pr[1] for pr in pairs]
-        return _combine(kind, dmax, dmin)
-    if isinstance(spec, Named):
-        fmax, fmin = _seq_file(spec.name, "max"), _seq_file(spec.name, "min")
-        if os.path.exists(fmax) and os.path.exists(fmin):
-            dmax = [Fraction(v) for v in _load_seq(fmax)]
-            dmin = [Fraction(v) for v in _load_seq(fmin)]
-            if n_max + 1 > len(dmax) or n_max + 1 > len(dmin):
-                raise ValueError(
-                    "bundled degree data for %s covers colors up to %d"
-                    % (spec.name, min(len(dmax), len(dmin)) - 1))
-            dmax, dmin = dmax[:n_max + 1], dmin[:n_max + 1]
-            if spec.mirror:
-                dmax, dmin = [-v for v in dmin], [-v for v in dmax]
-            return _combine(kind, dmax, dmin)
-        pd = spec.resolved_pd()
-        return _pd_degrees(pd, kind, n_max, limit_mb)
-    if isinstance(spec, Diagram):
-        return _pd_degrees(spec.resolved_pd(), kind, n_max, limit_mb)
-    raise TypeError("unsupported knot spec %r" % (spec,))
-
-
-def _pd_degrees(pd, kind, n_max, limit_mb):
-    from . import closedforms
-    if pd and is_alternating(pd):
-        stats = smoothing_counts(pd)
-        data = AlternatingData(stats.c_plus, stats.c_minus,
-                               stats.a_circles, stats.b_circles)
-        pairs = [closedforms.alt_degrees(data, n) for n in range(n_max + 1)]
-        dmax = [pr[0] for pr in pairs]
-        dmin = [pr[1] for pr in pairs]
-        return _combine(kind, dmax, dmin)
-    return _polynomial_degrees(kind, (
-        bracket_colored_jones(pd, n, limit_mb=limit_mb)
-        for n in range(n_max + 1)))
+    return _combine(kind, *spec.degrees(n_max, limit_mb))

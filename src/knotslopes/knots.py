@@ -9,8 +9,16 @@ Knots enter through a small grammar:
 
     torus:a,b | pretzel:-2,3,p | alt:c+,c-,|A|,|B| | pd:[...] | name:<key>
 
-with an optional ``mirror:`` prefix.  Mirrors are structural: a mirror
-torus knot is Torus(a, -b), any other spec carries a flag.
+with an optional ``mirror:`` prefix.  Each kind is a frozen value that
+answers every per-knot question of the pipeline: ``degrees`` up to a
+color, the ``polynomial`` at one color, ``default_colors``,
+``diagram_stats``, ``alternating_data`` (only ``alt:``, ``name:`` and
+``pd:`` specs get the alternating checks) and ``boundary_slopes``.
+A kind answers for the unmirrored knot, and one rule in ``_Spec``
+applies the mirror: degrees (dmax, dmin) become (-dmin, -dmax), the
+polynomial takes q -> 1/q, diagram counts swap c+ with c- and |A| with
+|B|, and finite boundary slopes are negated.  A mirror torus knot is
+Torus(a, -b); every other spec carries a ``mirror`` flag.
 """
 
 import os
@@ -33,55 +41,168 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # knot specifications
 
 
-class Torus:
+def _split(pairs):
+    """The maximum-degree and minimum-degree lists of (max, min) pairs."""
+    return [hi for hi, _ in pairs], [lo for _, lo in pairs]
+
+
+class _Frozen:
+    """Immutable value whose fields are the keywords its constructor
+    passes to ``_Frozen.__init__``.  As for a frozen dataclass, equality,
+    hashing and repr go by the fields, and assignment raises
+    ``dataclasses.FrozenInstanceError``.  Importing ``dataclasses`` itself,
+    with the ``inspect`` module it loads, would add half again to the
+    start-up of every command line call (Python 3.11, 2-core Xeon VM)."""
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % field for field in vars(self).items()))
+
+
+class _Spec(_Frozen):
+    """The per-knot answers of a spec kind.  A kind computes each one for
+    the unmirrored knot in the underscored methods, and the public
+    methods apply the mirror rule.  Layer functions are looked up on
+    their modules at call time, so a wrapper on a module attribute sees
+    every call."""
+
+    def render(self):
+        return ("mirror:" if self.mirror else "") + self._render()
+
+    def degrees(self, n_max, limit_mb=None):
+        """Maximum- and minimum-degree lists for colors 0..n_max."""
+        dmax, dmin = self._degrees(n_max, limit_mb)
+        if self.mirror:
+            return [-v for v in dmin], [-v for v in dmax]
+        return dmax, dmin
+
+    def polynomial(self, n, limit_mb=None):
+        """The colored Jones polynomial at color n."""
+        j = self._polynomial(n, limit_mb)
+        return j.mirror() if self.mirror else j
+
+    def diagram_stats(self):
+        """Signed crossing and smoothing-circle counts of the diagram."""
+        st = self._diagram_stats()
+        if self.mirror:
+            return DiagramStats(st.c_minus, st.c_plus,
+                                st.b_circles, st.a_circles)
+        return st
+
+    def boundary_slopes(self, db):
+        """Boundary-slope set from a closed form or the table db, or
+        None when there is no data."""
+        slopes = self._boundary_slopes(db)
+        if slopes is None or not self.mirror:
+            return slopes
+        return frozenset(s if s is INFINITY else -s for s in slopes)
+
+    def alternating_data(self):
+        """Data for the alternating-knot checks, or None when the spec
+        does not get them."""
+        return None
+
+    def _degrees(self, n_max, limit_mb):
+        polys = (self._polynomial(n, limit_mb) for n in range(n_max + 1))
+        return _split([(j.deg(), j.mindeg()) for j in polys])
+
+    def _boundary_slopes(self, db):
+        return None
+
+
+class Torus(_Spec):
     """The (a,b) torus knot; a negative b denotes the mirror image."""
 
     def __init__(self, a, b):
         if gcd(a, abs(b)) != 1:
-            raise ValueError("torus parameters must be coprime: (%d,%d)" % (a, b))
+            raise ValueError("torus parameters must be coprime: (%d,%d)"
+                             % (a, b))
         if a < 2 or abs(b) < 2:
-            raise ValueError("torus parameters must be at least 2 in magnitude")
-        self.a = a
-        self.b = b
+            raise ValueError(
+                "torus parameters must be at least 2 in magnitude")
+        super().__init__(a=a, b=b)
+
+    @property
+    def mirror(self):
+        return self.b < 0
 
     def render(self):
         return "torus:%d,%d" % (self.a, self.b)
 
-    def __eq__(self, other):
-        return isinstance(other, Torus) and (self.a, self.b) == (other.a, other.b)
+    def default_colors(self):
+        return 16
 
-    def __hash__(self):
-        return hash(("torus", self.a, self.b))
+    def _polynomial(self, n, limit_mb):
+        from . import engine
+        return engine.morton_colored_jones(self.a, abs(self.b), n)
 
-    def __repr__(self):
-        return "Torus(%d, %d)" % (self.a, self.b)
+    def _diagram_stats(self):
+        return smoothing_counts(torus_pd(self.a, abs(self.b)))
+
+    def _boundary_slopes(self, db):
+        return frozenset({Fraction(0), Fraction(self.a * abs(self.b))})
 
 
-class Pretzel237:
+class Pretzel237(_Spec):
     """The (-2, 3, p) pretzel knot for odd p."""
 
     def __init__(self, p, mirror=False):
         if p % 2 == 0:
             raise ValueError("pretzel parameter p must be odd, got %d" % p)
-        self.p = p
-        self.mirror = mirror
+        super().__init__(p=p, mirror=mirror)
 
-    def render(self):
-        base = "pretzel:-2,3,%d" % self.p
-        return ("mirror:" + base) if self.mirror else base
+    def _render(self):
+        return "pretzel:-2,3,%d" % self.p
 
-    def __eq__(self, other):
-        return (isinstance(other, Pretzel237)
-                and (self.p, self.mirror) == (other.p, other.mirror))
+    def default_colors(self):
+        from . import closedforms
+        period, _, _ = closedforms.pretzel_slopes(self.p)
+        return max(20, 3 * period + 6)
 
-    def __hash__(self):
-        return hash(("pretzel237", self.p, self.mirror))
+    def _degrees(self, n_max, limit_mb):
+        from . import closedforms
+        return _split([closedforms.pretzel_degrees(self.p, n,
+                                                   limit_mb=limit_mb)
+                       for n in range(n_max + 1)])
 
-    def __repr__(self):
-        return "Pretzel237(%d%s)" % (self.p, ", mirror" if self.mirror else "")
+    def _polynomial(self, n, limit_mb):
+        from . import engine
+        return engine.bracket_colored_jones(pretzel_pd([-2, 3, self.p]), n,
+                                            limit_mb=limit_mb)
+
+    def _diagram_stats(self):
+        return smoothing_counts(pretzel_pd([-2, 3, self.p]))
+
+    def _boundary_slopes(self, db):
+        """The family formula for p >= 7 and p <= -1; table rows for the
+        exceptional p in {1, 3, 5}."""
+        if self.p >= 7 or self.p <= -1:
+            from . import closedforms
+            return frozenset(closedforms.pretzel_boundary_slopes(self.p))
+        return db.get(self._render())
 
 
-class AlternatingData:
+class AlternatingData(_Spec):
     """Crossing and smoothing-circle counts of a reduced alternating diagram."""
 
     def __init__(self, c_plus, c_minus, a_circles, b_circles, mirror=False):
@@ -91,91 +212,111 @@ class AlternatingData:
             raise ValueError(
                 "|A|+|B| must equal c+2: got %d+%d != %d+2"
                 % (a_circles, b_circles, c_plus + c_minus))
-        self.c_plus = c_plus
-        self.c_minus = c_minus
-        self.a_circles = a_circles
-        self.b_circles = b_circles
-        self.mirror = mirror
+        super().__init__(c_plus=c_plus, c_minus=c_minus, a_circles=a_circles,
+                         b_circles=b_circles, mirror=mirror)
 
-    def mirrored(self):
-        """Alternating data of the mirror image (A and B roles swap)."""
-        return AlternatingData(self.c_minus, self.c_plus,
-                               self.b_circles, self.a_circles)
-
-    def render(self):
-        base = "alt:%d,%d,%d,%d" % (self.c_plus, self.c_minus,
+    def _render(self):
+        return "alt:%d,%d,%d,%d" % (self.c_plus, self.c_minus,
                                     self.a_circles, self.b_circles)
-        return ("mirror:" + base) if self.mirror else base
 
-    def __eq__(self, other):
-        return (isinstance(other, AlternatingData)
-                and (self.c_plus, self.c_minus, self.a_circles,
-                     self.b_circles, self.mirror)
-                == (other.c_plus, other.c_minus, other.a_circles,
-                    other.b_circles, other.mirror))
+    def default_colors(self):
+        return 20
 
-    def __hash__(self):
-        return hash(("alt", self.c_plus, self.c_minus,
-                     self.a_circles, self.b_circles, self.mirror))
+    def alternating_data(self):
+        return self
 
-    def __repr__(self):
-        return "AlternatingData(c+=%d, c-=%d, |A|=%d, |B|=%d%s)" % (
-            self.c_plus, self.c_minus, self.a_circles, self.b_circles,
-            ", mirror" if self.mirror else "")
+    def _degrees(self, n_max, limit_mb):
+        from . import closedforms
+        base = AlternatingData(self.c_plus, self.c_minus,
+                               self.a_circles, self.b_circles)
+        return _split([closedforms.alt_degrees(base, n)
+                       for n in range(n_max + 1)])
+
+    def _polynomial(self, n, limit_mb):
+        raise ValueError("no polynomial route for %s specs; alt: data only "
+                         "determines degrees" % self.render())
+
+    def _diagram_stats(self):
+        return DiagramStats(self.c_plus, self.c_minus,
+                            self.a_circles, self.b_circles)
 
 
-class Diagram:
+class _DiagramSpec(_Spec):
+    """Answers read off the planar diagram ``pd``: the alternating closed
+    forms when it is alternating, the cabled bracket otherwise."""
+
+    def default_colors(self):
+        if self.alternating_data() is not None:
+            return 20
+        if not self.pd:
+            return 6
+        from . import engine
+        raise engine.EngineLimitError(
+            "a non-alternating diagram without bundled degrees has no "
+            "default color depth: every color is a cabled state sum that "
+            "costs about a hundred times the one before; pass --max-n")
+
+    def alternating_data(self):
+        if not (self.pd and is_alternating(self.pd)):
+            return None
+        st = smoothing_counts(self.pd)
+        return AlternatingData(st.c_plus, st.c_minus, st.a_circles,
+                               st.b_circles, self.mirror)
+
+    def _degrees(self, n_max, limit_mb):
+        data = self.alternating_data()
+        if data is None:
+            return super()._degrees(n_max, limit_mb)
+        return data._degrees(n_max, limit_mb)
+
+    def _polynomial(self, n, limit_mb):
+        from . import engine
+        return engine.bracket_colored_jones(self.pd, n, limit_mb=limit_mb)
+
+    def _diagram_stats(self):
+        return smoothing_counts(self.pd)
+
+
+class Diagram(_DiagramSpec):
     """An explicit planar diagram."""
 
     def __init__(self, pd, mirror=False):
-        self.pd = validate_pd(pd)
-        self.mirror = mirror
+        super().__init__(pd=validate_pd(pd), mirror=mirror)
 
-    def resolved_pd(self):
-        return mirror_pd(self.pd) if self.mirror else self.pd
-
-    def render(self):
-        base = "pd:[%s]" % ",".join("(%d,%d,%d,%d)" % x for x in self.pd)
-        return ("mirror:" + base) if self.mirror else base
-
-    def __eq__(self, other):
-        return (isinstance(other, Diagram)
-                and (self.pd, self.mirror) == (other.pd, other.mirror))
-
-    def __hash__(self):
-        return hash(("pd", self.pd, self.mirror))
-
-    def __repr__(self):
-        return "Diagram(%d crossings%s)" % (len(self.pd),
-                                            ", mirror" if self.mirror else "")
+    def _render(self):
+        return "pd:[%s]" % ",".join("(%d,%d,%d,%d)" % x for x in self.pd)
 
 
-class Named:
-    """A knot resolved through the bundled table."""
+class Named(_DiagramSpec):
+    """A knot resolved through the bundled table; its degrees come from
+    bundled degree files when they exist."""
 
     def __init__(self, name, mirror=False):
         if name not in bundled_knot_table():
             raise ValueError("unknown knot name %r" % name)
-        self.name = name
-        self.mirror = mirror
+        super().__init__(name=name, mirror=mirror)
 
-    def resolved_pd(self):
-        pd = bundled_knot_table()[self.name]
-        return mirror_pd(pd) if self.mirror else pd
+    @property
+    def pd(self):
+        return bundled_knot_table()[self.name]
 
-    def render(self):
-        base = "name:" + self.name
-        return ("mirror:" + base) if self.mirror else base
+    def _render(self):
+        return "name:" + self.name
 
-    def __eq__(self, other):
-        return (isinstance(other, Named)
-                and (self.name, self.mirror) == (other.name, other.mirror))
+    def default_colors(self):
+        from . import engine
+        if engine.bundled_degrees_available(self.name):
+            return 20
+        return super().default_colors()
 
-    def __hash__(self):
-        return hash(("name", self.name, self.mirror))
+    def _degrees(self, n_max, limit_mb):
+        from . import engine
+        if engine.bundled_degrees_available(self.name):
+            return engine.bundled_degrees(self.name, n_max)
+        return super()._degrees(n_max, limit_mb)
 
-    def __repr__(self):
-        return "Named(%s%s)" % (self.name, ", mirror" if self.mirror else "")
+    def _boundary_slopes(self, db):
+        return db.get(self.name)
 
 
 _PD_TUPLE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -233,25 +374,16 @@ def parse_knot(text):
 # planar diagram validation and statistics
 
 
-class DiagramStats:
+class DiagramStats(_Frozen):
     """Signed crossing counts and smoothing-circle counts of a diagram."""
 
     def __init__(self, c_plus, c_minus, a_circles, b_circles):
-        self.c_plus = c_plus
-        self.c_minus = c_minus
-        self.writhe = c_plus - c_minus
-        self.a_circles = a_circles
-        self.b_circles = b_circles
+        super().__init__(c_plus=c_plus, c_minus=c_minus,
+                         a_circles=a_circles, b_circles=b_circles)
 
-    def __repr__(self):
-        return ("DiagramStats(c+=%d, c-=%d, w=%d, |A|=%d, |B|=%d)"
-                % (self.c_plus, self.c_minus, self.writhe,
-                   self.a_circles, self.b_circles))
-
-    def __eq__(self, other):
-        return (isinstance(other, DiagramStats)
-                and (self.c_plus, self.c_minus, self.a_circles, self.b_circles)
-                == (other.c_plus, other.c_minus, other.a_circles, other.b_circles))
+    @property
+    def writhe(self):
+        return self.c_plus - self.c_minus
 
 
 def _arc_endpoints(pd):
@@ -681,36 +813,14 @@ def bundled_knot_table():
     return _KNOT_TABLE
 
 
-def _negate_slopes(slopes):
-    return frozenset(INFINITY if s is INFINITY else -s for s in slopes)
-
-
 def boundary_slopes_for(spec, db=None):
     """Boundary-slope set for a spec, or None when no data is available.
 
-    Torus knots use {0, ab}; the (-2,3,p) pretzels use the published
-    closed form for p >= 7 and p <= -1 and explicit table rows for the
-    exceptional p in {1,3,5}.  Mirrors negate every finite slope.
+    The spec answers from ``db`` (default: the bundled table) or from a
+    closed form: {0, ab} for torus knots, the family formula for the
+    (-2,3,p) pretzels with p >= 7 or p <= -1.  Mirrors negate every
+    finite slope.
     """
     if db is None:
         db = bundled_slope_db()
-    if isinstance(spec, Torus):
-        base = frozenset({Fraction(0), Fraction(spec.a * abs(spec.b))})
-        return _negate_slopes(base) if spec.b < 0 else base
-    if isinstance(spec, Pretzel237):
-        p = spec.p
-        if p >= 7 or p <= -1:
-            from .closedforms import pretzel_boundary_slopes
-            base = frozenset(pretzel_boundary_slopes(p))
-        else:
-            row = db.get(spec.render().replace("mirror:", ""))
-            if row is None:
-                return None
-            base = row
-        return _negate_slopes(base) if spec.mirror else base
-    if isinstance(spec, Named):
-        row = db.get(spec.name)
-        if row is None:
-            return None
-        return _negate_slopes(row) if spec.mirror else row
-    return None
+    return spec.boundary_slopes(db)

@@ -26,10 +26,6 @@ _DOUBLING_NOTE = ("inclusion test: 2*s for every fitted slope s, on both "
                   "the maximum- and minimum-degree sides")
 
 
-def _fmt(x):
-    return str(x)
-
-
 def _sorted_slopes(slopes):
     finite = sorted(s for s in slopes if s is not INFINITY)
     if any(s is INFINITY for s in slopes):
@@ -66,18 +62,18 @@ class SlopeReport:
             return {
                 "period": q.period,
                 "transient": q.transient,
-                "classes": [[_fmt(c) for c in trip] for trip in q.classes],
+                "classes": [[str(c) for c in trip] for trip in q.classes],
                 "gf": str(q.gf) if q.gf is not None else None,
             }
         return {
             "knot": self.knot.render(),
             "period": self.period,
             "delta_period": self.delta_period,
-            "js": [_fmt(s) for s in self.js],
-            "js_star": [_fmt(s) for s in self.js_star],
-            "jones_diameter": _fmt(self.jones_diameter),
+            "js": [str(s) for s in self.js],
+            "js_star": [str(s) for s in self.js_star],
+            "jones_diameter": str(self.jones_diameter),
             "boundary_slopes": (None if self.boundary_slopes is None
-                                else [_fmt(s) for s in self.boundary_slopes]),
+                                else [str(s) for s in self.boundary_slopes]),
             "conjecture_verdict": self.conjecture_verdict,
             "evidence": {
                 "delta": quasi_dict(self.evidence["delta"]),
@@ -93,15 +89,15 @@ class SlopeReport:
         lines.append("period: %d (max-degree side alone: %d)"
                      % (self.period, self.delta_period))
         lines.append("jones slopes, max degree: %s"
-                     % ", ".join(_fmt(s) for s in self.js))
+                     % ", ".join(str(s) for s in self.js))
         lines.append("jones slopes, min degree: %s"
-                     % ", ".join(_fmt(s) for s in self.js_star))
-        lines.append("jones diameter: %s" % _fmt(self.jones_diameter))
+                     % ", ".join(str(s) for s in self.js_star))
+        lines.append("jones diameter: %s" % self.jones_diameter)
         if self.boundary_slopes is None:
             lines.append("boundary slopes: unknown")
         else:
             lines.append("boundary slopes: %s"
-                         % ", ".join(_fmt(s) for s in self.boundary_slopes))
+                         % ", ".join(str(s) for s in self.boundary_slopes))
         lines.append("verdict: %s" % self.conjecture_verdict)
         for note in self.evidence["notes"]:
             lines.append("note: %s" % note)
@@ -139,7 +135,7 @@ def analyze(spec, n_max, max_period=16, max_transient=8, limit_mb=None,
         if missing:
             verdict = "refuted-in-window"
             notes.append("doubled slopes missing from the boundary-slope "
-                         "set: %s" % ", ".join(_fmt(2 * s) for s in missing))
+                         "set: %s" % ", ".join(str(2 * s) for s in missing))
         else:
             verdict = "verified"
         bs_sorted = _sorted_slopes(bs)
@@ -179,7 +175,7 @@ def check_alternating_theorems(data, n_max, limit_mb=None):
     to the signed crossing counts, the degree sum and span identities,
     and the checkerboard surface slopes 2*c_plus and -2*c_minus."""
     inv = closedforms.alt_invariants(data)
-    base = data.mirrored() if data.mirror else data
+    base = data.diagram_stats()
     report = analyze(data, n_max, limit_mb=limit_mb)
     problems = []
     if report.period != 1:
@@ -190,8 +186,7 @@ def check_alternating_theorems(data, n_max, limit_mb=None):
     if report.js_star != [Fraction(-base.c_minus)]:
         problems.append("js* %s instead of {-c-} = {%d}"
                         % (report.js_star, -base.c_minus))
-    pairs = [closedforms.alt_degrees(base, n) for n in range(n_max + 1)]
-    for n, (d, ds) in enumerate(pairs):
+    for n, (d, ds) in enumerate(zip(*data.degrees(n_max))):
         dm, dp = closedforms.alt_symmetrized(inv, n)
         if d + ds != dm or d - ds != dp:
             problems.append("degree sum/span identities fail at n=%d" % n)

@@ -7,6 +7,7 @@ import pytest
 
 from knotslopes import engine
 from knotslopes.cli import main
+from knotslopes.knots import Diagram, bundled_knot_table
 
 
 def run(capsys, *argv):
@@ -161,14 +162,38 @@ def test_slopes_json_deterministic(capsys):
     assert doc["period"] == 3
 
 
-def test_limit_exit_code(capsys, monkeypatch):
-    # the bracket memo ignores the budget, so a value cached by an
-    # earlier test would bypass the limit
-    monkeypatch.setattr(engine, "_BRACKET_CACHE", {})
+def test_limit_exit_code(capsys):
     code, _, err = run(capsys, "compute", "name:8_19", "--n", "2",
                        "--limit-mb", "0")
     assert code == 3
     assert "memory budget" in err
+
+
+def test_limit_holds_for_cached_bracket(capsys):
+    code, _, _ = run(capsys, "compute", "name:8_19", "--n", "2")
+    assert code == 0
+    assert (bundled_knot_table()["8_19"], 2) in engine._BRACKET_CACHE
+    code, _, err = run(capsys, "compute", "name:8_19", "--n", "2",
+                       "--limit-mb", "0")
+    assert code == 3
+    assert "memory budget" in err
+
+
+def test_nonalternating_diagram_needs_max_n(capsys, monkeypatch):
+    pd = Diagram(bundled_knot_table()["8_19"]).render()
+
+    def no_state_sum(*args):
+        raise AssertionError("a state sum ran")
+    monkeypatch.setattr(engine, "_bracket_raw", no_state_sum)
+    for cmd in ("degrees", "fit", "slopes", "report"):
+        code, out, err = run(capsys, cmd, pd)
+        assert code == 3
+        assert out == ""
+        assert "--max-n" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "degrees", pd, "--max-n", "2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0", "8", "23"]
 
 
 def test_report_trefoil(capsys):

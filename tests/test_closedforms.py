@@ -66,7 +66,7 @@ def test_symmetrized_span_at_one_is_crossing_number():
 def bundled_alternating_data():
     out = []
     for name in sorted(bundled_knot_table()):
-        pd = parse_knot("name:" + name).resolved_pd()
+        pd = parse_knot("name:" + name).pd
         if not is_alternating(pd):
             continue
         st = smoothing_counts(pd)

@@ -36,6 +36,33 @@ SPECS = (["name:" + key for key in NAMED] + ["mirror:name:8_19"]
          + ["pretzel:-2,3,%d" % p for p in range(-15, 20, 2)]
          + ["mirror:pretzel:-2,3,7"])
 
+# explicit diagrams: the trefoil (alternating) and 8_19 (not alternating)
+PD_3_1 = "pd:[(1,2,3,4),(2,5,6,3),(5,1,4,6)]"
+PD_8_19 = ("pd:[(1,2,3,4),(3,5,6,7),(2,8,9,5),(9,10,11,6),(8,12,13,10),"
+           "(13,14,15,11),(12,1,16,14),(16,4,7,15)]")
+
+# one spec per route through the spec kinds, mirrors included
+COMPUTE_SPECS = ["torus:2,3", "mirror:torus:3,4", "pretzel:-2,3,7",
+                 "mirror:pretzel:-2,3,7", "pretzel:-2,3,-5", "alt:3,0,2,3",
+                 "mirror:alt:3,0,2,3", "name:3_1", "mirror:name:3_1",
+                 "name:8_19", "mirror:name:8_19", PD_3_1, "mirror:" + PD_3_1,
+                 PD_8_19, "mirror:" + PD_8_19, "pd:[]"]
+# (spec, --max-n); non-alternating diagrams stay at color 2 or below
+DEGREE_SPECS = [("torus:3,4", 6), ("mirror:torus:2,5", 6),
+                ("pretzel:-2,3,7", 12), ("mirror:pretzel:-2,3,7", 12),
+                ("pretzel:-2,3,-5", 8), ("mirror:pretzel:-2,3,3", 8),
+                ("alt:3,0,2,3", 6), ("mirror:alt:5,0,2,5", 6),
+                ("name:8_19", 8), ("mirror:name:8_19", 8),
+                ("name:8_19", 999), ("mirror:name:9_42", 999),
+                ("name:3_1", 6), ("mirror:name:8_17", 6),
+                (PD_3_1, 6), ("mirror:" + PD_3_1, 6), (PD_8_19, 2),
+                ("mirror:" + PD_8_19, 2), ("pd:[]", 3), ("torus:2,3", -1)]
+REPORT_SPECS = [["torus:3,4"], ["mirror:torus:2,5"], ["pretzel:-2,3,7"],
+                ["mirror:pretzel:-2,3,-3"], ["alt:2,2,3,3"],
+                ["mirror:alt:3,0,2,3"], ["name:8_19"], ["mirror:name:3_1"],
+                [PD_3_1], ["mirror:" + PD_3_1], [PD_3_1, "--json"],
+                [PD_8_19, "--max-n", "2"]]
+
 
 def _sequence_dir():
     return os.path.join(os.path.dirname(knotslopes.__file__), "data",
@@ -51,6 +78,16 @@ def corpus():
                   for cmd in ("report", "slopes", "fit")],
         "sequences": [["fit", "--input", name, "--json"] for name in seqs
                       if name.endswith(".seq")],
+        "routes": ([["compute", spec, "--n", "1"] for spec in COMPUTE_SPECS]
+                   + [["compute", "name:8_19", "--n", "2"],
+                      ["compute", "mirror:" + PD_8_19, "--n", "2",
+                       "--json"]]
+                   + [["degrees", spec, "--kind", kind, "--max-n", str(n)]
+                      for spec, n in DEGREE_SPECS
+                      for kind in ("max", "min", "span", "sum")]
+                   + [["degrees", "mirror:pretzel:-2,3,7", "--kind", "span",
+                       "--max-n", "4", "--json"]]
+                   + [["report"] + argv for argv in REPORT_SPECS]),
     }
 
 

@@ -1,10 +1,14 @@
 """Tests for knot specs, planar diagrams, and the bundled tables."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from knotslopes.knots import (INFINITY, AlternatingData, Diagram, Named,
+from knotslopes.closedforms import AlternatingInvariants
+from knotslopes.engine import EngineLimitError
+from knotslopes.knots import (INFINITY, AlternatingData, Diagram,
+                              DiagramStats, Named,
                               Pretzel237, Torus, boundary_slopes_for,
                               braid_pd, bundled_knot_table, bundled_slope_db,
                               is_alternating, load_knot_table, load_slope_db,
@@ -59,10 +63,65 @@ def test_alternating_data_circle_count_constraint():
 
 
 def test_alternating_data_mirror_swaps_roles():
-    data = AlternatingData(7, 5, 10, 4)
-    m = data.mirrored()
+    m = AlternatingData(7, 5, 10, 4, mirror=True).diagram_stats()
     assert (m.c_plus, m.c_minus) == (5, 7)
     assert (m.a_circles, m.b_circles) == (4, 10)
+
+
+def test_specs_are_frozen():
+    cases = [(Torus(2, 3), "b"), (Pretzel237(7), "mirror"),
+             (AlternatingData(3, 0, 2, 3), "c_plus"),
+             (Diagram(TREFOIL_PD), "pd"), (Named("3_1"), "name"),
+             (DiagramStats(3, 0, 2, 3), "a_circles"),
+             (AlternatingInvariants(3, 3, -2), "sigma")]
+    for obj, field in cases:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 1)
+    assert len({Named("3_1"), Named("3_1"), Named("3_1", mirror=True)}) == 2
+
+
+def test_mirror_rule_on_every_question():
+    # a flagged mirror answers like the mirrored diagram
+    for spec, image in ((Named("8_19", mirror=True),
+                         Diagram(mirror_pd(bundled_knot_table()["8_19"]))),
+                        (Diagram(TREFOIL_PD, mirror=True),
+                         Diagram(mirror_pd(TREFOIL_PD))),
+                        (Pretzel237(-3, mirror=True),
+                         Diagram(mirror_pd(pretzel_pd([-2, 3, -3]))))):
+        assert spec.degrees(2) == image.degrees(2)
+        assert spec.polynomial(2) == image.polynomial(2)
+        assert spec.diagram_stats() == image.diagram_stats()
+    st = AlternatingData(3, 0, 2, 3, mirror=True).diagram_stats()
+    assert st == DiagramStats(0, 3, 3, 2)
+    assert Torus(2, -3).diagram_stats() == smoothing_counts(torus_pd(2, -3))
+    db = {"3_1": frozenset({Fraction(6), INFINITY}),
+          "pretzel:-2,3,5": frozenset({Fraction(15)})}
+    assert Named("3_1", mirror=True).boundary_slopes(db) == \
+        frozenset({Fraction(-6), INFINITY})
+    assert Pretzel237(5, mirror=True).boundary_slopes(db) == \
+        frozenset({Fraction(-15)})
+    assert Named("8_19", mirror=True).boundary_slopes(db) is None
+
+
+def test_alternating_checks_only_for_alt_name_pd():
+    assert AlternatingData(3, 0, 2, 3).alternating_data() is not None
+    assert Named("3_1").alternating_data() == AlternatingData(3, 0, 2, 3)
+    assert Diagram(TREFOIL_PD, mirror=True).alternating_data() == \
+        AlternatingData(3, 0, 2, 3, mirror=True)
+    assert Named("8_19").alternating_data() is None
+    assert Torus(2, 3).alternating_data() is None
+    assert Pretzel237(-1).alternating_data() is None
+
+
+def test_default_colors():
+    assert Torus(3, 4).default_colors() == 16
+    assert Pretzel237(19).default_colors() == 54
+    assert AlternatingData(3, 0, 2, 3).default_colors() == 20
+    assert Named("8_19").default_colors() == 20  # bundled degree files
+    assert Diagram(TREFOIL_PD).default_colors() == 20
+    assert Diagram(()).default_colors() == 6
+    with pytest.raises(EngineLimitError, match="--max-n"):
+        Diagram(bundled_knot_table()["8_19"]).default_colors()
 
 
 def test_validate_pd():

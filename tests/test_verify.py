@@ -119,7 +119,7 @@ def test_crossing_bounds_violation_reported():
 
 def test_crossing_bounds_8_19_pd():
     from knotslopes.knots import smoothing_counts
-    stats = smoothing_counts(parse_knot("name:8_19").resolved_pd())
+    stats = smoothing_counts(parse_knot("name:8_19").pd)
     r = analyze(parse_knot("name:8_19"), 12)
     out = check_crossing_bounds(r, stats)
     assert out["holds"]
