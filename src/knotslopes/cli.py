@@ -175,8 +175,8 @@ def cmd_report(args):
     rep = _verify_one(args, spec, db)
     bounds = slopecheck.check_crossing_bounds(rep, spec.diagram_stats())
     alt_data = spec.alternating_data()
-    alt = (slopecheck.check_alternating_theorems(alt_data,
-                                                 _colors(args, spec))
+    alt = (slopecheck.check_alternating_theorems(
+               alt_data, _colors(args, spec), report=rep)
            if alt_data is not None else None)
     failed = (rep.conjecture_verdict == "refuted-in-window"
               or not bounds["holds"]

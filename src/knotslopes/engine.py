@@ -10,6 +10,13 @@ unknot normalization (constant 1) and color 1 is the Jones polynomial.
 Brackets are computed in the variable A with q = A**-4.  The bracket
 convention here assigns every closed circle a factor -A**2 - A**-2,
 including the last one; the empty diagram has bracket 1.
+
+The frontier is precompiled.  Which arcs are open after each step of
+the contraction order does not depend on the state, so each step's
+bookkeeping (consumed positions, kept positions, opened arcs) is worked
+out once, a state is a tuple of integer partner positions, and the
+local rule of a crossing is compiled once per pattern of partners of
+the consumed positions.  Only the polynomial side runs per state.
 """
 
 from fractions import Fraction
@@ -205,11 +212,11 @@ def _pick_order(crossings):
 
 
 def _apply_smoothing(matching, arcs, pairing, slot_arc_count):
-    """Merge one smoothing of a crossing into a frontier matching.
+    """The local rule of one smoothing of a crossing.
 
-    matching: dict open-arc -> partner (symmetric).
+    matching: the partner of each open arc among the crossing's arcs.
     arcs: the 4 slot arcs.  pairing: two slot-index pairs.
-    Returns (new pairs of open arcs, consumed open arcs, closed circles).
+    Returns (new pairs of open arcs, closed circles).
 
     Builds the local strand graph on the four slots: the smoothing
     contributes two edges, and each slot connects outward through its
@@ -272,8 +279,7 @@ def _apply_smoothing(matching, arcs, pairing, slot_arc_count):
             new_pairs.append((frontier_ends[0], frontier_ends[1]))
         else:
             raise AssertionError("path with %d ends" % len(frontier_ends))
-    consumed = [a for a in set(arcs) if a in matching]
-    return new_pairs, consumed, circles
+    return new_pairs, circles
 
 
 _A_PAIRING = ((0, 1), (2, 3))
@@ -289,50 +295,80 @@ def _check_budget(entries, entry_limit):
 
 def _bracket_raw(crossings, free_circles, entry_limit):
     """Kauffman bracket of a raw crossing list as an A-polynomial dict,
-    with the peak number of terms the state sum stored."""
+    with the peak number of terms the state sum stored.
+
+    The open arcs after each step of the contraction order do not depend
+    on the state, so they sit in one list per step and a state is the
+    tuple of partner positions in that list: the strand that leaves
+    through open arc i comes back through open arc ``state[i]``.  Each
+    step is planned once: the positions the crossing consumes, where
+    each kept position moves, and the positions of the arcs it opens.
+    A smoothing's outcome depends on a state only through the partners
+    of the consumed positions, so that tuple keys a per-step memo of
+    rules (new links, A-shift, delta**circles factor) that
+    ``_apply_smoothing`` fills on a miss.
+    """
     result_scale = _delta_pow(free_circles)
     if not crossings:
         return result_scale, 0
     peak = 0
-    order = _pick_order(crossings)
+    open_arcs = []
     dp = {(): {0: 1}}
-    for idx in order:
+    for idx in _pick_order(crossings):
         arcs = crossings[idx]
         slot_arc_count = {}
         for a in arcs:
             slot_arc_count[a] = slot_arc_count.get(a, 0) + 1
+        where = {a: i for i, a in enumerate(open_arcs)}
+        consumed = [where[a] for a in arcs if a in where]
+        gone = set(consumed)
+        kept = [i for i in range(len(open_arcs)) if i not in gone]
+        remap = [-1] * len(open_arcs)
+        for new, old in enumerate(kept):
+            remap[old] = new
+        before = open_arcs
+        open_arcs = [before[i] for i in kept] + [
+            a for a in arcs if a not in where and slot_arc_count[a] == 1]
+        moved = {a: i for i, a in enumerate(open_arcs)}
+        opened = [-1] * (len(open_arcs) - len(kept))
+        rules = {}
         ndp = {}
-        for mt, poly in dp.items():
-            matching = {}
-            for u, v in mt:
-                matching[u] = v
-                matching[v] = u
-            for pairing, shift in ((_A_PAIRING, 1), (_B_PAIRING, -1)):
-                new_pairs, consumed, circles = _apply_smoothing(
-                    matching, arcs, pairing, slot_arc_count)
-                nm = {k: v for k, v in matching.items()
-                      if k not in consumed and v not in consumed}
-                for u, v in new_pairs:
-                    nm[u] = v
-                    nm[v] = u
-                key = tuple(sorted((k, v) for k, v in nm.items() if k < v))
-                scale = _delta_pow(circles) if circles else None
+        for state, poly in dp.items():
+            local = tuple([state[i] for i in consumed])
+            rule = rules.get(local)
+            if rule is None:
+                matching = {before[i]: before[p]
+                            for i, p in zip(consumed, local)}
+                rule = rules[local] = _compile_rule(
+                    arcs, slot_arc_count, matching, moved)
+            # a kept position whose partner was consumed, and each
+            # opened arc, hold -1 until the rule's links fill them
+            base = [remap[state[i]] for i in kept] + opened
+            for links, shift, scale in rule:
+                nt = base[:]
+                for u, v in links:
+                    nt[u] = v
+                    nt[v] = u
+                key = tuple(nt)
                 dst = ndp.get(key)
-                if dst is None:
-                    dst = ndp[key] = {}
                 if scale is None:
-                    for kk, cc in poly.items():
-                        k2 = kk + shift
-                        c2 = dst.get(k2, 0) + cc
-                        if c2:
-                            dst[k2] = c2
+                    if dst is None:
+                        ndp[key] = {k + shift: c for k, c in poly.items()}
+                        continue
+                    for k, c in poly.items():
+                        k += shift
+                        c += dst.get(k, 0)
+                        if c:
+                            dst[k] = c
                         else:
-                            dst.pop(k2, None)
+                            del dst[k]
                 else:
-                    for kk, cc in poly.items():
-                        for ks, cs in scale.items():
-                            k2 = kk + shift + ks
-                            c2 = dst.get(k2, 0) + cc * cs
+                    if dst is None:
+                        dst = ndp[key] = {}
+                    for k, c in poly.items():
+                        for ks, cs in scale:
+                            k2 = k + ks
+                            c2 = dst.get(k2, 0) + c * cs
                             if c2:
                                 dst[k2] = c2
                             else:
@@ -346,20 +382,43 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     return _pmul(dp[()], result_scale), peak
 
 
-# (pd, m) -> (bracket of the m-parallel, peak stored terms of its sum)
+def _compile_rule(arcs, slot_arc_count, matching, moved):
+    """The A and B outcomes of one crossing for the states in which each
+    consumed open arc is matched as in ``matching``.  Each outcome is
+    the links between new positions (``moved`` maps an open arc to its
+    position after the step), the A-shift, and the delta**circles factor
+    as (exponent, coefficient) pairs with the shift applied, or None
+    when no circle closes."""
+    rule = []
+    for pairing, shift in ((_A_PAIRING, 1), (_B_PAIRING, -1)):
+        new_pairs, circles = _apply_smoothing(
+            matching, arcs, pairing, slot_arc_count)
+        links = tuple((moved[u], moved[v]) for u, v in new_pairs)
+        scale = None
+        if circles:
+            scale = tuple((k + shift, c)
+                          for k, c in _delta_pow(circles).items())
+        rule.append((links, shift, scale))
+    return rule
+
+
+# (pd, m) -> (bracket of the m-parallel, peak stored terms of its sum),
+# holding at most _BRACKET_CACHE_SIZE entries in insertion order
 _BRACKET_CACHE = {}
+_BRACKET_CACHE_SIZE = 64
 
 
 def _cable_bracket(pd, m, entry_limit):
     """Bracket of the m-parallel of pd.  A cached bracket is refused
-    under a budget that its state sum exceeded."""
+    under a budget that its state sum exceeded; a full memo drops its
+    oldest entry."""
     key = (pd, m)
     hit = _BRACKET_CACHE.get(key)
     if hit is None:
         crossings, circles = _cable(pd, m)
         hit = _bracket_raw(crossings, circles, entry_limit)
-        if len(_BRACKET_CACHE) > 64:
-            _BRACKET_CACHE.clear()
+        if len(_BRACKET_CACHE) >= _BRACKET_CACHE_SIZE:
+            del _BRACKET_CACHE[next(iter(_BRACKET_CACHE))]
         _BRACKET_CACHE[key] = hit
     val, peak = hit
     _check_budget(peak, entry_limit)

@@ -243,7 +243,7 @@ class AlternatingData(_Spec):
 
 class _DiagramSpec(_Spec):
     """Answers read off the planar diagram ``pd``: the alternating closed
-    forms when it is alternating, the cabled bracket otherwise."""
+    forms when it is reduced alternating, the cabled bracket otherwise."""
 
     def default_colors(self):
         if self.alternating_data() is not None:
@@ -257,7 +257,7 @@ class _DiagramSpec(_Spec):
             "costs about a hundred times the one before; pass --max-n")
 
     def alternating_data(self):
-        if not (self.pd and is_alternating(self.pd)):
+        if not (self.pd and _is_reduced_alternating(self.pd)):
             return None
         st = smoothing_counts(self.pd)
         return AlternatingData(st.c_plus, st.c_minus, st.a_circles,
@@ -535,6 +535,27 @@ def smoothing_counts(pd):
 
 
 def _circle_count(pd, pairing):
+    return len(set(_state_circles(pd, pairing).values()))
+
+
+def _adequate(pd, pairing):
+    """True when no crossing's smoothing by pairing meets the same state
+    circle twice."""
+    circle = _state_circles(pd, pairing)
+    (i, _), (k, _) = pairing
+    return all(circle[cr[i]] != circle[cr[k]] for cr in pd)
+
+
+def _is_reduced_alternating(pd):
+    """True for an alternating diagram without nugatory crossings: such
+    a diagram is adequate in both its all-A and all-B states."""
+    return (is_alternating(pd) and _adequate(pd, ((0, 1), (2, 3)))
+            and _adequate(pd, ((1, 2), (3, 0))))
+
+
+def _state_circles(pd, pairing):
+    """Arc -> a label of its circle in the state that smooths every
+    crossing by pairing."""
     arcs = sorted({arc for cr in pd for arc in cr})
     parent = {a: a for a in arcs}
 
@@ -552,7 +573,7 @@ def _circle_count(pd, pairing):
     for cr in pd:
         for i, j in pairing:
             union(cr[i], cr[j])
-    return len({find(a) for a in arcs})
+    return {a: find(a) for a in arcs}
 
 
 def is_alternating(pd):

@@ -169,14 +169,19 @@ def check_crossing_bounds(report, stats):
     }
 
 
-def check_alternating_theorems(data, n_max, limit_mb=None):
+def check_alternating_theorems(data, n_max, limit_mb=None, report=None):
     """Check the alternating-knot predictions on closed-form degree
     sequences up to color n_max: period one on both sides, slopes equal
     to the signed crossing counts, the degree sum and span identities,
-    and the checkerboard surface slopes 2*c_plus and -2*c_minus."""
+    and the checkerboard surface slopes 2*c_plus and -2*c_minus.
+
+    ``report`` is a caller's ``analyze`` report on the same degrees up to
+    n_max; without one, the data is analyzed with the default fit
+    window."""
     inv = closedforms.alt_invariants(data)
     base = data.diagram_stats()
-    report = analyze(data, n_max, limit_mb=limit_mb)
+    if report is None:
+        report = analyze(data, n_max, limit_mb=limit_mb)
     problems = []
     if report.period != 1:
         problems.append("period %d instead of 1" % report.period)

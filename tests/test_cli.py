@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from knotslopes import engine
+from knotslopes import engine, quasifit
 from knotslopes.cli import main
 from knotslopes.knots import Diagram, bundled_knot_table
 
@@ -202,6 +202,24 @@ def test_report_trefoil(capsys):
     assert "crossing bounds: hold" in out
     assert "alternating checks: hold" in out
     assert "checkerboard slopes: 6, 0" in out
+
+
+def test_report_fits_once_with_the_users_window(capsys, monkeypatch):
+    # the alternating checks reuse the report's fits instead of fitting
+    # again with the default window
+    windows = []
+    fit = quasifit.fit
+
+    def counted(seq, max_period=16, max_transient=8, **kw):
+        windows.append((max_period, max_transient))
+        return fit(seq, max_period=max_period, max_transient=max_transient,
+                   **kw)
+    monkeypatch.setattr(quasifit, "fit", counted)
+    code, out, _ = run(capsys, "report", "name:3_1", "--max-period", "4",
+                       "--max-transient", "2")
+    assert code == 0
+    assert "alternating checks: hold" in out
+    assert windows == [(4, 2), (4, 2)]
 
 
 def test_report_refuted_exit(tmp_path, capsys):

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from knotslopes import engine
 from knotslopes.engine import (EngineLimitError, bracket_colored_jones,
                                bundled_degrees_available, connected_sum,
                                degree_sequence, morton_colored_jones)
 from knotslopes.knots import (Named, Pretzel237, Torus, bundled_knot_table,
-                              mirror_pd, parse_knot, pretzel_pd,
-                              smoothing_counts, torus_pd, two_bridge_pd)
+                              is_alternating, mirror_pd, parse_knot,
+                              pretzel_pd, smoothing_counts, torus_pd,
+                              two_bridge_pd)
 from knotslopes.laurent import parse_poly
 
 # the five smallest trefoil colorings, written out in full
@@ -62,6 +64,42 @@ def test_bracket_matches_morton_on_torus_3_4():
         assert bracket_colored_jones(pd, n) == morton_colored_jones(3, 4, n)
 
 
+def test_bracket_matches_morton_on_8_19_color_3():
+    # 8_19 is the (3,4) torus knot: 72 cable crossings, frontier width 18
+    pd = bundled_knot_table()["8_19"]
+    assert bracket_colored_jones(pd, 3) == morton_colored_jones(3, 4, 3)
+
+
+def test_state_sum_peak_terms_on_8_19():
+    # --limit-mb is a bound on these peaks, so they must not drift
+    pd = bundled_knot_table()["8_19"]
+    for m, peak in ((1, 9), (2, 557), (3, 62876)):
+        crossings, circles = engine._cable(pd, m)
+        assert engine._bracket_raw(crossings, circles, peak)[1] == peak
+    crossings, circles = engine._cable(pd, 2)
+    with pytest.raises(EngineLimitError, match="557 stored terms"):
+        engine._bracket_raw(crossings, circles, 556)
+
+
+def test_bracket_memo_drops_oldest(monkeypatch):
+    computed = []
+
+    def state_sum(crossings, circles, entry_limit):
+        computed.append(crossings)
+        return {0: 1}, 0
+    monkeypatch.setattr(engine, "_BRACKET_CACHE", {})
+    monkeypatch.setattr(engine, "_cable", lambda pd, m: ((pd, m), 0))
+    monkeypatch.setattr(engine, "_bracket_raw", state_sum)
+    for key in range(70):
+        engine._cable_bracket(key, 1, 0)
+    assert len(engine._BRACKET_CACHE) == engine._BRACKET_CACHE_SIZE == 64
+    for key in range(69, 5, -1):
+        engine._cable_bracket(key, 1, 0)
+    assert len(computed) == 70
+    engine._cable_bracket(0, 1, 0)
+    assert computed[-1] == (0, 1)
+
+
 def test_bracket_unknot():
     assert bracket_colored_jones((), 3) == parse_poly("1")
 
@@ -77,6 +115,13 @@ def test_bracket_mirror_property():
         for n in range(3):
             assert bracket_colored_jones(mirror_pd(pd), n) == \
                 bracket_colored_jones(pd, n).mirror()
+
+
+def test_bracket_mirror_on_nonalternating_diagram():
+    pd = bundled_knot_table()["8_20"]
+    assert not is_alternating(pd)
+    assert bracket_colored_jones(mirror_pd(pd), 2) == \
+        bracket_colored_jones(pd, 2).mirror()
 
 
 def test_bracket_le_degree_bounds():
@@ -165,6 +210,19 @@ def test_named_sequences_agree_with_bracket():
             j = bracket_colored_jones(table[key], n)
             assert j.deg() == vals_max[n]
             assert j.mindeg() == vals_min[n]
+
+
+@pytest.mark.slow
+def test_named_sequences_agree_with_bracket_at_color_3():
+    # every bundled degree file against the state sum of the bundled
+    # diagram at color 3; 9_49's 11-crossing diagram takes most of it
+    table = bundled_knot_table()
+    names = sorted(k for k in table if bundled_degrees_available(k))
+    assert len(names) == 11
+    for key in names:
+        j = bracket_colored_jones(table[key], 3)
+        assert degree_sequence(Named(key), "max", 3)[3] == j.deg(), key
+        assert degree_sequence(Named(key), "min", 3)[3] == j.mindeg(), key
 
 
 def test_bundled_degrees_available():

@@ -111,6 +111,18 @@ def test_alternating_checks_only_for_alt_name_pd():
     assert Named("8_19").alternating_data() is None
     assert Torus(2, 3).alternating_data() is None
     assert Pretzel237(-1).alternating_data() is None
+    # alternating diagrams with a nugatory crossing are not reduced
+    assert Diagram(two_bridge_pd([1, 2])).alternating_data() is None
+    assert Diagram(two_bridge_pd([3, 1])).alternating_data() is None
+    assert Diagram(two_bridge_pd([3])).alternating_data() is not None
+
+
+def test_unreduced_alternating_diagram_uses_bracket():
+    # closed forms would give 0, 3, 9 and 0, 5, 14 here
+    assert Diagram(two_bridge_pd([1, 2])).degrees(2)[0] == [0, 0, 0]
+    assert Diagram(two_bridge_pd([3, 1])).degrees(2)[0] == [0, 4, 11]
+    with pytest.raises(EngineLimitError, match="--max-n"):
+        Diagram(two_bridge_pd([3, 1])).default_colors()
 
 
 def test_default_colors():
