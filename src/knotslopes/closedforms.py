@@ -138,6 +138,8 @@ def _pretzel_exact(p, n):
     return "max", Fraction(n * (5 * n + p + 8), 2)
 
 
+# (p, limit_mb) -> (dmax, dmin), grown in place by pretzel_degrees; a new
+# budget recomputes the seeds through the bracket memo, which re-checks it
 _PRETZEL_CACHE = {}
 
 
@@ -179,16 +181,16 @@ def pretzel_degrees(p, n, limit_mb=None):
 
     One side has a printed closed form; the other is reconstructed from
     the generating function of its third difference, anchored by state
-    sum evaluations at colors one and two (cached per p).  The anchors
-    are checked against the closed-form side as they are computed.
+    sum evaluations at colors one and two, cached per p and budget and
+    checked against the closed-form side as they are computed.
     """
     if p % 2 == 0:
         raise ValueError("pretzel parameter p must be odd, got %d" % p)
     if n < 0:
         raise ValueError("color must be nonnegative")
-    cache = _PRETZEL_CACHE.get(p)
+    cache = _PRETZEL_CACHE.get((p, limit_mb))
     if cache is None:
-        cache = _PRETZEL_CACHE[p] = _pretzel_seeds(p, limit_mb)
+        cache = _PRETZEL_CACHE[p, limit_mb] = _pretzel_seeds(p, limit_mb)
     dmax, dmin = cache
     gmax, gmin = _pretzel_tails(p)
     _extend(dmax, gmax, n)

@@ -7,9 +7,12 @@ bracket of the cables with a frontier dynamic program, and normalizing.
 Both return Laurent polynomials in q, indexed so that color 0 is the
 unknot normalization (constant 1) and color 1 is the Jones polynomial.
 
-Brackets are computed in the variable A with q = A**-4.  The bracket
-convention here assigns every closed circle a factor -A**2 - A**-2,
-including the last one; the empty diagram has bracket 1.
+``LaurentPoly`` is the only polynomial type: both evaluators divide by
+q**((n+1)/2) - q**(-(n+1)/2) through ``LaurentPoly.exact_div``.  The
+bracket state sum runs in A with q = A**-4 on plain dicts of
+A-exponents, handed over once as a mirrored ``LaurentPoly``.  Every
+closed circle, the last one included, is a factor -A**2 - A**-2; the
+empty diagram has bracket 1.
 
 The frontier is precompiled.  Which arcs are open after each step of
 the contraction order does not depend on the state, so each step's
@@ -24,6 +27,7 @@ from math import comb, gcd
 
 from .laurent import LaurentPoly
 from .knots import validate_pd, smoothing_counts
+from .quasifit import load_sequence
 import os
 
 __all__ = [
@@ -37,42 +41,12 @@ class EngineLimitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# shared exact division
-
-
-def _div_binomial(f, a, b):
-    """Exact division of a sparse integer-keyed dict by x**a - x**b, a > b.
-
-    Works from the lowest exponent up; raises ValueError when the
-    division leaves a remainder.
-    """
-    if a <= b:
-        raise ValueError("divisor exponents must satisfy a > b")
-    if not f:
-        return {}
-    top = max(f)
-    bound = top - a
-    work = dict(f)
-    quot = {}
-    while work:
-        k = min(work)
-        c = work.pop(k)
-        if c == 0:
-            continue
-        if k - b > bound:
-            raise ValueError("polynomial is not divisible by the binomial")
-        quot[k - b] = quot.get(k - b, 0) - c
-        nk = k - b + a
-        nc = work.get(nk, 0) + c
-        if nc:
-            work[nk] = nc
-        else:
-            work.pop(nk, None)
-    return {k: v for k, v in quot.items() if v}
-
-
-# ---------------------------------------------------------------------------
 # torus knots: closed-form state sum
+
+
+def _binomial(n):
+    """q**((n+1)/2) - q**(-(n+1)/2); both evaluators divide by it."""
+    return LaurentPoly({2 * n + 2: 1, -2 * n - 2: -1})
 
 
 def morton_colored_jones(a, b, n):
@@ -93,8 +67,7 @@ def morton_colored_jones(a, b, n):
     if n == 0:
         return LaurentPoly.one()
 
-    # numerator sum over K = 2k, K = -n, -n+2, ..., n; exponents are
-    # kept as quarter-integers (dict key = 4 * exponent)
+    # numerator sum over K = 2k, K = -n, -n+2, ..., n, as quarter-keys
     num = {}
     ab = a * b
     for bigk in range(-n, n + 1, 2):
@@ -102,44 +75,15 @@ def morton_colored_jones(a, b, n):
         e2 = -ab * bigk * bigk + 2 * (a + b) * bigk - 2
         num[e1] = num.get(e1, 0) + 1
         num[e2] = num.get(e2, 0) - 1
-    num = {k: v for k, v in num.items() if v}
 
-    # divide by q**((n+1)/2) - q**(-(n+1)/2): shift, then divide by
-    # x**(4(n+1)) - 1 in the quarter-exponent variable x
-    shifted = {k + 2 * (n + 1): v for k, v in num.items()}
-    quot = _div_binomial(shifted, 4 * (n + 1), 0)
-
-    # multiply by the framing prefactor q**(ab n(n+2)/4)
-    pre = ab * n * (n + 2)
-    return LaurentPoly.from_quarter_keys({k + pre: v for k, v in quot.items()})
+    # divide by q**((n+1)/2) - q**(-(n+1)/2), then multiply by the
+    # framing prefactor q**(ab n(n+2)/4)
+    quot = LaurentPoly(num).exact_div(_binomial(n))
+    return quot.shift(Fraction(ab * n * (n + 2), 4))
 
 
-# ---------------------------------------------------------------------------
-# dense bracket arithmetic on sparse A-polynomials (plain dicts)
-
-
-def _pmul(f, g):
-    out = {}
-    if len(f) > len(g):
-        f, g = g, f
-    for kf, cf in f.items():
-        for kg, cg in g.items():
-            k = kf + kg
-            c = out.get(k, 0) + cf * cg
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-    return out
-
-_DELTA = {2: -1, -2: -1}
-_DELTA_POWS = [{0: 1}, dict(_DELTA)]
-
-
-def _delta_pow(k):
-    while len(_DELTA_POWS) <= k:
-        _DELTA_POWS.append(_pmul(_DELTA_POWS[-1], _DELTA))
-    return _DELTA_POWS[k]
+# the circle factor -A**2 - A**-2, the same map in A and in quarter-keys
+_DELTA = LaurentPoly({2: -1, -2: -1})
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +130,11 @@ def _pick_order(crossings):
     """Greedy elimination order: prefer crossings sharing the most arcs
     with the ones already processed, to keep the frontier narrow."""
     remaining = set(range(len(crossings)))
-    arc_uses = {}
-    for idx, cr in enumerate(crossings):
-        for a in cr:
-            arc_uses.setdefault(a, []).append(idx)
     order = []
     open_arcs = set()
     while remaining:
-        best = None
-        best_key = None
-        for idx in remaining:
-            shared = sum(1 for a in crossings[idx] if a in open_arcs)
-            key = (-shared, idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = idx
+        best = min(remaining, key=lambda idx: (
+            -sum(1 for a in crossings[idx] if a in open_arcs), idx))
         order.append(best)
         remaining.discard(best)
         for a in crossings[best]:
@@ -294,7 +228,7 @@ def _check_budget(entries, entry_limit):
 
 
 def _bracket_raw(crossings, free_circles, entry_limit):
-    """Kauffman bracket of a raw crossing list as an A-polynomial dict,
+    """Kauffman bracket of a raw crossing list as a LaurentPoly in q,
     with the peak number of terms the state sum stored.
 
     The open arcs after each step of the contraction order do not depend
@@ -306,9 +240,10 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     A smoothing's outcome depends on a state only through the partners
     of the consumed positions, so that tuple keys a per-step memo of
     rules (new links, A-shift, delta**circles factor) that
-    ``_apply_smoothing`` fills on a miss.
+    ``_apply_smoothing`` fills on a miss.  The per-state polynomials are
+    plain dicts keyed by A-exponents, turned into q once at the end.
     """
-    result_scale = _delta_pow(free_circles)
+    result_scale = _DELTA ** free_circles
     if not crossings:
         return result_scale, 0
     peak = 0
@@ -379,7 +314,7 @@ def _bracket_raw(crossings, free_circles, entry_limit):
         peak = max(peak, entries)
     if list(dp) != [()]:
         raise AssertionError("frontier did not close up")
-    return _pmul(dp[()], result_scale), peak
+    return LaurentPoly(dp[()]).mirror() * result_scale, peak
 
 
 def _compile_rule(arcs, slot_arc_count, matching, moved):
@@ -397,7 +332,7 @@ def _compile_rule(arcs, slot_arc_count, matching, moved):
         scale = None
         if circles:
             scale = tuple((k + shift, c)
-                          for k, c in _delta_pow(circles).items())
+                          for k, c in (_DELTA ** circles).terms.items())
         rule.append((links, shift, scale))
     return rule
 
@@ -444,32 +379,18 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     w = stats.writhe
 
     # <cable_n> = sum_i (-1)^i C(n-i, i) <parallel_(n-2i)>
-    total = {}
+    total = LaurentPoly()
     for i in range(n // 2 + 1):
-        coeff = (-1) ** i * comb(n - i, i)
-        part = _cable_bracket(pd, n - 2 * i, entry_limit)
-        for k, c in part.items():
-            v = total.get(k, 0) + coeff * c
-            if v:
-                total[k] = v
-            else:
-                total.pop(k, None)
+        total += ((-1) ** i * comb(n - i, i)
+                  * _cable_bracket(pd, n - 2 * i, entry_limit))
 
-    # divide by (-1)^n [n+1]: multiply by A^2 - A^-2, divide by the
-    # binomial A^(2n+2) - A^(-2n-2), fix the sign
-    total = _pmul(total, {2: 1, -2: -1})
-    shifted = {k + (2 * n + 2): v for k, v in total.items()}
-    quot = _div_binomial(shifted, 2 * (2 * n + 2), 0)
-    if n % 2:
-        quot = {k: -v for k, v in quot.items()}
-
-    # writhe correction mu_n^(-w) with mu_n = (-1)^n A^(n^2 + 2n)
-    sign = -1 if (n * w) % 2 else 1
-    shift = -w * (n * n + 2 * n)
-    corrected = {k + shift: sign * v for k, v in quot.items()}
-
-    # substitute q = A^-4: A-exponent e becomes quarter-key -e
-    poly = LaurentPoly.from_quarter_keys({-k: v for k, v in corrected.items()})
+    # divide by (-1)^n [n+1] = (-1)^n (q^((n+1)/2) - q^(-(n+1)/2)) /
+    # (q^(1/2) - q^(-1/2)), then correct the writhe framing by
+    # mu_n^(-w) with mu_n = (-1)^n q^(-(n^2 + 2n)/4)
+    poly = (total * _binomial(0)).exact_div(_binomial(n))
+    if (n + n * w) % 2:
+        poly = -poly
+    poly = poly.shift(Fraction(w * (n * n + 2 * n), 4))
     if not poly.is_integral():
         raise AssertionError("bracket normalization left fractional powers")
     return poly
@@ -501,8 +422,7 @@ def bundled_degrees_available(name):
 def bundled_degrees(name, n_max):
     """Packaged maximum- and minimum-degree lists of the named knot for
     colors 0..n_max."""
-    dmax, dmin = ([Fraction(v) for v in _load_seq(_seq_file(name, kind))]
-                  for kind in ("max", "min"))
+    dmax, dmin = (_load_seq(_seq_file(name, kind)) for kind in ("max", "min"))
     covered = min(len(dmax), len(dmin))
     if n_max + 1 > covered:
         raise ValueError("bundled degree data for %s covers colors up to %d"
@@ -510,14 +430,7 @@ def bundled_degrees(name, n_max):
     return dmax[:n_max + 1], dmin[:n_max + 1]
 
 
-def _load_seq(path):
-    vals = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                vals.append(int(line))
-    return vals
+_load_seq = load_sequence
 
 
 def _combine(kind, dmax, dmin):

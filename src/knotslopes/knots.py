@@ -414,7 +414,7 @@ def _component_walk(pd, ends):
         entries[(ci, entry)] = step
         exit_slot = (entry + 2) % 4
         arc = pd[ci][exit_slot]
-        (c1, s1), (c2, s2) = _arc_endpoints_pair(ends, arc)
+        (c1, s1), (c2, s2) = ends[arc]
         if (c1, s1) == (ci, exit_slot):
             ci, entry = c2, s2
         else:
@@ -422,11 +422,6 @@ def _component_walk(pd, ends):
     if len(entries) != 2 * len(pd):
         raise ValueError("diagram has more than one component")
     return entries
-
-
-def _arc_endpoints_pair(ends, arc):
-    lst = ends[arc]
-    return lst[0], lst[1]
 
 
 def validate_pd(pd):
@@ -463,7 +458,7 @@ def validate_pd(pd):
                 ci, slot = ends[a][t]
                 nslot = (slot + 1) % 4
                 narc = pd[ci][nslot]
-                (c1, s1), (c2, s2) = _arc_endpoints_pair(ends, narc)
+                (c1, s1), (c2, s2) = ends[narc]
                 if (c1, s1) == (ci, nslot):
                     a, t = narc, 1
                 else:
@@ -769,13 +764,11 @@ def _parse_slope(tok):
         raise ValueError("unparseable slope %r" % tok)
 
 
-def load_slope_db(path):
-    """Load a boundary-slope table: ``knot-key <TAB> slope(,slope)*``.
-
-    Slopes are reduced fractions or ``inf``; ``#`` starts a comment.
-    Duplicate keys and empty slope sets are rejected.
-    """
-    table = {}
+def _tsv_rows(path):
+    """The ``(line number, key, rest)`` rows of a ``key <TAB> rest``
+    table.  ``#`` starts a comment and blank lines are skipped; a line
+    without a tab or with a key seen before is rejected."""
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].rstrip()
@@ -785,34 +778,30 @@ def load_slope_db(path):
                 raise ValueError("%s:%d: expected a tab separator" % (path, ln))
             key, rest = line.split("\t", 1)
             key = key.strip()
-            if key in table:
+            if key in seen:
                 raise ValueError("%s:%d: duplicate knot key %r" % (path, ln, key))
-            slopes = frozenset(_parse_slope(t) for t in rest.split(","))
-            if not slopes:
-                raise ValueError("%s:%d: empty slope set" % (path, ln))
-            table[key] = slopes
-    return table
+            seen.add(key)
+            yield ln, key, rest
+
+
+def load_slope_db(path):
+    """Load a boundary-slope table: ``knot-key <TAB> slope(,slope)*``.
+
+    Slopes are reduced fractions or ``inf``; ``#`` starts a comment.
+    Duplicate keys and empty slopes are rejected.
+    """
+    return {key: frozenset(_parse_slope(t) for t in rest.split(","))
+            for _, key, rest in _tsv_rows(path)}
 
 
 def load_knot_table(path):
     """Load a knot table: ``knot-key <TAB> pd:[(a,b,c,d),...]``."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ValueError("%s:%d: expected a tab separator" % (path, ln))
-            key, rest = line.split("\t", 1)
-            key = key.strip()
-            if key in table:
-                raise ValueError("%s:%d: duplicate knot key %r" % (path, ln, key))
-            rest = rest.strip()
-            if not rest.startswith("pd:"):
-                raise ValueError("%s:%d: expected pd:[...] entry" % (path, ln))
-            spec = parse_knot(rest)
-            table[key] = spec.pd
+    for ln, key, rest in _tsv_rows(path):
+        rest = rest.strip()
+        if not rest.startswith("pd:"):
+            raise ValueError("%s:%d: expected pd:[...] entry" % (path, ln))
+        table[key] = parse_knot(rest).pd
     return table
 
 

@@ -7,8 +7,14 @@ assembled colored Jones value must be integral, meaning every exponent
 is a whole power of q (every key divisible by 4).
 
 Coefficients are arbitrary-precision Python integers throughout.
+
+This is the one polynomial type of the Jones evaluators, which divide
+through ``exact_div``.  Since q = A^-4, a map of A-exponents read as
+quarter-keys is the mirror image.  The dense generating functions of
+``quasifit`` are a separate type: Fraction coefficients in z.
 """
 
+import heapq
 import re
 from fractions import Fraction
 
@@ -52,11 +58,6 @@ class LaurentPoly:
         Fraction with denominator dividing 4."""
         key = _to_key(exponent)
         return cls({key: int(coeff)})
-
-    @classmethod
-    def from_quarter_keys(cls, terms):
-        """Build directly from a {quarter-key: coefficient} map."""
-        return cls(dict(terms))
 
     # ------------------------------------------------------------------
     # ring structure
@@ -107,6 +108,42 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
+
+    def exact_div(self, divisor):
+        """The quotient self / divisor, exact over the integers.
+
+        Long division from the lowest term up, visiting the pending
+        exponents in heap order.  Raises ValueError when the division
+        leaves a remainder and ZeroDivisionError for a zero divisor.
+        """
+        d = divisor.terms
+        if not d:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self.terms:
+            return LaurentPoly()
+        low = min(d)
+        lead = d[low]
+        rest = [(k - low, c) for k, c in d.items() if k != low]
+        bound = max(self.terms) - max(d)
+        work = dict(self.terms)
+        pending = list(work)
+        heapq.heapify(pending)
+        quot = {}
+        while pending:
+            k = heapq.heappop(pending)
+            c = work.pop(k, 0)
+            if not c:
+                continue
+            q, r = divmod(c, lead)
+            if r or k - low > bound:
+                raise ValueError("the division leaves a remainder")
+            quot[k - low] = q
+            for dk, dc in rest:
+                nk = k + dk
+                if nk not in work:
+                    heapq.heappush(pending, nk)
+                work[nk] = work.get(nk, 0) - q * dc
+        return LaurentPoly(quot)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

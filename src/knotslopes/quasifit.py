@@ -512,7 +512,7 @@ def load_sequence(path):
     """Read a sequence file: one value per line, # comments, blank lines
     ignored.  Values may be integers or fractions like 3/2."""
     values = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -179,6 +179,15 @@ def test_limit_holds_for_cached_bracket(capsys):
     assert "memory budget" in err
 
 
+def test_limit_holds_for_cached_pretzel_seeds(capsys):
+    argv = ("degrees", "pretzel:-2,3,7", "--max-n", "3")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    code, _, err = run(capsys, *argv, "--limit-mb", "0")
+    assert code == 3
+    assert "memory budget" in err
+
+
 def test_nonalternating_diagram_needs_max_n(capsys, monkeypatch):
     pd = Diagram(bundled_knot_table()["8_19"]).render()
 

@@ -86,7 +86,7 @@ def test_bracket_memo_drops_oldest(monkeypatch):
 
     def state_sum(crossings, circles, entry_limit):
         computed.append(crossings)
-        return {0: 1}, 0
+        return parse_poly("1"), 0
     monkeypatch.setattr(engine, "_BRACKET_CACHE", {})
     monkeypatch.setattr(engine, "_cable", lambda pd, m: ((pd, m), 0))
     monkeypatch.setattr(engine, "_bracket_raw", state_sum)

@@ -81,7 +81,11 @@ def corpus():
         "routes": ([["compute", spec, "--n", "1"] for spec in COMPUTE_SPECS]
                    + [["compute", "name:8_19", "--n", "2"],
                       ["compute", "mirror:" + PD_8_19, "--n", "2",
-                       "--json"]]
+                       "--json"],
+                      ["compute", "torus:4,5", "--n", "12"],
+                      ["compute", "mirror:torus:3,7", "--n", "9"],
+                      ["compute", "pretzel:-2,3,-5", "--n", "2"],
+                      ["compute", "mirror:name:9_42", "--n", "2"]]
                    + [["degrees", spec, "--kind", kind, "--max-n", str(n)]
                       for spec, n in DEGREE_SPECS
                       for kind in ("max", "min", "span", "sum")]

@@ -233,6 +233,22 @@ def test_load_knot_table_parses_custom_file(tmp_path):
     assert table["tref"] == TREFOIL_PD
 
 
+@pytest.mark.parametrize("loader, row", [
+    (load_slope_db, "foo\t0,6"),
+    (load_knot_table, "foo\tpd:[(1,2,3,4),(2,5,6,3),(5,1,4,6)]")])
+def test_tsv_loaders_reject_duplicate_keys_and_missing_tabs(tmp_path, loader,
+                                                            row):
+    path = tmp_path / "table.tsv"
+    path.write_text("# comment\n%s\n\n%s  # again\n" % (row, row))
+    with pytest.raises(ValueError) as err:
+        loader(str(path))
+    assert str(err.value) == "%s:4: duplicate knot key 'foo'" % path
+    path.write_text("%s\nbar 0\n" % row)
+    with pytest.raises(ValueError) as err:
+        loader(str(path))
+    assert str(err.value) == "%s:2: expected a tab separator" % path
+
+
 def test_boundary_slopes_dispatch():
     assert boundary_slopes_for(Torus(2, 3)) == frozenset({Fraction(0),
                                                           Fraction(6)})

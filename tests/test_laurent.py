@@ -69,7 +69,7 @@ def test_quarter_exponents():
     assert not half.is_integral()
     assert (half * half).is_integral()
     assert half * half == parse_poly("q")
-    quarter = LaurentPoly.from_quarter_keys({1: 1})
+    quarter = LaurentPoly({1: 1})
     assert quarter.deg() == Fraction(1, 4)
     assert (quarter ** 4) == parse_poly("q")
 
@@ -93,6 +93,27 @@ def test_evaluate_int():
     assert p.evaluate_int(1) == 1
     assert p.evaluate_int(2) == 2 + 8 - 16
     assert p.evaluate_int(-1) == -1 - 1 - 1
+
+
+def test_exact_div_fixed():
+    # (1 - q^3) / (1 - q) = 1 + q + q^2, and the engine's divisor shape
+    assert (parse_poly("1 - q^3").exact_div(parse_poly("1 - q"))
+            == parse_poly("1 + q + q^2"))
+    unit = LaurentPoly({4: 1, -4: -1})
+    assert (unit * parse_poly("q^-2 + 5")).exact_div(unit) == parse_poly(
+        "q^-2 + 5")
+    assert LaurentPoly.zero().exact_div(unit) == LaurentPoly.zero()
+    assert parse_poly("2 + 4q").exact_div(LaurentPoly.const(2)) == parse_poly(
+        "1 + 2q")
+
+
+def test_exact_div_rejects_remainders_and_zero():
+    for num, den in (("1 + q^2", "1 - q"), ("1 + 3q", "2"), ("q^5", "q + q^2"),
+                     ("1", "1 + q")):
+        with pytest.raises(ValueError):
+            parse_poly(num).exact_div(parse_poly(den))
+    with pytest.raises(ZeroDivisionError):
+        parse_poly("1 + q").exact_div(LaurentPoly.zero())
 
 
 def test_pow():
@@ -124,6 +145,21 @@ def test_degree_additivity(a, b):
     p = a * b
     assert p.deg() == a.deg() + b.deg()
     assert p.mindeg() == a.mindeg() + b.mindeg()
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, nonzero_polys)
+def test_exact_div_round_trip(a, d):
+    assert (a * d).exact_div(d) == a
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, nonzero_polys.filter(lambda d: len(d.terms) > 1),
+       coeffs.filter(bool), exps)
+def test_exact_div_rejects_a_remainder(a, d, c, k):
+    # a nonzero multiple of d spans as far as d at least; a monomial does not
+    with pytest.raises(ValueError):
+        (a * d + LaurentPoly({k: c})).exact_div(d)
 
 
 @settings(max_examples=200, deadline=None)
