@@ -40,16 +40,6 @@ def _colors(args, spec):
     return args.max_n if args.max_n is not None else spec.default_colors()
 
 
-def _quasi_dict(q):
-    return {
-        "period": q.period,
-        "transient": q.transient,
-        "classes": [[str(c) for c in trip] for trip in q.classes],
-        "slopes": [str(s) for s in quasifit.slopes(q)],
-        "gf": str(q.gf) if q.gf is not None else None,
-    }
-
-
 def _print_fit(q, out):
     out.write("period: %d\n" % q.period)
     out.write("transient: %d\n" % q.transient)
@@ -101,7 +91,7 @@ def cmd_fit(args):
                      max_transient=args.max_transient)
     witnesses = quasifit.integrality_check(q)
     if args.json:
-        doc = _quasi_dict(q)
+        doc = slopecheck.quasi_dict(q, slopes=True)
         doc["source"] = source
         doc["samples"] = len(seq)
         doc["integrality"] = [[str(s), str(w)] for s, w in witnesses]

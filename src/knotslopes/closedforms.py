@@ -7,6 +7,8 @@ The pretzel family mixes a printed exact side with a side known only
 through the generating function of its third difference; that side is
 anchored by evaluating the state sum at colors one and two and then
 extended by the third-order recurrence the generating function encodes.
+A request for colors 0..n grows the cached lists to n in one pass, with
+the generating function expanded once for the whole extension.
 """
 
 from fractions import Fraction
@@ -163,39 +165,40 @@ def _pretzel_seeds(p, limit_mb):
 
 
 def _extend(vals, tail_gf, n_max):
-    """Grow a degree list to index n_max using the recurrence
+    """Grow a degree list to index n_max in one pass of the recurrence
     f(n+3) = d3(n) + 3 f(n+2) - 3 f(n+1) + f(n), where d3 is the series
-    of tail_gf (identically zero when tail_gf is None)."""
+    of tail_gf (identically zero when tail_gf is None), expanded once
+    for the whole extension."""
     if len(vals) > n_max:
         return
-    d3 = tail_gf.series(max(0, n_max - 2)) if tail_gf is not None else None
-    while len(vals) <= n_max:
-        i = len(vals) - 3
-        step = d3[i] if d3 is not None else Fraction(0)
+    d3 = tail_gf.series(n_max - 2) if tail_gf is not None else None
+    for i in range(len(vals) - 3, n_max - 2):
+        step = d3[i] if d3 is not None else 0
         vals.append(step + 3 * vals[-1] - 3 * vals[-2] + vals[-3])
 
 
-def pretzel_degrees(p, n, limit_mb=None):
-    """Maximum and minimum degree of the color-n Jones polynomial of the
-    (-2, 3, p) pretzel knot, for odd p.
+def pretzel_degrees(p, n_max, limit_mb=None):
+    """Maximum- and minimum-degree lists of the colored Jones polynomial
+    of the (-2, 3, p) pretzel knot for colors 0..n_max, for odd p.
 
     One side has a printed closed form; the other is reconstructed from
     the generating function of its third difference, anchored by state
     sum evaluations at colors one and two, cached per p and budget and
-    checked against the closed-form side as they are computed.
+    checked against the closed-form side as they are computed.  The
+    cached lists grow to n_max in one pass; the caller gets copies.
     """
     if p % 2 == 0:
         raise ValueError("pretzel parameter p must be odd, got %d" % p)
-    if n < 0:
+    if n_max < 0:
         raise ValueError("color must be nonnegative")
     cache = _PRETZEL_CACHE.get((p, limit_mb))
     if cache is None:
         cache = _PRETZEL_CACHE[p, limit_mb] = _pretzel_seeds(p, limit_mb)
     dmax, dmin = cache
     gmax, gmin = _pretzel_tails(p)
-    _extend(dmax, gmax, n)
-    _extend(dmin, gmin, n)
-    return dmax[n], dmin[n]
+    _extend(dmax, gmax, n_max)
+    _extend(dmin, gmin, n_max)
+    return dmax[:n_max + 1], dmin[:n_max + 1]
 
 
 def pretzel_slopes(p):

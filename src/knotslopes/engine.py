@@ -17,11 +17,16 @@ empty diagram has bracket 1.
 The frontier is precompiled.  Which arcs are open after each step of
 the contraction order does not depend on the state, so each step's
 bookkeeping (consumed positions, kept positions, opened arcs) is worked
-out once, a state is a tuple of integer partner positions, and the
-local rule of a crossing is compiled once per pattern of partners of
-the consumed positions.  Only the polynomial side runs per state.
+out once, and a state is a tuple of integer partner positions.  The
+local algebra is compiled per pattern: a crossing's situation reduces to
+a canonical slot pattern (each slot is a self-arc end, the frontier
+partner of another slot, or an outward end), whose smoothings are
+worked out once per process; a step's rule for a tuple of partners only
+maps the pattern's outward slots to new positions.  Only the polynomial
+side runs per state.
 """
 
+import functools
 from fractions import Fraction
 from math import comb, gcd
 
@@ -240,8 +245,9 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     A smoothing's outcome depends on a state only through the partners
     of the consumed positions, so that tuple keys a per-step memo of
     rules (new links, A-shift, delta**circles factor) that
-    ``_apply_smoothing`` fills on a miss.  The per-state polynomials are
-    plain dicts keyed by A-exponents, turned into q once at the end.
+    ``_compile_rule`` fills on a miss from the crossing's slot pattern.
+    The per-state polynomials are plain dicts keyed by A-exponents,
+    turned into q once at the end.
     """
     result_scale = _DELTA ** free_circles
     if not crossings:
@@ -317,24 +323,62 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     return LaurentPoly(dp[()]).mirror() * result_scale, peak
 
 
+# the three cases of a slot in a crossing's pattern: its arc is a
+# self-arc ending at slot t, its consumed arc's frontier partner is the
+# arc at slot t, or it is an outward end
+_SELF, _PARTNER, _OUT = "self", "partner", ("out", None)
+
+
 def _compile_rule(arcs, slot_arc_count, matching, moved):
     """The A and B outcomes of one crossing for the states in which each
     consumed open arc is matched as in ``matching``.  Each outcome is
     the links between new positions (``moved`` maps an open arc to its
     position after the step), the A-shift, and the delta**circles factor
     as (exponent, coefficient) pairs with the shift applied, or None
-    when no circle closes."""
+    when no circle closes.
+
+    The crossing's local situation is first reduced to a slot pattern,
+    whose outcome ``_pattern_rule`` computes once per process; here the
+    pattern's outward slots are only mapped to their new positions."""
+    pattern = []
+    ends = [None] * 4
+    for s, a in enumerate(arcs):
+        if slot_arc_count[a] == 2:
+            pattern.append((_SELF, next(t for t in range(4)
+                                        if t != s and arcs[t] == a)))
+        elif a in matching and slot_arc_count.get(matching[a], 0) == 1:
+            pattern.append((_PARTNER, arcs.index(matching[a])))
+        else:
+            pattern.append(_OUT)
+            ends[s] = moved[matching.get(a, a)]
+    return [(tuple((ends[s], ends[t]) for s, t in pairs), shift, scale)
+            for pairs, shift, scale in _pattern_rule(tuple(pattern))]
+
+
+@functools.cache
+def _pattern_rule(pattern):
+    """The A and B outcomes of a slot pattern: the pairs of outward
+    slots that the smoothing joins, the A-shift and the delta**circles
+    factor.  Each slot s gets the arc label s (a self-arc the smaller
+    of its two slots), so ``_apply_smoothing`` reports outward ends by
+    slot."""
+    arcs = [min(s, t) if case == _SELF else s
+            for s, (case, t) in enumerate(pattern)]
+    slot_arc_count = {}
+    for a in arcs:
+        slot_arc_count[a] = slot_arc_count.get(a, 0) + 1
+    matching = {s: t for s, (case, t) in enumerate(pattern)
+                if case == _PARTNER}
     rule = []
     for pairing, shift in ((_A_PAIRING, 1), (_B_PAIRING, -1)):
         new_pairs, circles = _apply_smoothing(
             matching, arcs, pairing, slot_arc_count)
-        links = tuple((moved[u], moved[v]) for u, v in new_pairs)
         scale = None
         if circles:
             scale = tuple((k + shift, c)
                           for k, c in (_DELTA ** circles).terms.items())
-        rule.append((links, shift, scale))
-    return rule
+        rule.append((tuple(new_pairs), shift, scale))
+    return tuple(rule)
 
 
 # (pd, m) -> (bracket of the m-parallel, peak stored terms of its sum),

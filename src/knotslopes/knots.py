@@ -181,9 +181,7 @@ class Pretzel237(_Spec):
 
     def _degrees(self, n_max, limit_mb):
         from . import closedforms
-        return _split([closedforms.pretzel_degrees(self.p, n,
-                                                   limit_mb=limit_mb)
-                       for n in range(n_max + 1)])
+        return closedforms.pretzel_degrees(self.p, n_max, limit_mb=limit_mb)
 
     def _polynomial(self, n, limit_mb):
         from . import engine

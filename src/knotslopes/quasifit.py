@@ -13,11 +13,14 @@ lowest terms, that function fixes the reported period and transient and
 must reproduce every sample.  A sequence whose third difference settles
 into a period with a nonzero sum grows like n^3 and is refused.
 
-All arithmetic uses Fractions; nothing is floated.
+The arithmetic is exact: integer kernels, Fractions at the interface.
+The class scan, the convolution and the series recurrence run on the
+samples scaled to integers; values enter and leave as Fractions, and
+nothing is floated.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "QuasiPolynomial", "RationalGF", "cyclotomic", "difference",
@@ -65,6 +68,13 @@ def _pdivmod(a, b):
             a[k + i] -= c * cb
         a.pop()
     return _pstrip(q), _pstrip(a)
+
+
+def _scaled(values):
+    """Fractions times the lcm of their denominators, as integers, and
+    that lcm."""
+    scale = lcm(*(x.denominator for x in values))
+    return [int(x * scale) for x in values], scale
 
 
 def _poly_str(p, var="z"):
@@ -151,18 +161,22 @@ class RationalGF:
         return RationalGF(num, den)
 
     def series(self, count):
-        """First ``count`` coefficients of the Taylor expansion at 0."""
-        q = self.den_poly()
-        if not q or q[0] == 0:
-            raise ValueError("generating function has a pole at z = 0")
-        inv0 = 1 / q[0]
+        """First ``count`` coefficients of the Taylor expansion at 0.
+
+        The denominator has integer coefficients and constant term 1,
+        so the recurrence runs on integers once the numerator is scaled
+        by the lcm of its denominators."""
+        num, scale = _scaled(self.num)
+        taps = [(k, int(c)) for k, c in enumerate(self.den_poly()) if k and c]
         out = []
         for n in range(count):
-            c = self.num[n] if n < len(self.num) else Fraction(0)
-            for k in range(1, min(n, len(q) - 1) + 1):
-                c -= q[k] * out[n - k]
-            out.append(c * inv0)
-        return out
+            c = num[n] if n < len(num) else 0
+            for k, ck in taps:
+                if k > n:
+                    break
+                c -= ck * out[n - k]
+            out.append(c)
+        return [Fraction(c, scale) for c in out]
 
     def period_lcm(self):
         out = 1
@@ -354,22 +368,27 @@ def partial_fractions(g):
 # the fit
 
 
-def _try_classes(seq, t, p):
+def _try_classes(seq, t, p, scale):
     """Quadratic per residue class through the first three samples of
     each class at indices >= t, validated on every remaining sample.
-    Returns the class list, or None if some class misses or lacks
-    three samples."""
-    classes = [None] * p
-    for r in range(p):
-        ns = [n for n in range(t, len(seq)) if n % p == r]
-        if len(ns) < 3:
+    ``seq`` holds integers, the samples times ``scale``.  The samples of
+    a class are equally spaced, so a quadratic through the first three
+    fits every later one exactly when the class's third differences
+    vanish; only then is it interpolated, in Fractions.  Returns the
+    class list, or None if some class misses or lacks three samples."""
+    starts = range(t, t + p)    # the first index of each class
+    for n0 in starts:
+        ys = seq[n0::p]
+        if len(ys) < 3:
             return None
-        pts = [(Fraction(n), seq[n]) for n in ns[:3]]
-        c2, c1, c0 = _interpolate_quadratic(pts)
-        for n in ns[3:]:
-            if c2 * n * n + c1 * n + c0 != seq[n]:
+        for i in range(len(ys) - 3):
+            if ys[i + 3] - 3 * ys[i + 2] + 3 * ys[i + 1] - ys[i]:
                 return None
-        classes[r] = (c2, c1, c0)
+    classes = [None] * p
+    for n0 in starts:
+        pts = [(Fraction(n), Fraction(seq[n], scale))
+               for n in (n0, n0 + p, n0 + 2 * p)]
+        classes[n0 % p] = _interpolate_quadratic(pts)
     return classes
 
 
@@ -388,7 +407,8 @@ def _finish(seq, g):
                 "not enough samples: period %d with transient %d needs "
                 "three samples per residue class, got %d values"
                 % (p, t, len(seq)))
-    if _try_classes(seq, t, p) is None:
+    ints, scale = _scaled(seq)
+    if _try_classes(ints, t, p, scale) is None:
         raise ValueError("sequence not quasi-quadratic in window")
     for n in range(t, len(seq)):
         if quasi.evaluate(n) != seq[n]:
@@ -405,23 +425,26 @@ def _fit_classes(seq, max_period, max_transient):
     Pairs that leave every class a fourth sample, so that some sample
     checks each class, are tried first; pairs whose thinnest class
     holds only its three interpolation points come after.  Both passes
-    run in lexicographic (t, p) order."""
+    run in lexicographic (t, p) order.  The sequence is scaled to
+    integers once, and the class tests and the convolution run on
+    them."""
+    ints, scale = _scaled(seq)
     pairs = [(t, p) for t in range(max_transient + 1)
              for p in range(1, max_period + 1) if (len(seq) - t) // p >= 3]
     pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
     for t, p in pairs:
-        if _try_classes(seq, t, p) is None:
+        if _try_classes(ints, t, p, scale) is None:
             continue
-        den3 = _cyclotomic_split(p, 3)
-        denpoly = RationalGF([1], den3).den_poly()
+        # (1 - z^p)^3 = 1 - 3 z^p + 3 z^2p - z^3p
         conv = []
         for n in range(min(len(seq), t + 3 * p)):
-            c = Fraction(0)
-            for k in range(min(n, len(denpoly) - 1) + 1):
-                c += denpoly[k] * seq[n - k]
-            conv.append(c)
+            c = 0
+            for k, ck in ((0, 1), (p, -3), (2 * p, 3), (3 * p, -1)):
+                if k <= n:
+                    c += ck * ints[n - k]
+            conv.append(Fraction(c, scale))
         try:
-            return _finish(seq, RationalGF(conv, den3))
+            return _finish(seq, RationalGF(conv, _cyclotomic_split(p, 3)))
         except ValueError:
             continue
     if not pairs:
@@ -463,6 +486,12 @@ def fit(seq, max_period=16, max_transient=8):
     period is an integer.  Sequences whose third difference settles
     into a period with a nonzero sum are refused as cubic.
     """
+    if max_period < 1:
+        raise ValueError("max_period must be at least 1, got %d"
+                         % max_period)
+    if max_transient < 0:
+        raise ValueError("max_transient must be nonnegative, got %d"
+                         % max_transient)
     seq = [Fraction(x) for x in seq]
     _reject_cubic(seq, max_period, max_transient)
     return _fit_classes(seq, max_period, max_transient)

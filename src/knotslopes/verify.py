@@ -33,6 +33,20 @@ def _sorted_slopes(slopes):
     return finite
 
 
+def quasi_dict(q, slopes=False):
+    """JSON form of a fitted quasi-polynomial; with ``slopes``, twice
+    the leading coefficients sit before the generating function."""
+    doc = {
+        "period": q.period,
+        "transient": q.transient,
+        "classes": [[str(c) for c in trip] for trip in q.classes],
+    }
+    if slopes:
+        doc["slopes"] = [str(s) for s in quasifit.slopes(q)]
+    doc["gf"] = str(q.gf) if q.gf is not None else None
+    return doc
+
+
 class SlopeReport:
     """Everything the conjecture check produced for one knot.
 
@@ -58,13 +72,6 @@ class SlopeReport:
         self.evidence = evidence
 
     def to_dict(self):
-        def quasi_dict(q):
-            return {
-                "period": q.period,
-                "transient": q.transient,
-                "classes": [[str(c) for c in trip] for trip in q.classes],
-                "gf": str(q.gf) if q.gf is not None else None,
-            }
         return {
             "knot": self.knot.render(),
             "period": self.period,

@@ -97,6 +97,15 @@ def test_fit_rejects_input_plus_knot(tmp_path, capsys):
     assert "not both" in err
 
 
+def test_fit_rejects_bad_window_bounds(capsys):
+    code, _, err = run(capsys, "fit", "torus:2,3", "--max-period", "0")
+    assert code == 2
+    assert "max_period must be at least 1, got 0" in err
+    code, _, err = run(capsys, "fit", "torus:2,3", "--max-transient", "-1")
+    assert code == 2
+    assert "max_transient must be nonnegative, got -1" in err
+
+
 def test_fit_constant_zero_file(tmp_path, capsys):
     f = tmp_path / "z.seq"
     f.write_text("0\n" * 8)

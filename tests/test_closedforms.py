@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from knotslopes import closedforms
 from knotslopes.closedforms import (AlternatingInvariants, alt_degrees,
                                     alt_invariants, alt_symmetrized,
                                     pretzel_boundary_slopes, pretzel_degrees,
                                     pretzel_slopes, recover_invariants,
                                     torus_degrees)
 from knotslopes.engine import morton_colored_jones
-from knotslopes.knots import (AlternatingData, bundled_knot_table,
+from knotslopes.knots import (AlternatingData, Pretzel237, bundled_knot_table,
                               is_alternating, parse_knot, smoothing_counts)
-from knotslopes.quasifit import fit, slopes
+from knotslopes.quasifit import RationalGF, fit, slopes
 
 TREFOIL_DATA = AlternatingData(3, 0, 2, 3)
 
@@ -150,15 +151,38 @@ def test_torus_degrees_match_morton():
 
 
 def test_pretzel_degrees_p7():
-    assert [pretzel_degrees(7, n)[0] for n in range(20)] == P237_DELTA
-    assert [pretzel_degrees(7, n)[1] for n in range(20)] == \
-        [5 * n for n in range(20)]
+    assert pretzel_degrees(7, 19)[0] == P237_DELTA
+    assert pretzel_degrees(7, 19)[1] == [5 * n for n in range(20)]
+
+
+def test_pretzel_degrees_expand_the_tail_once(monkeypatch):
+    calls = []
+    series = RationalGF.series
+
+    def counted(self, count):
+        calls.append(count)
+        return series(self, count)
+    monkeypatch.setattr(RationalGF, "series", counted)
+    monkeypatch.setattr(closedforms, "_PRETZEL_CACHE", {})
+    dmax, dmin = Pretzel237(19).degrees(54)
+    assert len(dmax) == len(dmin) == 55
+    # one expansion for the whole list, not one per color
+    assert len(calls) == 1
+    assert Pretzel237(19).degrees(54) == (dmax, dmin)
+    assert len(calls) == 1
+
+
+def test_pretzel_degrees_are_copies():
+    dmax, _ = pretzel_degrees(7, 5)
+    dmax.append(0)
+    assert pretzel_degrees(7, 6)[0][6] == P237_DELTA[6]
 
 
 def test_pretzel_small_p_are_torus_knots():
     for p, (a, b) in ((1, (2, 5)), (3, (3, 4)), (5, (3, 5))):
+        dmax, dmin = pretzel_degrees(p, 8)
         for n in range(9):
-            assert pretzel_degrees(p, n) == torus_degrees(a, b, n)
+            assert (dmax[n], dmin[n]) == torus_degrees(a, b, n)
 
 
 def test_pretzel_degrees_rejects():
@@ -173,7 +197,7 @@ def test_pretzel_leading_coefficient_matches_slopes():
     # published slope, and the fitted period is the published period
     for p in range(5, 22, 2):
         period, js, _ = pretzel_slopes(p)
-        seq = [pretzel_degrees(p, n)[0] for n in range(3 * period + 12)]
+        seq = pretzel_degrees(p, 3 * period + 11)[0]
         q = fit(seq, max_period=max(period, 16))
         assert q.period == period
         assert slopes(q) == [js]
@@ -183,8 +207,7 @@ def test_pretzel_negative_p_slopes():
     for p in (-1, -3, -5, -7):
         period, js, js_star = pretzel_slopes(p)
         hi = 3 * period + 12
-        dmax = [pretzel_degrees(p, n)[0] for n in range(hi)]
-        dmin = [pretzel_degrees(p, n)[1] for n in range(hi)]
+        dmax, dmin = pretzel_degrees(p, hi - 1)
         qmax = fit(dmax, max_period=max(period, 16))
         qmin = fit(dmin, max_period=max(period, 16))
         assert slopes(qmax) == [js]

@@ -81,6 +81,56 @@ def test_state_sum_peak_terms_on_8_19():
         engine._bracket_raw(crossings, circles, 556)
 
 
+def _arc_level_compile_rule(arcs, slot_arc_count, matching, moved):
+    """The arc-level ``_compile_rule`` the canonical slot patterns
+    replaced: both smoothings of every new local situation go through
+    ``_apply_smoothing`` on the crossing's own arcs."""
+    rule = []
+    for pairing, shift in ((engine._A_PAIRING, 1), (engine._B_PAIRING, -1)):
+        new_pairs, circles = engine._apply_smoothing(
+            matching, arcs, pairing, slot_arc_count)
+        links = tuple((moved[u], moved[v]) for u, v in new_pairs)
+        scale = None
+        if circles:
+            scale = tuple((k + shift, c)
+                          for k, c in (engine._DELTA ** circles).terms.items())
+        rule.append((links, shift, scale))
+    return rule
+
+
+def test_pattern_rules_match_arc_level_rules(monkeypatch):
+    diagrams = list(bundled_knot_table().values())
+    diagrams += [pretzel_pd([-2, 3, p]) for p in (-15, -3, 7, 19)]
+    assert len(diagrams) == 20
+    cables = [engine._cable(pd, m) for pd in diagrams for m in (1, 2)]
+    limit = 10 ** 7
+    got = [engine._bracket_raw(cr, circles, limit) for cr, circles in cables]
+    monkeypatch.setattr(engine, "_compile_rule", _arc_level_compile_rule)
+    want = [engine._bracket_raw(cr, circles, limit)
+            for cr, circles in cables]
+    assert got == want
+
+
+def test_smoothings_compiled_once_per_pattern(monkeypatch):
+    calls = []
+    apply_smoothing = engine._apply_smoothing
+
+    def counted(*args):
+        calls.append(args)
+        return apply_smoothing(*args)
+    monkeypatch.setattr(engine, "_apply_smoothing", counted)
+    monkeypatch.setattr(engine, "_BRACKET_CACHE", {})
+    engine._pattern_rule.cache_clear()
+    try:
+        pd = bundled_knot_table()["8_19"]
+        for n in (1, 2, 3):
+            bracket_colored_jones(pd, n)
+    finally:
+        engine._pattern_rule.cache_clear()
+    # the arc-level rules made 4,194 calls here, two per local situation
+    assert 0 < len(calls) <= 32
+
+
 def test_bracket_memo_drops_oldest(monkeypatch):
     computed = []
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from knotslopes import quasifit
 from knotslopes.quasifit import (QuasiPolynomial, RationalGF, cyclotomic,
                                  detect_period, difference,
                                  estimate_cluster_slopes, fit,
@@ -158,6 +159,14 @@ def test_fit_not_enough_samples():
         fit([0, 1])
 
 
+def test_fit_rejects_bad_window_bounds():
+    seq = [n * n for n in range(17)]
+    with pytest.raises(ValueError, match="max_period must be at least 1"):
+        fit(seq, max_period=0)
+    with pytest.raises(ValueError, match="max_transient must be nonneg"):
+        fit(seq, max_transient=-1)
+
+
 def test_fit_rejects_non_quadratic():
     cubic = [n ** 3 for n in range(20)]
     with pytest.raises(ValueError):
@@ -269,3 +278,73 @@ def test_round_trip_property(q):
     assert slopes(r) == slopes(q)
     for n in range(r.transient, n_hi + 1):
         assert r.evaluate(n) == seq[n]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction code they replaced
+
+
+def _series_reference(g, count):
+    """The Fraction recurrence ``RationalGF.series`` used to run."""
+    q = g.den_poly()
+    inv0 = 1 / q[0]
+    out = []
+    for n in range(count):
+        c = g.num[n] if n < len(g.num) else Fraction(0)
+        for k in range(1, min(n, len(q) - 1) + 1):
+            c -= q[k] * out[n - k]
+        out.append(c * inv0)
+    return out
+
+
+def _try_classes_reference(seq, t, p):
+    """The Fraction interpolation ``_try_classes`` used to run."""
+    classes = [None] * p
+    for r in range(p):
+        ns = [n for n in range(t, len(seq)) if n % p == r]
+        if len(ns) < 3:
+            return None
+        pts = [(Fraction(n), seq[n]) for n in ns[:3]]
+        c2, c1, c0 = quasifit._interpolate_quadratic(pts)
+        for n in ns[3:]:
+            if c2 * n * n + c1 * n + c0 != seq[n]:
+                return None
+        classes[r] = (c2, c1, c0)
+    return classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.sampled_from([1, 3, 8])),
+                max_size=10),
+       st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=4),
+       st.integers(0, 40))
+def test_integer_series_matches_fraction_recurrence(num, den, count):
+    g = RationalGF([Fraction(a, b) for a, b in num], den)
+    got = g.series(count)
+    assert got == _series_reference(g, count)
+    assert all(isinstance(c, Fraction) for c in got)
+
+
+@st.composite
+def quarter_sequences(draw):
+    # a quasi-quadratic run in quarter-integers, sometimes with one
+    # sample knocked off, so both outcomes of the class test show up
+    period = draw(st.integers(1, 4))
+    classes = [tuple(Fraction(draw(st.integers(-12, 12)), 4)
+                     for _ in range(3)) for _ in range(period)]
+    length = draw(st.integers(0, 24))
+    seq = [Fraction(draw(st.integers(-20, 20)), 2)] * draw(st.integers(0, 2))
+    seq = seq + [classes[n % period][0] * n * n + classes[n % period][1] * n
+                 + classes[n % period][2] for n in range(len(seq), length)]
+    if seq and draw(st.booleans()):
+        i = draw(st.integers(0, len(seq) - 1))
+        seq[i] += Fraction(draw(st.sampled_from([-3, 1, 2])), 4)
+    return seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(quarter_sequences(), st.integers(0, 3), st.integers(1, 6))
+def test_integer_class_test_matches_fraction_interpolation(seq, t, p):
+    ints = [int(x * 4) for x in seq]
+    assert quasifit._try_classes(ints, t, p, 4) == \
+        _try_classes_reference(seq, t, p)
