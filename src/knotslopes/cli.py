@@ -104,10 +104,7 @@ def cmd_fit(args):
 
 def cmd_slopes(args):
     spec = _knot_spec(args)
-    report = slopecheck.analyze(spec, _colors(args, spec),
-                                max_period=args.max_period,
-                                max_transient=args.max_transient,
-                                limit_mb=args.limit_mb)
+    report = _verify_one(args, spec, None)
     if args.json:
         doc = report.to_dict()
         print(json.dumps({key: doc[key] for key in (

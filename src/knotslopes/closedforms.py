@@ -1,6 +1,5 @@
 """Closed-form degree formulas: alternating diagrams, torus knots, and
-the (-2, 3, p) pretzel family, plus recovery of crossing number, writhe,
-and signature from degree data.
+the (-2, 3, p) pretzel family.
 
 Alternating and torus degrees are plain formulas in the diagram counts.
 The pretzel family mixes a printed exact side with a side known only
@@ -18,7 +17,7 @@ from .quasifit import RationalGF, _cyclotomic_split
 
 __all__ = [
     "AlternatingInvariants", "alt_invariants", "alt_degrees",
-    "alt_symmetrized", "recover_invariants", "torus_degrees",
+    "alt_symmetrized", "torus_degrees",
     "pretzel_degrees", "pretzel_slopes", "pretzel_boundary_slopes",
 ]
 
@@ -75,14 +74,6 @@ def alt_symmetrized(inv, n):
     dm = inv.w / 2 * n * n + (inv.w - 2 * inv.sigma) / 2 * n
     dp = inv.c / 2 * n * n + inv.c / 2 * n
     return dm, dp
-
-
-def recover_invariants(dm1, dm2, dp1):
-    """Crossing number, writhe, and signature of an alternating knot
-    from its degree sums at colors one and two and its degree span at
-    color one."""
-    dm1, dm2, dp1 = Fraction(dm1), Fraction(dm2), Fraction(dp1)
-    return AlternatingInvariants(dp1, -2 * dm1 + dm2, -3 * dm1 + dm2)
 
 
 def torus_degrees(a, b, n):

@@ -36,8 +36,8 @@ from .quasifit import load_sequence
 import os
 
 __all__ = [
-    "morton_colored_jones", "bracket_colored_jones", "connected_sum",
-    "degree_sequence", "EngineLimitError",
+    "morton_colored_jones", "bracket_colored_jones", "degree_sequence",
+    "EngineLimitError",
 ]
 
 
@@ -440,12 +440,6 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     return poly
 
 
-def connected_sum(j1, j2):
-    """Colored Jones polynomial of a connected sum at one color: the
-    factors multiply color by color."""
-    return j1 * j2
-
-
 # ---------------------------------------------------------------------------
 # degree sequences
 
@@ -477,23 +471,21 @@ def bundled_degrees(name, n_max):
 _load_seq = load_sequence
 
 
-def _combine(kind, dmax, dmin):
-    if kind == "max":
-        return dmax
-    if kind == "min":
-        return dmin
-    if kind == "span":
-        return [a - b for a, b in zip(dmax, dmin)]
-    if kind == "sum":
-        return [a + b for a, b in zip(dmax, dmin)]
-    raise ValueError("unknown degree kind %r" % kind)
+# how each degree kind combines the maximum- and minimum-degree lists
+_KINDS = {
+    "max": lambda dmax, dmin: dmax,
+    "min": lambda dmax, dmin: dmin,
+    "span": lambda dmax, dmin: [a - b for a, b in zip(dmax, dmin)],
+    "sum": lambda dmax, dmin: [a + b for a, b in zip(dmax, dmin)],
+}
 
 
 def degree_sequence(spec, kind, n_max, limit_mb=None):
     """Degree sequence [value at color 0, ..., value at color n_max].
 
-    kind is one of max, min, span, sum.  The spec supplies the maximum
-    and minimum degrees (``spec.degrees``): torus knots through Morton's
+    kind is one of max, min, span, sum, and is checked before any
+    degree work.  The spec checks n_max and supplies the maximum and
+    minimum degrees (``spec.degrees``): torus knots through Morton's
     formula, pretzel and alternating specs through their closed forms,
     named knots through bundled degree files when present, and
     diagrams through the alternating closed forms or the cabled
@@ -501,6 +493,7 @@ def degree_sequence(spec, kind, n_max, limit_mb=None):
     one mirror rule of ``knots._Spec`` turns (dmax, dmin) into
     (-dmin, -dmax).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return _combine(kind, *spec.degrees(n_max, limit_mb))
+    combine = _KINDS.get(kind)
+    if combine is None:
+        raise ValueError("unknown degree kind %r" % kind)
+    return combine(*spec.degrees(n_max, limit_mb))

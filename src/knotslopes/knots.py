@@ -31,7 +31,7 @@ __all__ = [
     "parse_knot", "DiagramStats", "validate_pd", "mirror_pd",
     "smoothing_counts", "braid_pd", "pretzel_pd", "torus_pd",
     "two_bridge_pd", "INFINITY", "load_slope_db", "load_knot_table",
-    "bundled_slope_db", "bundled_knot_table", "boundary_slopes_for",
+    "bundled_slope_db", "bundled_knot_table",
 ]
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -90,7 +90,10 @@ class _Spec(_Frozen):
         return ("mirror:" if self.mirror else "") + self._render()
 
     def degrees(self, n_max, limit_mb=None):
-        """Maximum- and minimum-degree lists for colors 0..n_max."""
+        """Maximum- and minimum-degree lists for colors 0..n_max.  A
+        negative n_max is refused before any work."""
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
         dmax, dmin = self._degrees(n_max, limit_mb)
         if self.mirror:
             return [-v for v in dmin], [-v for v in dmax]
@@ -109,9 +112,12 @@ class _Spec(_Frozen):
                                 st.b_circles, st.a_circles)
         return st
 
-    def boundary_slopes(self, db):
+    def boundary_slopes(self, db=None):
         """Boundary-slope set from a closed form or the table db, or
-        None when there is no data."""
+        None when there is no data.  The default table is the bundled
+        ``data/boundary_slopes.tsv`` (``bundled_slope_db``)."""
+        if db is None:
+            db = bundled_slope_db()
         slopes = self._boundary_slopes(db)
         if slopes is None or not self.mirror:
             return slopes
@@ -819,16 +825,3 @@ def bundled_knot_table():
     if _KNOT_TABLE is None:
         _KNOT_TABLE = load_knot_table(os.path.join(DATA_DIR, "knots.tsv"))
     return _KNOT_TABLE
-
-
-def boundary_slopes_for(spec, db=None):
-    """Boundary-slope set for a spec, or None when no data is available.
-
-    The spec answers from ``db`` (default: the bundled table) or from a
-    closed form: {0, ab} for torus knots, the family formula for the
-    (-2,3,p) pretzels with p >= 7 or p <= -1.  Mirrors negate every
-    finite slope.
-    """
-    if db is None:
-        db = bundled_slope_db()
-    return spec.boundary_slopes(db)

@@ -48,17 +48,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def const(cls, c):
-        return cls({0: int(c)})
-
-    @classmethod
-    def monomial(cls, coeff, exponent):
-        """Build coeff * q^exponent. The exponent may be an int or a
-        Fraction with denominator dividing 4."""
-        key = _to_key(exponent)
-        return cls({key: int(coeff)})
-
     # ------------------------------------------------------------------
     # ring structure
 
@@ -172,9 +161,6 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # degrees and structure
 
-    def is_zero(self):
-        return not self.terms
-
     def deg(self):
         """Maximum exponent, as an exact Fraction (denominator divides 4)."""
         if not self.terms:
@@ -202,17 +188,6 @@ class LaurentPoly:
 
     def coefficient(self, exponent):
         return self.terms.get(_to_key(exponent), 0)
-
-    def evaluate_int(self, value):
-        """Evaluate at an integer q=value; only valid for integral polynomials
-        when value is not +-1 ... in practice used at q=-1 (determinant)."""
-        total = Fraction(0)
-        for k, c in self.terms.items():
-            e = Fraction(k, 4)
-            if e.denominator != 1:
-                raise ValueError("cannot evaluate fractional exponents at an integer")
-            total += c * Fraction(value) ** e.numerator
-        return total
 
     # ------------------------------------------------------------------
     # canonical text form

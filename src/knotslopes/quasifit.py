@@ -25,7 +25,7 @@ from math import gcd, lcm
 __all__ = [
     "QuasiPolynomial", "RationalGF", "cyclotomic", "difference",
     "detect_period", "partial_fractions", "fit", "slopes",
-    "estimate_cluster_slopes", "integrality_check", "load_sequence",
+    "integrality_check", "load_sequence",
 ]
 
 
@@ -185,17 +185,6 @@ class RationalGF:
                 out = out * d // gcd(out, d)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        left = _pmul(self.num, other.den_poly())
-        right = _pmul(other.num, self.den_poly())
-        return left == right
-
-    def __hash__(self):
-        r = self.reduced()
-        return hash((tuple(r.num), tuple(sorted(r.den.items()))))
-
     def __str__(self):
         num = _poly_str(self.num)
         if not self.den:
@@ -235,10 +224,6 @@ class QuasiPolynomial:
         the fitted data is only certified from the transient on."""
         c2, c1, c0 = self.classes[n % self.period]
         return c2 * n * n + c1 * n + c0
-
-    def leading(self):
-        """The sorted distinct values of the quadratic coefficient."""
-        return sorted({trip[0] for trip in self.classes})
 
     def describe(self):
         lines = []
@@ -500,27 +485,6 @@ def fit(seq, max_period=16, max_transient=8):
 def slopes(quasi):
     """Sorted distinct values of twice the quadratic coefficient."""
     return sorted({2 * trip[0] for trip in quasi.classes})
-
-
-def estimate_cluster_slopes(seq, quasi=None):
-    """Cluster values of 2 s(n) / n^2, computed exactly through a fit.
-
-    Checks that the ratio approaches the slope of its residue class at
-    rate C/n with C from the fitted lower-order coefficients, then
-    returns the slope set.  Pass a prior fit to skip refitting.
-    """
-    seq = [Fraction(x) for x in seq]
-    if quasi is None:
-        quasi = fit(seq)
-    c = (2 * max(abs(t[1]) for t in quasi.classes)
-         + 2 * max(abs(t[2]) for t in quasi.classes) + 1)
-    start = max(quasi.transient, 1)
-    for n in range(start, len(seq)):
-        target = 2 * quasi.classes[n % quasi.period][0]
-        if abs(2 * seq[n] / (n * n) - target) > Fraction(c, n):
-            raise AssertionError(
-                "slope estimate at n=%d strayed outside the C/n window" % n)
-    return slopes(quasi)
 
 
 def integrality_check(quasi):

@@ -12,12 +12,11 @@ from fractions import Fraction
 from math import lcm
 
 from . import closedforms, quasifit
-from .engine import degree_sequence
-from .knots import INFINITY, boundary_slopes_for
+from .knots import INFINITY
 
 __all__ = [
     "SlopeReport", "analyze", "check_crossing_bounds",
-    "check_alternating_theorems", "mutation_comparison",
+    "check_alternating_theorems",
 ]
 
 # Both slope sets enter the inclusion test doubled; the minimum-degree
@@ -120,8 +119,7 @@ def analyze(spec, n_max, max_period=16, max_transient=8, limit_mb=None,
             db=None):
     """Fit both degree sequences of a knot up to color n_max and check
     twice the slopes against the boundary-slope data."""
-    dmax = degree_sequence(spec, "max", n_max, limit_mb=limit_mb)
-    dmin = degree_sequence(spec, "min", n_max, limit_mb=limit_mb)
+    dmax, dmin = spec.degrees(n_max, limit_mb)
     qmax = quasifit.fit(dmax, max_period=max_period,
                         max_transient=max_transient)
     qmin = quasifit.fit(dmin, max_period=max_period,
@@ -130,7 +128,7 @@ def analyze(spec, n_max, max_period=16, max_transient=8, limit_mb=None,
     js_star = quasifit.slopes(qmin)
     jones_diameter = max(abs(s - t) for s in js for t in js_star)
     notes = [_DOUBLING_NOTE]
-    bs = boundary_slopes_for(spec, db)
+    bs = spec.boundary_slopes(db)
     if bs is None:
         verdict = "no-data"
         notes.append("no boundary-slope data available for this knot")
@@ -176,7 +174,7 @@ def check_crossing_bounds(report, stats):
     }
 
 
-def check_alternating_theorems(data, n_max, limit_mb=None, report=None):
+def check_alternating_theorems(data, n_max, report=None):
     """Check the alternating-knot predictions on closed-form degree
     sequences up to color n_max: period one on both sides, slopes equal
     to the signed crossing counts, the degree sum and span identities,
@@ -188,7 +186,7 @@ def check_alternating_theorems(data, n_max, limit_mb=None, report=None):
     inv = closedforms.alt_invariants(data)
     base = data.diagram_stats()
     if report is None:
-        report = analyze(data, n_max, limit_mb=limit_mb)
+        report = analyze(data, n_max)
     problems = []
     if report.period != 1:
         problems.append("period %d instead of 1" % report.period)
@@ -217,26 +215,4 @@ def check_alternating_theorems(data, n_max, limit_mb=None, report=None):
         "invariants": inv,
         "checkerboard_slopes": checkerboard,
         "report": report,
-    }
-
-
-def mutation_comparison(k1, k2, n_max, max_period=16, max_transient=8,
-                        limit_mb=None, db=None):
-    """Compare two knots the way a mutation test would: fitted slopes
-    and period must agree, boundary-slope sets may differ."""
-    r1 = analyze(k1, n_max, max_period, max_transient, limit_mb, db)
-    r2 = analyze(k2, n_max, max_period, max_transient, limit_mb, db)
-    consistent = (r1.js == r2.js and r1.js_star == r2.js_star
-                  and r1.period == r2.period)
-    b1 = set(r1.boundary_slopes or [])
-    b2 = set(r2.boundary_slopes or [])
-    return {
-        "consistent": consistent,
-        "flag": None if consistent else "not mutation-consistent",
-        "js": (r1.js, r2.js),
-        "js_star": (r1.js_star, r2.js_star),
-        "period": (r1.period, r2.period),
-        "bs_only_first": _sorted_slopes(b1 - b2),
-        "bs_only_second": _sorted_slopes(b2 - b1),
-        "reports": (r1, r2),
     }

@@ -8,8 +8,7 @@ from knotslopes import closedforms
 from knotslopes.closedforms import (AlternatingInvariants, alt_degrees,
                                     alt_invariants, alt_symmetrized,
                                     pretzel_boundary_slopes, pretzel_degrees,
-                                    pretzel_slopes, recover_invariants,
-                                    torus_degrees)
+                                    pretzel_slopes, torus_degrees)
 from knotslopes.engine import morton_colored_jones
 from knotslopes.knots import (AlternatingData, Pretzel237, bundled_knot_table,
                               is_alternating, parse_knot, smoothing_counts)
@@ -88,29 +87,6 @@ def test_degrees_and_symmetrized_are_consistent():
             dm, dp = alt_symmetrized(inv, n)
             assert d - ds == dp
             assert d + ds == dm
-
-
-def test_recover_invariants_trefoil():
-    assert recover_invariants(5, 13, 3) == AlternatingInvariants(3, 3, -2)
-
-
-def test_recover_invariants_degenerate():
-    inv = recover_invariants(0, 0, 9)
-    assert (inv.c, inv.w, inv.sigma) == (9, 0, 0)
-
-
-def test_recover_inverts_symmetrized():
-    # every admissible (c, w, sigma) with entries bounded by 50 comes
-    # back unchanged: c and w share parity so the signed counts are
-    # whole, and the signature stays between -c_plus and c_minus
-    for c in range(0, 51, 3):
-        for w in range(-c, c + 1, 2):
-            c_plus, c_minus = (c + w) // 2, (c - w) // 2
-            for sigma in range(-c_plus, c_minus + 1):
-                inv = AlternatingInvariants(c, w, sigma)
-                dm1, dp1 = alt_symmetrized(inv, 1)
-                dm2, _ = alt_symmetrized(inv, 2)
-                assert recover_invariants(dm1, dm2, dp1) == inv
 
 
 def test_torus_degrees_fixtures():

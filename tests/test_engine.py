@@ -6,9 +6,10 @@ import pytest
 
 from knotslopes import engine
 from knotslopes.engine import (EngineLimitError, bracket_colored_jones,
-                               bundled_degrees_available, connected_sum,
-                               degree_sequence, morton_colored_jones)
-from knotslopes.knots import (Named, Pretzel237, Torus, bundled_knot_table,
+                               bundled_degrees_available, degree_sequence,
+                               morton_colored_jones)
+from knotslopes.knots import (Diagram, Named, Pretzel237, Torus,
+                              bundled_knot_table,
                               is_alternating, mirror_pd, parse_knot,
                               pretzel_pd, smoothing_counts, torus_pd,
                               two_bridge_pd)
@@ -190,17 +191,19 @@ def test_bracket_le_degree_bounds():
                 - (st.c_minus + 1) * n
 
 
-def test_connected_sum_is_multiplicative():
-    j1 = morton_colored_jones(2, 3, 2)
-    j2 = morton_colored_jones(2, 5, 2)
-    s = connected_sum(j1, j2)
-    assert s == j1 * j2
-    assert s.deg() == j1.deg() + j2.deg()
-
-
 def test_limit_budget_raises_cleanly():
     with pytest.raises(EngineLimitError):
         bracket_colored_jones(torus_pd(3, 4), 4, limit_mb=0)
+
+
+def test_degree_kind_checked_before_any_work(monkeypatch):
+    def no_state_sum(*args):
+        raise AssertionError("a state sum ran")
+    monkeypatch.setattr(engine, "_bracket_raw", no_state_sum)
+    monkeypatch.setattr(engine, "_BRACKET_CACHE", {})
+    spec = Diagram(bundled_knot_table()["8_20"])
+    with pytest.raises(ValueError, match="unknown degree kind 'bogus'"):
+        degree_sequence(spec, "bogus", 2)
 
 
 def test_degree_sequence_torus():

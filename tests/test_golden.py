@@ -62,6 +62,8 @@ REPORT_SPECS = [["torus:3,4"], ["mirror:torus:2,5"], ["pretzel:-2,3,7"],
                 ["mirror:alt:3,0,2,3"], ["name:8_19"], ["mirror:name:3_1"],
                 [PD_3_1], ["mirror:" + PD_3_1], [PD_3_1, "--json"],
                 [PD_8_19, "--max-n", "2"]]
+# a negative depth is refused with one message on every route
+NEGATIVE_SPECS = ["torus:2,3", "pretzel:-2,3,7", "name:8_19", "alt:3,0,2,3"]
 
 
 def _sequence_dir():
@@ -91,7 +93,9 @@ def corpus():
                       for kind in ("max", "min", "span", "sum")]
                    + [["degrees", "mirror:pretzel:-2,3,7", "--kind", "span",
                        "--max-n", "4", "--json"]]
-                   + [["report"] + argv for argv in REPORT_SPECS]),
+                   + [["report"] + argv for argv in REPORT_SPECS]
+                   + [[cmd, spec, "--max-n", "-1"] for spec in NEGATIVE_SPECS
+                      for cmd in ("slopes", "verify", "report", "fit")]),
     }
 
 

@@ -8,8 +8,7 @@ import pytest
 from knotslopes.closedforms import AlternatingInvariants
 from knotslopes.engine import EngineLimitError
 from knotslopes.knots import (INFINITY, AlternatingData, Diagram,
-                              DiagramStats, Named,
-                              Pretzel237, Torus, boundary_slopes_for,
+                              DiagramStats, Named, Pretzel237, Torus,
                               braid_pd, bundled_knot_table, bundled_slope_db,
                               is_alternating, load_knot_table, load_slope_db,
                               mirror_pd, parse_knot, pretzel_pd,
@@ -250,21 +249,21 @@ def test_tsv_loaders_reject_duplicate_keys_and_missing_tabs(tmp_path, loader,
 
 
 def test_boundary_slopes_dispatch():
-    assert boundary_slopes_for(Torus(2, 3)) == frozenset({Fraction(0),
-                                                          Fraction(6)})
+    assert Torus(2, 3).boundary_slopes() == frozenset({Fraction(0),
+                                                       Fraction(6)})
     # mirror negates every slope
-    assert boundary_slopes_for(Torus(2, -3)) == frozenset({Fraction(0),
-                                                           Fraction(-6)})
-    assert boundary_slopes_for(Named("3_1")) == frozenset({Fraction(0),
-                                                           Fraction(6)})
+    assert Torus(2, -3).boundary_slopes() == frozenset({Fraction(0),
+                                                        Fraction(-6)})
+    assert Named("3_1").boundary_slopes() == frozenset({Fraction(0),
+                                                        Fraction(6)})
     # pretzel slopes computed from the closed form for p >= 7
-    assert boundary_slopes_for(Pretzel237(7)) == frozenset(
+    assert Pretzel237(7).boundary_slopes() == frozenset(
         {Fraction(0), Fraction(16), Fraction(37, 2), Fraction(20)})
     # small p comes out of the bundled table
-    assert boundary_slopes_for(Pretzel237(5)) == frozenset(
+    assert Pretzel237(5).boundary_slopes() == frozenset(
         {Fraction(0), Fraction(15)})
     # no data for a bare alternating spec
-    assert boundary_slopes_for(AlternatingData(3, 0, 2, 3)) is None
+    assert AlternatingData(3, 0, 2, 3).boundary_slopes() is None
 
 
 def test_infinity_slope():

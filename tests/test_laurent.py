@@ -23,7 +23,7 @@ def test_zero_and_one():
     assert LaurentPoly.zero() == LaurentPoly()
     assert not LaurentPoly.zero()
     assert str(LaurentPoly.zero()) == "0"
-    assert LaurentPoly.one() == LaurentPoly.const(1)
+    assert LaurentPoly.one() == LaurentPoly({0: 1})
     assert str(LaurentPoly.one()) == "1"
 
 
@@ -32,7 +32,7 @@ def test_no_zero_coefficients_stored():
     assert 3 not in p.terms
     q = parse_poly("q^2") - parse_poly("q^2")
     assert q.terms == {}
-    assert q.is_zero()
+    assert not q
 
 
 def test_degree_of_zero_rejected():
@@ -46,9 +46,9 @@ def test_canonical_text():
     assert str(parse_poly("q + q^3 - q^4")) == "q + q^3 - q^4"
     assert str(parse_poly("-q^-4 + q^-3 + q^-1")) == "-q^-4 + q^-3 + q^-1"
     assert str(LaurentPoly({-8: 3, 0: -1, 4: 1})) == "3q^-2 - 1 + q"
-    assert str(LaurentPoly.monomial(-1, 0)) == "-1"
-    assert str(LaurentPoly.monomial(2, 5)) == "2q^5"
-    assert str(LaurentPoly.monomial(1, Fraction(1, 2))) == "q^1/2"
+    assert str(LaurentPoly({0: -1})) == "-1"
+    assert str(LaurentPoly({20: 2})) == "2q^5"
+    assert str(LaurentPoly({2: 1})) == "q^1/2"
 
 
 def test_parse_round_trip_fixed():
@@ -65,7 +65,7 @@ def test_parse_rejects_garbage():
 
 
 def test_quarter_exponents():
-    half = LaurentPoly.monomial(1, Fraction(1, 2))
+    half = LaurentPoly({2: 1})
     assert not half.is_integral()
     assert (half * half).is_integral()
     assert half * half == parse_poly("q")
@@ -88,13 +88,6 @@ def test_shift_and_coefficient():
     assert p.coefficient(99) == 0
 
 
-def test_evaluate_int():
-    p = parse_poly("q + q^3 - q^4")
-    assert p.evaluate_int(1) == 1
-    assert p.evaluate_int(2) == 2 + 8 - 16
-    assert p.evaluate_int(-1) == -1 - 1 - 1
-
-
 def test_exact_div_fixed():
     # (1 - q^3) / (1 - q) = 1 + q + q^2, and the engine's divisor shape
     assert (parse_poly("1 - q^3").exact_div(parse_poly("1 - q"))
@@ -103,7 +96,7 @@ def test_exact_div_fixed():
     assert (unit * parse_poly("q^-2 + 5")).exact_div(unit) == parse_poly(
         "q^-2 + 5")
     assert LaurentPoly.zero().exact_div(unit) == LaurentPoly.zero()
-    assert parse_poly("2 + 4q").exact_div(LaurentPoly.const(2)) == parse_poly(
+    assert parse_poly("2 + 4q").exact_div(LaurentPoly({0: 2})) == parse_poly(
         "1 + 2q")
 
 

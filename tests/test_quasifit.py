@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from knotslopes import quasifit
 from knotslopes.quasifit import (QuasiPolynomial, RationalGF, cyclotomic,
-                                 detect_period, difference,
-                                 estimate_cluster_slopes, fit,
+                                 detect_period, difference, fit,
                                  integrality_check, load_sequence,
                                  partial_fractions, slopes)
 
@@ -216,17 +215,6 @@ def test_evaluate_below_transient_extrapolates():
     q = QuasiPolynomial(1, 2, [(1, 0, 0)])
     assert q.evaluate(0) == 0
     assert q.evaluate(5) == 25
-
-
-def test_estimate_cluster_slopes():
-    seq = [2 * n * n + 2 * n for n in range(10)]
-    assert estimate_cluster_slopes(seq) == [4]
-    assert estimate_cluster_slopes([7] * 8) == [0]
-
-
-def test_estimate_cluster_slopes_matches_fit():
-    q = fit(D819)
-    assert estimate_cluster_slopes(D819, q) == slopes(q)
 
 
 def test_integrality_check():

@@ -4,10 +4,11 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from knotslopes.knots import (INFINITY, AlternatingData, DiagramStats,
+from knotslopes import engine
+from knotslopes.knots import (INFINITY, AlternatingData, DiagramStats, Named,
                               Pretzel237, Torus, parse_knot)
 from knotslopes.verify import (analyze, check_alternating_theorems,
-                               check_crossing_bounds, mutation_comparison)
+                               check_crossing_bounds)
 
 
 def test_analyze_8_19():
@@ -21,6 +22,26 @@ def test_analyze_8_19():
     assert r.conjecture_verdict == "verified"
     assert r.evidence["max_color"] == 12
     assert any("2*s" in note for note in r.evidence["notes"])
+
+
+def test_analyze_reads_each_degree_list_once(monkeypatch):
+    # one spec.degrees call yields both lists: one Morton evaluation per
+    # color, one read of each bundled file
+    calls = {}
+
+    def count(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(engine, name, wrapper)
+    count("morton_colored_jones")
+    count("_load_seq")
+    analyze(Torus(3, 4), 40)
+    assert calls == {"morton_colored_jones": 41}
+    analyze(Named("8_19"), 20)
+    assert calls == {"morton_colored_jones": 41, "_load_seq": 2}
 
 
 def test_analyze_trefoil_spec():
@@ -153,27 +174,3 @@ def test_alternating_theorems_bundled():
         assert out["holds"], out["problems"]
         assert out["report"].jones_diameter == c_plus + c_minus
 
-
-def test_mutation_pair():
-    m = mutation_comparison(parse_knot("name:pretzel_2_3_5_5"),
-                            parse_knot("name:pretzel_2_5_3_5"), 16)
-    assert m["consistent"]
-    assert m["flag"] is None
-    assert m["js"] == ([15], [15])
-    assert m["js_star"] == ([0], [0])
-    assert m["bs_only_first"] == [24]
-    assert m["bs_only_second"] == []
-
-
-def test_mutation_self_comparison():
-    k = parse_knot("name:8_19")
-    m = mutation_comparison(k, k, 12)
-    assert m["consistent"]
-    assert m["bs_only_first"] == [] and m["bs_only_second"] == []
-
-
-def test_mutation_mismatch_flagged():
-    m = mutation_comparison(parse_knot("name:3_1"),
-                            parse_knot("name:8_19"), 12)
-    assert not m["consistent"]
-    assert m["flag"] == "not mutation-consistent"
