@@ -18,12 +18,13 @@ The frontier is precompiled.  Which arcs are open after each step of
 the contraction order does not depend on the state, so each step's
 bookkeeping (consumed positions, kept positions, opened arcs) is worked
 out once, and a state is a tuple of integer partner positions.  The
-local algebra is compiled per pattern: a crossing's situation reduces to
-a canonical slot pattern (each slot is a self-arc end, the frontier
-partner of another slot, or an outward end), whose smoothings are
-worked out once per process; a step's rule for a tuple of partners only
-maps the pattern's outward slots to new positions.  Only the polynomial
-side runs per state.
+local algebra sees only a 4-slot pattern: entry s is the slot that slot
+s reaches outside the crossing, through a self-arc or through a
+frontier path that comes back into the crossing, or None for an
+outward end.  ``_pattern_rule`` works out the smoothings of each
+pattern once per process; a step's rule for a tuple of partners only
+maps the pattern's outward slots to new positions.  Only the
+polynomial side runs per state.
 """
 
 import functools
@@ -150,79 +151,45 @@ def _pick_order(crossings):
     return order
 
 
-def _apply_smoothing(matching, arcs, pairing, slot_arc_count):
-    """The local rule of one smoothing of a crossing.
+def _apply_smoothing(pattern, pairing):
+    """One smoothing of a crossing whose local situation is ``pattern``.
 
-    matching: the partner of each open arc among the crossing's arcs.
-    arcs: the 4 slot arcs.  pairing: two slot-index pairs.
-    Returns (new pairs of open arcs, closed circles).
-
-    Builds the local strand graph on the four slots: the smoothing
-    contributes two edges, and each slot connects outward through its
-    arc, which either dangles toward an unprocessed crossing, returns
-    to another slot (self-arc, or a frontier path whose far end is
-    also incident here), or ends at some other open arc.
+    The four slots are joined inside the crossing by ``pairing`` (two
+    slot pairs) and outside it by the pattern links; a slot s with
+    ``pattern[s] is None`` is an outward end.  Every slot meets one
+    pairing edge and either one link or its outward end, so the strands
+    are closed circles or paths between two outward ends.  Returns
+    (the pairs of outward slots the paths join, closed circles).
     """
-    nbr = {s: [] for s in range(4)}
-    for x, y in pairing:
-        nbr[x].append(y)
-        nbr[y].append(x)
-    added = set()
-
-    def link(s, t):
-        key = (min(s, t), max(s, t))
-        if key not in added:
-            added.add(key)
-            nbr[s].append(t)
-            nbr[t].append(s)
-
-    for s in range(4):
-        a = arcs[s]
-        if slot_arc_count[a] == 2:
-            other = next(t for t in range(4) if t != s and arcs[t] == a)
-            link(s, other)
-        elif a in matching:
-            p = matching[a]
-            if slot_arc_count.get(p, 0) == 1:
-                link(s, arcs.index(p))
-            else:
-                tok = ("out", p)
-                nbr[s].append(tok)
-                nbr.setdefault(tok, []).append(s)
-        else:
-            tok = ("out", a)
-            nbr[s].append(tok)
-            nbr.setdefault(tok, []).append(s)
-
-    circles = 0
-    new_pairs = []
+    mate = [0] * 4
+    for s, t in pairing:
+        mate[s], mate[t] = t, s
     seen = set()
-    for start in range(4):
-        if start in seen:
+    pairs, circles = [], 0
+    # outward ends first, so that each path is walked from one of its ends
+    for s in sorted(range(4), key=lambda s: pattern[s] is not None):
+        if s in seen:
             continue
-        seen.add(start)
-        frontier_ends = []
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nb in nbr[node]:
-                if isinstance(nb, int):
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-                else:
-                    frontier_ends.append(nb[1])
-        if not frontier_ends:
-            circles += 1
-        elif len(frontier_ends) == 2:
-            new_pairs.append((frontier_ends[0], frontier_ends[1]))
+        t = mate[s]
+        seen.update((s, t))
+        while pattern[t] not in (None, s):
+            t = mate[pattern[t]]
+            seen.update((t, mate[t]))
+        if pattern[t] is None:
+            pairs.append((s, t))
         else:
-            raise AssertionError("path with %d ends" % len(frontier_ends))
-    return new_pairs, circles
+            circles += 1
+    return tuple(pairs), circles
 
 
 _A_PAIRING = ((0, 1), (2, 3))
 _B_PAIRING = ((1, 2), (3, 0))
+
+
+# bytes per stored term of the state sum, as ru_maxrss above the 16 MB
+# interpreter floor: 148 on 8_19's 3-cable (62,876 terms, 25.5 MB), 145 on
+# 9_42's (50,577 terms), 119-143 on 8_19 at color 4 and 9_49 at color 3
+_TERM_BYTES = 150
 
 
 def _check_budget(entries, entry_limit):
@@ -240,14 +207,15 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     on the state, so they sit in one list per step and a state is the
     tuple of partner positions in that list: the strand that leaves
     through open arc i comes back through open arc ``state[i]``.  Each
-    step is planned once: the positions the crossing consumes, where
-    each kept position moves, and the positions of the arcs it opens.
-    A smoothing's outcome depends on a state only through the partners
-    of the consumed positions, so that tuple keys a per-step memo of
-    rules (new links, A-shift, delta**circles factor) that
-    ``_compile_rule`` fills on a miss from the crossing's slot pattern.
-    The per-state polynomials are plain dicts keyed by A-exponents,
-    turned into q once at the end.
+    step works out its crossing's slots once: a slot's arc is a
+    self-arc, whose other slot is its link in every state; an open arc
+    the step consumes, at an index of ``consumed``; or an arc the step
+    opens, at a new position of its own.  A smoothing's outcome depends
+    on a state only through the partners of the consumed positions, so
+    that tuple keys a per-step memo of rules (new links, A-shift,
+    delta**circles factor) that ``_compile_rule`` fills on a miss.  The
+    per-state polynomials are plain dicts keyed by A-exponents, turned
+    into q once at the end.
     """
     result_scale = _DELTA ** free_circles
     if not crossings:
@@ -257,20 +225,23 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     dp = {(): {0: 1}}
     for idx in _pick_order(crossings):
         arcs = crossings[idx]
-        slot_arc_count = {}
-        for a in arcs:
-            slot_arc_count[a] = slot_arc_count.get(a, 0) + 1
         where = {a: i for i, a in enumerate(open_arcs)}
         consumed = [where[a] for a in arcs if a in where]
-        gone = set(consumed)
-        kept = [i for i in range(len(open_arcs)) if i not in gone]
+        at = [s for s, a in enumerate(arcs) if a in where]
+        kept = [i for i in range(len(open_arcs)) if i not in consumed]
         remap = [-1] * len(open_arcs)
         for new, old in enumerate(kept):
             remap[old] = new
-        before = open_arcs
-        open_arcs = [before[i] for i in kept] + [
-            a for a in arcs if a not in where and slot_arc_count[a] == 1]
-        moved = {a: i for i, a in enumerate(open_arcs)}
+        open_arcs = [open_arcs[i] for i in kept]
+        self_links, ends = [None] * 4, [None] * 4
+        for s, a in enumerate(arcs):
+            if a not in where:
+                other = [t for t in range(4) if t != s and arcs[t] == a]
+                if other:
+                    self_links[s] = other[0]
+                else:
+                    ends[s] = len(open_arcs)
+                    open_arcs.append(a)
         opened = [-1] * (len(open_arcs) - len(kept))
         rules = {}
         ndp = {}
@@ -278,10 +249,8 @@ def _bracket_raw(crossings, free_circles, entry_limit):
             local = tuple([state[i] for i in consumed])
             rule = rules.get(local)
             if rule is None:
-                matching = {before[i]: before[p]
-                            for i, p in zip(consumed, local)}
                 rule = rules[local] = _compile_rule(
-                    arcs, slot_arc_count, matching, moved)
+                    local, consumed, at, self_links, ends, remap)
             # a kept position whose partner was consumed, and each
             # opened arc, hold -1 until the rule's links fill them
             base = [remap[state[i]] for i in kept] + opened
@@ -323,61 +292,38 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     return LaurentPoly(dp[()]).mirror() * result_scale, peak
 
 
-# the three cases of a slot in a crossing's pattern: its arc is a
-# self-arc ending at slot t, its consumed arc's frontier partner is the
-# arc at slot t, or it is an outward end
-_SELF, _PARTNER, _OUT = "self", "partner", ("out", None)
-
-
-def _compile_rule(arcs, slot_arc_count, matching, moved):
-    """The A and B outcomes of one crossing for the states in which each
-    consumed open arc is matched as in ``matching``.  Each outcome is
-    the links between new positions (``moved`` maps an open arc to its
-    position after the step), the A-shift, and the delta**circles factor
-    as (exponent, coefficient) pairs with the shift applied, or None
-    when no circle closes.
-
-    The crossing's local situation is first reduced to a slot pattern,
-    whose outcome ``_pattern_rule`` computes once per process; here the
-    pattern's outward slots are only mapped to their new positions."""
-    pattern = []
-    ends = [None] * 4
-    for s, a in enumerate(arcs):
-        if slot_arc_count[a] == 2:
-            pattern.append((_SELF, next(t for t in range(4)
-                                        if t != s and arcs[t] == a)))
-        elif a in matching and slot_arc_count.get(matching[a], 0) == 1:
-            pattern.append((_PARTNER, arcs.index(matching[a])))
+def _compile_rule(local, consumed, at, self_links, ends, remap):
+    """The A and B outcomes of one step for the states whose consumed
+    positions have the partners ``local``: the links between new
+    positions, the A-shift, and the delta**circles factor as shifted
+    (exponent, coefficient) pairs, or None.  ``consumed[j]`` sits at
+    slot ``at[j]``; a consumed partner links two slots as a self-arc
+    does, and a kept partner makes the slot an outward end at the
+    partner's new position, as an opened arc is."""
+    pattern, ends = list(self_links), list(ends)
+    for s, p in zip(at, local):
+        if p in consumed:
+            pattern[s] = at[consumed.index(p)]
         else:
-            pattern.append(_OUT)
-            ends[s] = moved[matching.get(a, a)]
+            ends[s] = remap[p]
     return [(tuple((ends[s], ends[t]) for s, t in pairs), shift, scale)
             for pairs, shift, scale in _pattern_rule(tuple(pattern))]
 
 
 @functools.cache
 def _pattern_rule(pattern):
-    """The A and B outcomes of a slot pattern: the pairs of outward
-    slots that the smoothing joins, the A-shift and the delta**circles
-    factor.  Each slot s gets the arc label s (a self-arc the smaller
-    of its two slots), so ``_apply_smoothing`` reports outward ends by
-    slot."""
-    arcs = [min(s, t) if case == _SELF else s
-            for s, (case, t) in enumerate(pattern)]
-    slot_arc_count = {}
-    for a in arcs:
-        slot_arc_count[a] = slot_arc_count.get(a, 0) + 1
-    matching = {s: t for s, (case, t) in enumerate(pattern)
-                if case == _PARTNER}
+    """The A and B outcomes of a 4-slot pattern: the pairs of outward
+    slots each smoothing joins, its A-shift and its delta**circles
+    factor.  This is the whole Temperley-Lieb local algebra of the
+    state sum; it is worked out once per pattern and process."""
     rule = []
     for pairing, shift in ((_A_PAIRING, 1), (_B_PAIRING, -1)):
-        new_pairs, circles = _apply_smoothing(
-            matching, arcs, pairing, slot_arc_count)
+        pairs, circles = _apply_smoothing(pattern, pairing)
         scale = None
         if circles:
             scale = tuple((k + shift, c)
                           for k, c in (_DELTA ** circles).terms.items())
-        rule.append((tuple(new_pairs), shift, scale))
+        rule.append((pairs, shift, scale))
     return tuple(rule)
 
 
@@ -418,7 +364,7 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     if n == 0:
         return LaurentPoly.one()
     budget_mb = 512 if limit_mb is None else limit_mb
-    entry_limit = int(budget_mb * (1 << 20) / 48)
+    entry_limit = int(budget_mb * (1 << 20) / _TERM_BYTES)
     stats = smoothing_counts(pd)
     w = stats.writhe
 

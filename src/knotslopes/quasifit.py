@@ -503,12 +503,17 @@ def integrality_check(quasi):
 
 def load_sequence(path):
     """Read a sequence file: one value per line, # comments, blank lines
-    ignored.  Values may be integers or fractions like 3/2."""
+    ignored.  Values may be integers or fractions like 3/2; any other
+    value is a ValueError that names the file and line."""
     values = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            values.append(Fraction(line))
+            try:
+                values.append(Fraction(line))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("%s:%d: unparseable value %r"
+                                 % (path, lineno, line)) from None
     return values

@@ -54,7 +54,7 @@ class SlopeReport:
     js / js_star (sorted slope lists), jones_diameter,
     boundary_slopes (sorted list or None), conjecture_verdict (one of
     "verified", "refuted-in-window", "no-data"), evidence (fit data,
-    sample range, notes).
+    sample range, notes, and the degree lists dmax and dmin).
     """
 
     def __init__(self, knot, period, delta_period, js, js_star,
@@ -145,6 +145,8 @@ def analyze(spec, n_max, max_period=16, max_transient=8, limit_mb=None,
             verdict = "verified"
         bs_sorted = _sorted_slopes(bs)
     evidence = {
+        "dmax": dmax,
+        "dmin": dmin,
         "delta": qmax,
         "delta_star": qmin,
         "max_color": n_max,
@@ -181,8 +183,8 @@ def check_alternating_theorems(data, n_max, report=None):
     and the checkerboard surface slopes 2*c_plus and -2*c_minus.
 
     ``report`` is a caller's ``analyze`` report on the same degrees up to
-    n_max; without one, the data is analyzed with the default fit
-    window."""
+    n_max, whose evidence holds the degree lists the identities read;
+    without one, the data is analyzed with the default fit window."""
     inv = closedforms.alt_invariants(data)
     base = data.diagram_stats()
     if report is None:
@@ -196,7 +198,8 @@ def check_alternating_theorems(data, n_max, report=None):
     if report.js_star != [Fraction(-base.c_minus)]:
         problems.append("js* %s instead of {-c-} = {%d}"
                         % (report.js_star, -base.c_minus))
-    for n, (d, ds) in enumerate(zip(*data.degrees(n_max))):
+    degrees = zip(report.evidence["dmax"], report.evidence["dmin"])
+    for n, (d, ds) in enumerate(degrees):
         dm, dp = closedforms.alt_symmetrized(inv, n)
         if d + ds != dm or d - ds != dp:
             problems.append("degree sum/span identities fail at n=%d" % n)

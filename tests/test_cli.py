@@ -7,7 +7,7 @@ import pytest
 
 from knotslopes import engine, quasifit
 from knotslopes.cli import main
-from knotslopes.knots import Diagram, bundled_knot_table
+from knotslopes.knots import AlternatingData, Diagram, bundled_knot_table
 
 
 def run(capsys, *argv):
@@ -240,6 +240,22 @@ def test_report_fits_once_with_the_users_window(capsys, monkeypatch):
     assert windows == [(4, 2), (4, 2)]
 
 
+@pytest.mark.parametrize("spec", ["alt:3,0,2,3", "name:3_1"])
+def test_report_computes_alternating_degrees_once(capsys, monkeypatch, spec):
+    # the alternating checks read the degree lists the report fitted
+    calls = []
+    degrees = AlternatingData._degrees
+
+    def counted(self, n_max, limit_mb):
+        calls.append(n_max)
+        return degrees(self, n_max, limit_mb)
+    monkeypatch.setattr(AlternatingData, "_degrees", counted)
+    code, out, _ = run(capsys, "report", spec)
+    assert code == 0
+    assert "alternating checks: hold" in out
+    assert calls == [20]
+
+
 def test_report_refuted_exit(tmp_path, capsys):
     db = tmp_path / "slopes.tsv"
     db.write_text("8_19\t0,4\n")
@@ -252,3 +268,13 @@ def test_bad_sequence_file(capsys):
     code, _, err = run(capsys, "fit", "--input", "/nonexistent/file.seq")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_unparseable_sequence_value(capsys, tmp_path, value):
+    path = tmp_path / "bad.seq"
+    path.write_text("# header\n1\n%s\n" % value)
+    code, _, err = run(capsys, "fit", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "%s:3: unparseable value '%s'" % (path, value) in err

@@ -1,5 +1,6 @@
 """Tests for the colored Jones engines and degree sequences."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from knotslopes.knots import (Diagram, Named, Pretzel237, Torus,
                               is_alternating, mirror_pd, parse_knot,
                               pretzel_pd, smoothing_counts, torus_pd,
                               two_bridge_pd)
-from knotslopes.laurent import parse_poly
+from knotslopes.laurent import LaurentPoly, parse_poly
 
 # the five smallest trefoil colorings, written out in full
 TREFOIL_J = [
@@ -82,34 +83,94 @@ def test_state_sum_peak_terms_on_8_19():
         engine._bracket_raw(crossings, circles, 556)
 
 
-def _arc_level_compile_rule(arcs, slot_arc_count, matching, moved):
-    """The arc-level ``_compile_rule`` the canonical slot patterns
-    replaced: both smoothings of every new local situation go through
-    ``_apply_smoothing`` on the crossing's own arcs."""
-    rule = []
-    for pairing, shift in ((engine._A_PAIRING, 1), (engine._B_PAIRING, -1)):
-        new_pairs, circles = engine._apply_smoothing(
-            matching, arcs, pairing, slot_arc_count)
-        links = tuple((moved[u], moved[v]) for u, v in new_pairs)
-        scale = None
-        if circles:
-            scale = tuple((k + shift, c)
-                          for k, c in (engine._DELTA ** circles).terms.items())
-        rule.append((links, shift, scale))
-    return rule
+# (peak stored terms, digest of the sorted terms) of the bracket of the
+# 1- and 2-cable of each diagram, as the arc-level local rule computed
+# them before the state sum saw only 4-slot patterns
+ARC_LEVEL_BRACKETS = {
+    "12a_669": ((21, "3e4e9e7bf613e91a"), (660, "8cb89d50f411f340")),
+    "3_1": ((4, "434ab89ac4509a3c"), (32, "549df223d945ee12")),
+    "8_17": ((12, "b9e4ac8b00c5459a"), (1459, "218919dc1019e4b7")),
+    "8_19": ((9, "8cc13052445b9c80"), (557, "fdea10242b292191")),
+    "8_20": ((8, "7575f7d0ac9f6963"), (604, "c6f98078f2ec8056")),
+    "8_21": ((12, "56d902eef6d2dfe8"), (1083, "91499ff5fccd759b")),
+    "9_42": ((8, "fc540d1376e320e1"), (520, "d0bc3a38a7d8595e")),
+    "9_43": ((10, "c4f9a3061abc692b"), (660, "04e63fb2182c92ba")),
+    "9_44": ((11, "723298f4689a726d"), (649, "8e7f307edb29925c")),
+    "9_45": ((11, "894bdf1c2acace2f"), (520, "9f66463a67dc3552")),
+    "9_46": ((10, "ed3ebee6716671f2"), (810, "0e45d8ab320244f6")),
+    "9_47": ((18, "d57675bea939041e"), (1114, "c3a36ce182c36884")),
+    "9_48": ((11, "989909ad0f8b491a"), (916, "98f53b00bfcdb005")),
+    "9_49": ((17, "74cd480ee15a1fb3"), (5498, "e25ca0ba3845b28a")),
+    "pretzel_2_3_5_5": ((23, "482fc45961396729"), (2253, "7e622b44d8f9627a")),
+    "pretzel_2_5_3_5": ((26, "482fc45961396729"), (2451, "7e622b44d8f9627a")),
+    -15: ((20, "cad022921a2d3c12"), (693, "f46d619ad24a0944")),
+    -3: ((8, "2d5522072f541112"), (693, "e17b2350ca921c02")),
+    7: ((9, "11f7bd0bd51f46a5"), (685, "4a46b7c2da3ba6ac")),
+    19: ((21, "00150042ab7f0e9b"), (685, "d3151e95db311117")),
+}
 
 
-def test_pattern_rules_match_arc_level_rules(monkeypatch):
-    diagrams = list(bundled_knot_table().values())
-    diagrams += [pretzel_pd([-2, 3, p]) for p in (-15, -3, 7, 19)]
-    assert len(diagrams) == 20
-    cables = [engine._cable(pd, m) for pd in diagrams for m in (1, 2)]
-    limit = 10 ** 7
-    got = [engine._bracket_raw(cr, circles, limit) for cr, circles in cables]
-    monkeypatch.setattr(engine, "_compile_rule", _arc_level_compile_rule)
-    want = [engine._bracket_raw(cr, circles, limit)
-            for cr, circles in cables]
-    assert got == want
+def _terms_digest(poly):
+    text = repr(sorted(poly.terms.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_pattern_rules_match_arc_level_rules():
+    diagrams = dict(bundled_knot_table())
+    diagrams.update((p, pretzel_pd([-2, 3, p])) for p in (-15, -3, 7, 19))
+    assert diagrams.keys() == ARC_LEVEL_BRACKETS.keys()
+    got = {}
+    for key, pd in diagrams.items():
+        got[key] = tuple(
+            (peak, _terms_digest(poly)) for poly, peak in (
+                engine._bracket_raw(*engine._cable(pd, m), 10 ** 7)
+                for m in (1, 2)))
+    assert got == ARC_LEVEL_BRACKETS
+
+
+def _brute_force_bracket(crossings, free_circles):
+    """The bracket of a raw crossing list summed over all 2**c
+    smoothings, with the circles of each counted by union-find over the
+    arcs: no frontier, order or local rule of the engine."""
+    index = {}
+    slots = [[index.setdefault(a, len(index)) for a in cr]
+             for cr in crossings]
+    counts = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+    for state in range(1 << len(crossings)):
+        parent = list(range(len(index)))
+        b_smoothings = 0
+        for c, (s, e, n, w) in enumerate(slots):
+            if state >> c & 1:
+                b_smoothings += 1
+                joins = ((e, n), (w, s))
+            else:
+                joins = ((s, e), (n, w))
+            for u, v in joins:
+                parent[find(u)] = find(v)
+        circles = sum(1 for x in range(len(index)) if find(x) == x)
+        key = (len(crossings) - 2 * b_smoothings, circles)
+        counts[key] = counts.get(key, 0) + 1
+    delta = LaurentPoly({2: -1, -2: -1})
+    total = LaurentPoly()
+    for (a_exponent, circles), k in counts.items():
+        total += k * LaurentPoly({a_exponent: 1}) * delta ** circles
+    return total.mirror() * delta ** free_circles
+
+
+def test_state_sum_matches_brute_force_bracket():
+    cables = [engine._cable(pd, 1) for pd in bundled_knot_table().values()]
+    cables += [engine._cable(torus_pd(2, 3), 2),
+               engine._cable(two_bridge_pd([2, 1, 1]), 2)]
+    assert max(len(crossings) for crossings, _ in cables) == 16
+    for crossings, circles in cables:
+        assert engine._bracket_raw(crossings, circles, 10 ** 7)[0] == \
+            _brute_force_bracket(crossings, circles)
 
 
 def test_smoothings_compiled_once_per_pattern(monkeypatch):
@@ -189,6 +250,16 @@ def test_bracket_le_degree_bounds():
                 + (st.c_plus + 1) * n
             assert j.mindeg() >= -Fraction(st.c_minus, 2) * n * n \
                 - (st.c_minus + 1) * n
+
+
+def test_budget_charges_150_bytes_per_stored_term():
+    # 8_19's 3-cable peaks at 62,876 stored terms: more than the 55,924
+    # that 8 MiB buys at 150 B each, fewer than the 69,905 of 10 MiB
+    pd = bundled_knot_table()["8_19"]
+    with pytest.raises(EngineLimitError, match="stored terms"):
+        bracket_colored_jones(pd, 3, limit_mb=8)
+    assert bracket_colored_jones(pd, 3, limit_mb=10) == \
+        morton_colored_jones(3, 4, 3)
 
 
 def test_limit_budget_raises_cleanly():
