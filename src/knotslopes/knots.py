@@ -21,6 +21,7 @@ polynomial takes q -> 1/q, diagram counts swap c+ with c- and |A| with
 Torus(a, -b); every other spec carries a ``mirror`` flag.
 """
 
+import functools
 import os
 import re
 from fractions import Fraction
@@ -261,9 +262,9 @@ class _DiagramSpec(_Spec):
             "costs about a hundred times the one before; pass --max-n")
 
     def alternating_data(self):
-        if not (self.pd and _is_reduced_alternating(self.pd)):
+        st = _reduced_alternating_counts(self.pd)
+        if st is None:
             return None
-        st = smoothing_counts(self.pd)
         return AlternatingData(st.c_plus, st.c_minus, st.a_circles,
                                st.b_circles, self.mirror)
 
@@ -552,6 +553,13 @@ def _is_reduced_alternating(pd):
             and _adequate(pd, ((1, 2), (3, 0))))
 
 
+@functools.cache
+def _reduced_alternating_counts(pd):
+    """``smoothing_counts`` of a reduced alternating diagram, else None;
+    cached, as a spec asks it for its colors, degrees and checks."""
+    return smoothing_counts(pd) if _is_reduced_alternating(pd) else None
+
+
 def _state_circles(pd, pairing):
     """Arc -> a label of its circle in the state that smooths every
     crossing by pairing."""
@@ -771,21 +779,26 @@ def _parse_slope(tok):
 def _tsv_rows(path):
     """The ``(line number, key, rest)`` rows of a ``key <TAB> rest``
     table.  ``#`` starts a comment and blank lines are skipped; a line
-    without a tab or with a key seen before is rejected."""
+    without a tab, with a key seen before or that is not UTF-8 is
+    rejected."""
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ValueError("%s:%d: expected a tab separator" % (path, ln))
-            key, rest = line.split("\t", 1)
-            key = key.strip()
-            if key in seen:
-                raise ValueError("%s:%d: duplicate knot key %r" % (path, ln, key))
-            seen.add(key)
-            yield ln, key, rest
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for ln, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].rstrip()
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s:%d: %s" % (path, ln, exc)) from None
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise ValueError("%s:%d: expected a tab separator" % (path, ln))
+        key, rest = line.split("\t", 1)
+        key = key.strip()
+        if key in seen:
+            raise ValueError("%s:%d: duplicate knot key %r" % (path, ln, key))
+        seen.add(key)
+        yield ln, key, rest
 
 
 def load_slope_db(path):

@@ -7,11 +7,12 @@ functions whose poles are roots of unity of order at most three.
 
 The fitter scans (transient, period) pairs and interpolates a quadratic
 through the first three samples of each residue class, checked on every
-later sample of the class.  Convolving the sequence with (1 - z^p)^3
-turns an accepted candidate into a generating function; reduced to
-lowest terms, that function fixes the reported period and transient and
-must reproduce every sample.  A sequence whose third difference settles
-into a period with a nonzero sum grows like n^3 and is refused.
+later sample of the class.  Those classes are the model.  Convolving the
+sequence with (1 - z^p)^3 turns the accepted candidate into a generating
+function; reduced to lowest terms, it must reproduce every sample, and
+it fixes the reported period and transient, to which the classes are
+cut.  A sequence whose third difference settles into a period with a
+nonzero sum grows like n^3 and is refused.
 
 The arithmetic is exact: integer kernels, Fractions at the interface.
 The class scan, the convolution and the series recurrence run on the
@@ -24,7 +25,7 @@ from math import gcd, lcm
 
 __all__ = [
     "QuasiPolynomial", "RationalGF", "cyclotomic", "difference",
-    "detect_period", "partial_fractions", "fit", "slopes",
+    "detect_period", "fit", "slopes",
     "integrality_check", "load_sequence",
 ]
 
@@ -207,8 +208,8 @@ class QuasiPolynomial:
     """Piecewise quadratic model: classes[n % period] gives (c2, c1, c0),
     guaranteed to match the fitted data for n >= transient.
 
-    fit() and partial_fractions() also attach the reduced generating
-    function as ``gf``; otherwise it is None.
+    fit() also attaches the reduced generating function of the model as
+    ``gf``; otherwise it is None.
     """
 
     def __init__(self, period, transient, classes):
@@ -315,40 +316,6 @@ def _interpolate_quadratic(points):
     return c2, c1, c0
 
 
-def partial_fractions(g):
-    """Extract the quadratic quasi-polynomial a rational generating
-    function represents.
-
-    The function is reduced to lowest terms first.  Any pole of order
-    above three means the coefficients grow faster than quadratically
-    and is an error.  A numerator of degree at least the denominator's
-    leaves a polynomial part, whose length is the transient of the
-    result.
-    """
-    r = g.reduced()
-    for d, m in r.den.items():
-        if m > 3:
-            raise ValueError(
-                "pole of order %d at a root of z^%d = 1: coefficients "
-                "are not quadratic" % (m, d))
-    period = r.period_lcm()
-    transient = max(0, len(r.num) - len(r.den_poly()) + 1)
-    count = transient + 4 * period + 3
-    sample = r.series(count)
-    classes = []
-    for res in range(period):
-        ns = [n for n in range(transient, count) if n % period == res][:3]
-        pts = [(Fraction(n), sample[n]) for n in ns]
-        classes.append(_interpolate_quadratic(pts))
-    quasi = QuasiPolynomial(period, transient, classes)
-    for n in range(transient, count):
-        if quasi.evaluate(n) != sample[n]:
-            raise AssertionError("partial fractions disagree with the "
-                                 "series at n=%d" % n)
-    quasi.gf = r
-    return quasi
-
-
 # ---------------------------------------------------------------------------
 # the fit
 
@@ -377,28 +344,24 @@ def _try_classes(seq, t, p, scale):
     return classes
 
 
-def _finish(seq, g):
-    """Reduce a candidate generating function, re-check it against the
-    whole sample, and extract the quasi-polynomial."""
+def _finish(seq, classes, g):
+    """Reduce an accepted candidate's generating function, check that it
+    reproduces the whole sample, and cut the candidate's classes to the
+    reduced period and transient.  Reduction keeps deg(num) - deg(den)
+    and leaves a period dividing the candidate's, so each cut class
+    keeps every sample it was certified on."""
     r = g.reduced()
     if r.series(len(seq)) != seq:
         raise ValueError("generating function does not reproduce the "
                          "sequence")
-    quasi = partial_fractions(r)
-    t, p = quasi.transient, quasi.period
-    for res in range(p):
-        if sum(1 for n in range(t, len(seq)) if n % p == res) < 3:
-            raise ValueError(
-                "not enough samples: period %d with transient %d needs "
-                "three samples per residue class, got %d values"
-                % (p, t, len(seq)))
-    ints, scale = _scaled(seq)
-    if _try_classes(ints, t, p, scale) is None:
-        raise ValueError("sequence not quasi-quadratic in window")
+    p = r.period_lcm()
+    t = max(0, len(r.num) - len(r.den_poly()) + 1)
+    quasi = QuasiPolynomial(p, t, classes[:p])
     for n in range(t, len(seq)):
         if quasi.evaluate(n) != seq[n]:
             raise ValueError("sequence not quasi-quadratic in window")
     integrality_check(quasi)
+    quasi.gf = r
     return quasi
 
 
@@ -418,7 +381,8 @@ def _fit_classes(seq, max_period, max_transient):
              for p in range(1, max_period + 1) if (len(seq) - t) // p >= 3]
     pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
     for t, p in pairs:
-        if _try_classes(ints, t, p, scale) is None:
+        classes = _try_classes(ints, t, p, scale)
+        if classes is None:
             continue
         # (1 - z^p)^3 = 1 - 3 z^p + 3 z^2p - z^3p
         conv = []
@@ -429,7 +393,8 @@ def _fit_classes(seq, max_period, max_transient):
                     c += ck * ints[n - k]
             conv.append(Fraction(c, scale))
         try:
-            return _finish(seq, RationalGF(conv, _cyclotomic_split(p, 3)))
+            return _finish(seq, classes,
+                           RationalGF(conv, _cyclotomic_split(p, 3)))
         except ValueError:
             continue
     if not pairs:
@@ -463,13 +428,13 @@ def fit(seq, max_period=16, max_transient=8):
 
     Candidates come from per-class interpolation over (transient,
     period) pairs with period <= max_period and transient <=
-    max_transient, pairs with a spare sample in every class first.  A
-    candidate is returned only when its reduced generating function
-    reproduces every sample, has poles of order at most three at roots
-    of unity, agrees with a second per-class interpolation at the
-    reduced (transient, period), and every slope times the squared
-    period is an integer.  Sequences whose third difference settles
-    into a period with a nonzero sum are refused as cubic.
+    max_transient, pairs with a spare sample in every class first.  The
+    first candidate is returned whose reduced generating function
+    reproduces every sample, whose classes, cut to the period and
+    transient of that function, match every sample from the transient
+    on, and whose slopes times the squared period are integers.
+    Sequences whose third difference settles into a period with a
+    nonzero sum are refused as cubic.
     """
     if max_period < 1:
         raise ValueError("max_period must be at least 1, got %d"
@@ -504,16 +469,19 @@ def integrality_check(quasi):
 def load_sequence(path):
     """Read a sequence file: one value per line, # comments, blank lines
     ignored.  Values may be integers or fractions like 3/2; any other
-    value is a ValueError that names the file and line."""
+    value, or a line that is not UTF-8, is a ValueError that names the
+    file and line."""
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+            if line:
                 values.append(Fraction(line))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("%s:%d: unparseable value %r"
-                                 % (path, lineno, line)) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("%s:%d: unparseable value %r"
+                             % (path, lineno, line)) from None
     return values

@@ -176,19 +176,14 @@ def check_crossing_bounds(report, stats):
     }
 
 
-def check_alternating_theorems(data, n_max, report=None):
-    """Check the alternating-knot predictions on closed-form degree
-    sequences up to color n_max: period one on both sides, slopes equal
-    to the signed crossing counts, the degree sum and span identities,
-    and the checkerboard surface slopes 2*c_plus and -2*c_minus.
-
-    ``report`` is a caller's ``analyze`` report on the same degrees up to
-    n_max, whose evidence holds the degree lists the identities read;
-    without one, the data is analyzed with the default fit window."""
+def check_alternating_theorems(data, report):
+    """Check the alternating-knot predictions against ``report``, an
+    ``analyze`` report on the knot's closed-form degrees: period one on
+    both sides, slopes equal to the signed crossing counts, the degree
+    sum and span identities on the degree lists in its evidence, and the
+    checkerboard surface slopes 2*c_plus and -2*c_minus."""
     inv = closedforms.alt_invariants(data)
     base = data.diagram_stats()
-    if report is None:
-        report = analyze(data, n_max)
     problems = []
     if report.period != 1:
         problems.append("period %d instead of 1" % report.period)

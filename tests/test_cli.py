@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from knotslopes import engine, quasifit
+from knotslopes import engine, knots, quasifit
 from knotslopes.cli import main
 from knotslopes.knots import AlternatingData, Diagram, bundled_knot_table
 
@@ -256,6 +256,25 @@ def test_report_computes_alternating_degrees_once(capsys, monkeypatch, spec):
     assert calls == [20]
 
 
+@pytest.mark.parametrize("spec", [
+    "name:3_1", "pd:[(1,2,3,4),(2,5,6,3),(5,1,4,6)]"])
+def test_report_classifies_the_diagram_once(capsys, monkeypatch, spec):
+    # default colors, degrees and the alternating checks all ask whether
+    # the diagram is reduced alternating; one report answers it once
+    knots._reduced_alternating_counts.cache_clear()
+    calls = []
+    classify = knots._is_reduced_alternating
+
+    def counted(pd):
+        calls.append(pd)
+        return classify(pd)
+    monkeypatch.setattr(knots, "_is_reduced_alternating", counted)
+    code, out, _ = run(capsys, "report", spec)
+    assert code == 0
+    assert "alternating checks: hold" in out
+    assert len(calls) == 1
+
+
 def test_report_refuted_exit(tmp_path, capsys):
     db = tmp_path / "slopes.tsv"
     db.write_text("8_19\t0,4\n")
@@ -270,11 +289,15 @@ def test_bad_sequence_file(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("value", ["1/0", "abc"])
-def test_unparseable_sequence_value(capsys, tmp_path, value):
+@pytest.mark.parametrize("value, message", [
+    (b"1/0", "unparseable value '1/0'"),
+    (b"abc", "unparseable value 'abc'"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0")],
+    ids=["1/0", "abc", "0xff"])
+def test_unparseable_sequence_value(capsys, tmp_path, value, message):
     path = tmp_path / "bad.seq"
-    path.write_text("# header\n1\n%s\n" % value)
+    path.write_bytes(b"# header\n1\n" + value + b"\n")
     code, _, err = run(capsys, "fit", "--input", str(path))
     assert code == 2
     assert err.startswith("error:")
-    assert "%s:3: unparseable value '%s'" % (path, value) in err
+    assert "%s:3: %s" % (path, message) in err

@@ -246,6 +246,11 @@ def test_tsv_loaders_reject_duplicate_keys_and_missing_tabs(tmp_path, loader,
     with pytest.raises(ValueError) as err:
         loader(str(path))
     assert str(err.value) == "%s:2: expected a tab separator" % path
+    path.write_bytes(b"%s\n\xff\t0\n" % row.encode())
+    with pytest.raises(ValueError) as err:
+        loader(str(path))
+    assert str(err.value).startswith(
+        "%s:2: 'utf-8' codec can't decode byte 0xff" % path)
 
 
 def test_boundary_slopes_dispatch():

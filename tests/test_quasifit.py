@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from knotslopes import quasifit
 from knotslopes.quasifit import (QuasiPolynomial, RationalGF, cyclotomic,
                                  detect_period, difference, fit,
-                                 integrality_check, load_sequence,
-                                 partial_fractions, slopes)
+                                 integrality_check, load_sequence, slopes)
 
 # (-2,3,7) pretzel maximum degrees, colors 0..19
 P237_DELTA = [0, 13, 35, 67, 108, 158, 217, 286, 364, 451, 547, 653, 768,
@@ -90,8 +89,8 @@ def test_p237_gf_series():
     assert difference(P237_GF.series(12), 3) == [1, -1, 0, 0] * 2 + [1]
 
 
-def test_partial_fractions_classes():
-    q = partial_fractions(P237_GF)
+def test_fit_p237_generating_function():
+    q = fit(P237_GF.series(24))
     assert q.period == 4
     assert q.transient == 0
     assert q.classes == [
@@ -100,28 +99,16 @@ def test_partial_fractions_classes():
         (Fraction(37, 8), Fraction(17, 2), Fraction(-1, 2)),
         (Fraction(37, 8), Fraction(17, 2), Fraction(-1, 8)),
     ]
+    assert str(q.gf) == str(P237_GF)
 
 
-def test_partial_fractions_constant():
-    q = partial_fractions(RationalGF([3], {1: 1}))
-    assert q.period == 1
-    assert q.classes == [(0, 0, 3)]
-
-
-def test_partial_fractions_rejects_high_order_poles():
-    with pytest.raises(ValueError):
-        partial_fractions(RationalGF([1], {1: 4}))
-    with pytest.raises(ValueError):
-        partial_fractions(RationalGF([1], {2: 4}))
-
-
-def test_partial_fractions_polynomial_part_is_transient():
-    # numerator degree >= denominator degree leaves a polynomial part,
-    # which shows up as an initial transient
-    g = RationalGF([2, 0, 5], {1: 1})  # (2 + 5z^2)/(1-z)
-    q = partial_fractions(g)
-    assert q.transient == 2
-    assert q.evaluate(2) == g.series(3)[2]
+def test_fit_polynomial_part_is_transient():
+    # (2 + 5z^2) / (1 - z) has the polynomial part -5 - 5z, so the
+    # constant 7 holds from n = 2 on
+    q = fit(RationalGF([2, 0, 5], {1: 1}).series(8))
+    assert (q.period, q.transient) == (1, 2)
+    assert q.classes == [(0, 0, 7)]
+    assert str(q.gf) == "(2 + 5z^2) / ((1 - z))"
 
 
 def test_fit_exact_quadratic():
@@ -266,6 +253,41 @@ def test_round_trip_property(q):
     assert slopes(r) == slopes(q)
     for n in range(r.transient, n_hi + 1):
         assert r.evaluate(n) == seq[n]
+
+
+@st.composite
+def fit_inputs(draw):
+    """A synthetic quasi-polynomial behind up to three arbitrary samples,
+    which the fitter must accept, or a short run of small integers,
+    which it may refuse."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-5, 5), max_size=14)), False
+    q = draw(quasi_polys())
+    head = draw(st.lists(st.integers(-20, 20), max_size=3))
+    count = len(head) + draw(st.integers(3, 5)) * q.period
+    return head + [q.evaluate(n) for n in range(len(head), count)], True
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_inputs())
+def test_fitted_model_is_its_generating_function(case):
+    seq, must_fit = case
+    try:
+        q = fit(seq)
+    except ValueError:
+        assert not must_fit
+        return
+    g = q.gf
+    assert g.series(len(seq)) == seq
+    assert q.period == g.period_lcm()
+    poly_part, _ = quasifit._pdivmod(g.num, g.den_poly())
+    assert q.transient == len(poly_part)
+    sample = g.series(q.transient + 3 * q.period)
+    for r in range(q.period):
+        n0 = q.transient + (r - q.transient) % q.period
+        pts = [(Fraction(n), sample[n])
+               for n in (n0, n0 + q.period, n0 + 2 * q.period)]
+        assert q.classes[r] == quasifit._interpolate_quadratic(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,8 @@ def test_crossing_bounds_8_19_pd():
 
 
 def test_alternating_theorems_trefoil():
-    out = check_alternating_theorems(AlternatingData(3, 0, 2, 3), 12)
+    data = AlternatingData(3, 0, 2, 3)
+    out = check_alternating_theorems(data, analyze(data, 12))
     assert out["holds"]
     assert out["problems"] == []
     assert out["checkerboard_slopes"] == (6, 0)
@@ -158,8 +159,8 @@ def test_alternating_theorems_trefoil():
 
 
 def test_alternating_theorems_mirror_data():
-    out = check_alternating_theorems(AlternatingData(3, 0, 2, 3, mirror=True),
-                                     10)
+    data = AlternatingData(3, 0, 2, 3, mirror=True)
+    out = check_alternating_theorems(data, analyze(data, 12))
     assert out["holds"]
     assert out["checkerboard_slopes"] == (0, -6)
     assert out["report"].js == [0]
@@ -169,8 +170,8 @@ def test_alternating_theorems_mirror_data():
 def test_alternating_theorems_bundled():
     for c_plus, c_minus, a, b in ((4, 4, 5, 5), (7, 5, 10, 4),
                                   (15, 0, 4, 13)):
-        out = check_alternating_theorems(
-            AlternatingData(c_plus, c_minus, a, b), 10)
+        data = AlternatingData(c_plus, c_minus, a, b)
+        out = check_alternating_theorems(data, analyze(data, 12))
         assert out["holds"], out["problems"]
         assert out["report"].jones_diameter == c_plus + c_minus
 
