@@ -289,6 +289,9 @@ _DISPATCH = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if args.limit_mb is not None and args.limit_mb < 0:
+            raise ValueError("--limit-mb must be nonnegative, got %d"
+                             % args.limit_mb)
         return _DISPATCH[args.command](args)
     except EngineLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,22 +1,24 @@
-"""Closed-form degree formulas: alternating diagrams, torus knots, and
+"""Closed-form degree formulas: adequate diagrams, torus knots, and
 the (-2, 3, p) pretzel family.
 
-Alternating and torus degrees are plain formulas in the diagram counts.
-The pretzel family mixes a printed exact side with a side known only
-through the generating function of its third difference; that side is
-anchored by evaluating the state sum at colors one and two and then
-extended by the third-order recurrence the generating function encodes.
-A request for colors 0..n grows the cached lists to n in one pass, with
-the generating function expanded once for the whole extension.
+An adequate side of a diagram has an exact quadratic degree in the
+diagram's counts (``adequate_degrees``), and torus degrees are a plain
+formula in (a, b).  The (-2, 3, p) pretzel diagram is adequate on one
+side only; its other side is known only through the generating function
+of its third difference, anchored by evaluating the state sum at colors
+one and two and then extended by the third-order recurrence the
+generating function encodes.  A request for colors 0..n grows the cached
+lists to n in one pass, with the generating function expanded once for
+the whole extension.
 """
 
 from fractions import Fraction
 
-from .knots import _Frozen, pretzel_pd
+from .knots import Pretzel237, _Frozen
 from .quasifit import RationalGF, _cyclotomic_split
 
 __all__ = [
-    "AlternatingInvariants", "alt_invariants", "alt_degrees",
+    "AlternatingInvariants", "alt_invariants", "adequate_degrees",
     "alt_symmetrized", "torus_degrees",
     "pretzel_degrees", "pretzel_slopes", "pretzel_boundary_slopes",
 ]
@@ -54,18 +56,16 @@ def alt_invariants(data):
     return AlternatingInvariants(st.c_plus + st.c_minus, st.writhe, sigma)
 
 
-def alt_degrees(data, n):
-    """Maximum and minimum degree of the color-n Jones polynomial of the
-    alternating knot with the given smoothing data (mirror flag
-    included)."""
-    st = data.diagram_stats()
-    c = st.c_plus + st.c_minus
-    w = st.writhe
-    delta = (Fraction(c + w, 4) * n * n
-             + Fraction(-st.a_circles + 2 * st.c_plus + 1, 2) * n)
-    delta_star = (Fraction(-c + w, 4) * n * n
-                  + Fraction(st.b_circles - 2 * st.c_minus - 1, 2) * n)
-    return delta, delta_star
+def adequate_degrees(st, n):
+    """The colored Lickorish-Thistlethwaite degrees (dmax, dmin) at color
+    n of a diagram with the counts st (a ``DiagramStats``).  dmax is the
+    maximum degree when the all-B state is adequate, and dmin the
+    minimum degree when the all-A state is; a reduced alternating
+    diagram is adequate on both sides."""
+    return (Fraction(st.c_plus * n * n + (st.writhe + st.b_circles - 1) * n,
+                     2),
+            Fraction(-st.c_minus * n * n + (st.writhe - st.a_circles + 1) * n,
+                     2))
 
 
 def alt_symmetrized(inv, n):
@@ -123,14 +123,6 @@ def _pretzel_tails(p):
     return None, gmin
 
 
-def _pretzel_exact(p, n):
-    """The printed exact side: (which, value) where which is "min" for
-    p > 0 (delta* = (p+3)n/2) and "max" for p < 0 (delta = n(5n+p+8)/2)."""
-    if p > 0:
-        return "min", Fraction((p + 3) * n, 2)
-    return "max", Fraction(n * (5 * n + p + 8), 2)
-
-
 # (p, limit_mb) -> (dmax, dmin), grown in place by pretzel_degrees; a new
 # budget recomputes the seeds through the bracket memo, which re-checks it
 _PRETZEL_CACHE = {}
@@ -138,20 +130,12 @@ _PRETZEL_CACHE = {}
 
 def _pretzel_seeds(p, limit_mb):
     from .engine import bracket_colored_jones
-    pd = pretzel_pd([-2, 3, p])
+    pd = Pretzel237(p).pd
     dmax, dmin = [Fraction(0)], [Fraction(0)]
     for n in (1, 2):
         j = bracket_colored_jones(pd, n, limit_mb=limit_mb)
         dmax.append(Fraction(j.deg()))
         dmin.append(Fraction(j.mindeg()))
-    side, _ = _pretzel_exact(p, 1)
-    seeds = dmin if side == "min" else dmax
-    for n in (1, 2):
-        expected = _pretzel_exact(p, n)[1]
-        if seeds[n] != expected:
-            raise AssertionError(
-                "state sum disagrees with the exact degree formula for "
-                "(-2,3,%d) at color %d: %s vs %s" % (p, n, seeds[n], expected))
     return dmax, dmin
 
 
@@ -172,11 +156,12 @@ def pretzel_degrees(p, n_max, limit_mb=None):
     """Maximum- and minimum-degree lists of the colored Jones polynomial
     of the (-2, 3, p) pretzel knot for colors 0..n_max, for odd p.
 
-    One side has a printed closed form; the other is reconstructed from
-    the generating function of its third difference, anchored by state
-    sum evaluations at colors one and two, cached per p and budget and
-    checked against the closed-form side as they are computed.  The
-    cached lists grow to n_max in one pass; the caller gets copies.
+    Each side is extended from state sum evaluations at colors one and
+    two by the generating function of its third difference, which is
+    zero on the side where the diagram is adequate; ``Pretzel237``
+    checks that side against ``adequate_degrees`` at every color.  The
+    lists are cached per p and budget and grow to n_max in one pass;
+    the caller gets copies.
     """
     if p % 2 == 0:
         raise ValueError("pretzel parameter p must be odd, got %d" % p)

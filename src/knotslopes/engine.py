@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .laurent import LaurentPoly
-from .knots import validate_pd, smoothing_counts
+from .knots import _classify, validate_pd
 from .quasifit import load_sequence
 import os
 
@@ -365,8 +365,7 @@ def bracket_colored_jones(pd, n, limit_mb=None):
         return LaurentPoly.one()
     budget_mb = 512 if limit_mb is None else limit_mb
     entry_limit = int(budget_mb * (1 << 20) / _TERM_BYTES)
-    stats = smoothing_counts(pd)
-    w = stats.writhe
+    w = _classify(pd)[0].writhe
 
     # <cable_n> = sum_i (-1)^i C(n-i, i) <parallel_(n-2i)>
     total = LaurentPoly()
@@ -432,12 +431,13 @@ def degree_sequence(spec, kind, n_max, limit_mb=None):
     kind is one of max, min, span, sum, and is checked before any
     degree work.  The spec checks n_max and supplies the maximum and
     minimum degrees (``spec.degrees``): torus knots through Morton's
-    formula, pretzel and alternating specs through their closed forms,
-    named knots through bundled degree files when present, and
-    diagrams through the alternating closed forms or the cabled
-    bracket.  Every spec computes them for the unmirrored knot, and the
-    one mirror rule of ``knots._Spec`` turns (dmax, dmin) into
-    (-dmin, -dmax).
+    formula, ``alt:`` specs through the adequate closed forms, and
+    pretzel, named and ``pd:`` diagrams through one rule: an adequate
+    side from the closed form, any other side from the pretzel
+    generating functions, bundled degree files or the cabled bracket,
+    checked against the closed form of an adequate side.  Every spec
+    computes them for the unmirrored knot, and the one mirror rule of
+    ``knots._Spec`` turns (dmax, dmin) into (-dmin, -dmax).
     """
     combine = _KINDS.get(kind)
     if combine is None:

@@ -12,8 +12,10 @@ Knots enter through a small grammar:
 with an optional ``mirror:`` prefix.  Each kind is a frozen value that
 answers every per-knot question of the pipeline: ``degrees`` up to a
 color, the ``polynomial`` at one color, ``default_colors``,
-``diagram_stats``, ``alternating_data`` (only ``alt:``, ``name:`` and
-``pd:`` specs get the alternating checks) and ``boundary_slopes``.
+``diagram_stats``, ``alternating_data`` (only ``alt:`` specs and
+reduced alternating diagrams get the alternating checks) and
+``boundary_slopes``.  The ``pretzel:``, ``name:`` and ``pd:`` kinds
+read their degrees off a diagram by the one rule of ``_DiagramSpec``.
 A kind answers for the unmirrored knot, and one rule in ``_Spec``
 applies the mirror: degrees (dmax, dmin) become (-dmin, -dmax), the
 polynomial takes q -> 1/q, diagram counts swap c+ with c- and |A| with
@@ -170,43 +172,6 @@ class Torus(_Spec):
         return frozenset({Fraction(0), Fraction(self.a * abs(self.b))})
 
 
-class Pretzel237(_Spec):
-    """The (-2, 3, p) pretzel knot for odd p."""
-
-    def __init__(self, p, mirror=False):
-        if p % 2 == 0:
-            raise ValueError("pretzel parameter p must be odd, got %d" % p)
-        super().__init__(p=p, mirror=mirror)
-
-    def _render(self):
-        return "pretzel:-2,3,%d" % self.p
-
-    def default_colors(self):
-        from . import closedforms
-        period, _, _ = closedforms.pretzel_slopes(self.p)
-        return max(20, 3 * period + 6)
-
-    def _degrees(self, n_max, limit_mb):
-        from . import closedforms
-        return closedforms.pretzel_degrees(self.p, n_max, limit_mb=limit_mb)
-
-    def _polynomial(self, n, limit_mb):
-        from . import engine
-        return engine.bracket_colored_jones(pretzel_pd([-2, 3, self.p]), n,
-                                            limit_mb=limit_mb)
-
-    def _diagram_stats(self):
-        return smoothing_counts(pretzel_pd([-2, 3, self.p]))
-
-    def _boundary_slopes(self, db):
-        """The family formula for p >= 7 and p <= -1; table rows for the
-        exceptional p in {1, 3, 5}."""
-        if self.p >= 7 or self.p <= -1:
-            from . import closedforms
-            return frozenset(closedforms.pretzel_boundary_slopes(self.p))
-        return db.get(self._render())
-
-
 class AlternatingData(_Spec):
     """Crossing and smoothing-circle counts of a reduced alternating diagram."""
 
@@ -232,9 +197,8 @@ class AlternatingData(_Spec):
 
     def _degrees(self, n_max, limit_mb):
         from . import closedforms
-        base = AlternatingData(self.c_plus, self.c_minus,
-                               self.a_circles, self.b_circles)
-        return _split([closedforms.alt_degrees(base, n)
+        st = self._diagram_stats()
+        return _split([closedforms.adequate_degrees(st, n)
                        for n in range(n_max + 1)])
 
     def _polynomial(self, n, limit_mb):
@@ -247,8 +211,10 @@ class AlternatingData(_Spec):
 
 
 class _DiagramSpec(_Spec):
-    """Answers read off the planar diagram ``pd``: the alternating closed
-    forms when it is reduced alternating, the cabled bracket otherwise."""
+    """Answers read off the planar diagram ``pd``.  Degrees follow one
+    rule: ``closedforms.adequate_degrees`` when both sides are adequate,
+    else the kind's ``_source_degrees`` (by default the bracket), whose
+    adequate side must equal that closed form at every color."""
 
     def default_colors(self):
         if self.alternating_data() is not None:
@@ -262,24 +228,37 @@ class _DiagramSpec(_Spec):
             "costs about a hundred times the one before; pass --max-n")
 
     def alternating_data(self):
-        st = _reduced_alternating_counts(self.pd)
-        if st is None:
+        """Counts of an alternating diagram adequate on both sides."""
+        st, alternating, *adequate = _classify(self.pd)
+        if not (alternating and all(adequate)):
             return None
         return AlternatingData(st.c_plus, st.c_minus, st.a_circles,
                                st.b_circles, self.mirror)
 
     def _degrees(self, n_max, limit_mb):
-        data = self.alternating_data()
-        if data is None:
-            return super()._degrees(n_max, limit_mb)
-        return data._degrees(n_max, limit_mb)
+        from . import closedforms
+        st, _, *adequate = _classify(self.pd)
+        forms = _split([closedforms.adequate_degrees(st, n)
+                        for n in range(n_max + 1)] if any(adequate) else [])
+        if all(adequate):
+            return forms
+        got = self._source_degrees(n_max, limit_mb)
+        for side, name in enumerate(("maximum", "minimum")):
+            if adequate[side] and got[side] != forms[side]:
+                raise AssertionError(
+                    "%s: %s degrees %s differ from the closed form %s" % (
+                        self._render(), name, " ".join(map(str, got[side])),
+                        " ".join(map(str, forms[side]))))
+        return got
+
+    _source_degrees = _Spec._degrees
 
     def _polynomial(self, n, limit_mb):
         from . import engine
         return engine.bracket_colored_jones(self.pd, n, limit_mb=limit_mb)
 
     def _diagram_stats(self):
-        return smoothing_counts(self.pd)
+        return _classify(self.pd)[0]
 
 
 class Diagram(_DiagramSpec):
@@ -293,8 +272,8 @@ class Diagram(_DiagramSpec):
 
 
 class Named(_DiagramSpec):
-    """A knot resolved through the bundled table; its degrees come from
-    bundled degree files when they exist."""
+    """A knot resolved through the bundled table; its degree source is
+    the bundled degree files when they exist, else the bracket."""
 
     def __init__(self, name, mirror=False):
         if name not in bundled_knot_table():
@@ -314,14 +293,53 @@ class Named(_DiagramSpec):
             return 20
         return super().default_colors()
 
-    def _degrees(self, n_max, limit_mb):
+    def _source_degrees(self, n_max, limit_mb):
         from . import engine
         if engine.bundled_degrees_available(self.name):
             return engine.bundled_degrees(self.name, n_max)
-        return super()._degrees(n_max, limit_mb)
+        return super()._source_degrees(n_max, limit_mb)
 
     def _boundary_slopes(self, db):
         return db.get(self.name)
+
+
+class Pretzel237(_DiagramSpec):
+    """The (-2, 3, p) pretzel knot for odd p.  Its diagram is adequate on
+    one side only; its degree source is ``closedforms.pretzel_degrees``."""
+
+    def __init__(self, p, mirror=False):
+        if p % 2 == 0:
+            raise ValueError("pretzel parameter p must be odd, got %d" % p)
+        super().__init__(p=p, mirror=mirror)
+
+    @property
+    def pd(self):
+        return _pretzel237_pd(self.p)
+
+    def _render(self):
+        return "pretzel:-2,3,%d" % self.p
+
+    def default_colors(self):
+        from . import closedforms
+        period, _, _ = closedforms.pretzel_slopes(self.p)
+        return max(20, 3 * period + 6)
+
+    def _source_degrees(self, n_max, limit_mb):
+        from . import closedforms
+        return closedforms.pretzel_degrees(self.p, n_max, limit_mb=limit_mb)
+
+    def _boundary_slopes(self, db):
+        """The family formula for p >= 7 and p <= -1; table rows for the
+        exceptional p in {1, 3, 5}."""
+        if self.p >= 7 or self.p <= -1:
+            from . import closedforms
+            return frozenset(closedforms.pretzel_boundary_slopes(self.p))
+        return db.get(self._render())
+
+
+@functools.cache
+def _pretzel237_pd(p):
+    return pretzel_pd([-2, 3, p])
 
 
 _PD_TUPLE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -330,48 +348,48 @@ _PD_TUPLE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)"
 def parse_knot(text):
     """Parse a knot specification string into a spec object."""
     s = text.strip()
-    mirror = False
-    if s.startswith("mirror:"):
-        mirror = True
+    mirror = s.startswith("mirror:")
+    if mirror:
         s = s[len("mirror:"):]
-    if s.startswith("torus:"):
-        body = s[len("torus:"):]
-        parts = body.split(",")
+    kind = s[:s.find(":") + 1]
+    body = s[len(kind):]
+    if kind in ("torus:", "pretzel:", "alt:"):
+        try:
+            parts = [int(x) for x in body.split(",")]
+        except ValueError:
+            raise ValueError("knot spec %r needs integer parameters"
+                             % text) from None
+    if kind == "torus:":
         if len(parts) != 2:
             raise ValueError("torus spec needs two parameters: %r" % text)
-        a, b = int(parts[0]), int(parts[1])
+        a, b = parts
         return Torus(a, -b if mirror else b)
-    if s.startswith("pretzel:"):
-        body = s[len("pretzel:"):]
-        parts = [int(x) for x in body.split(",")]
+    if kind == "pretzel:":
         if len(parts) != 3 or parts[0] != -2 or parts[1] != 3:
             raise ValueError("only the (-2,3,p) pretzel family is supported: %r" % text)
         return Pretzel237(parts[2], mirror=mirror)
-    if s.startswith("alt:"):
-        body = s[len("alt:"):]
-        parts = [int(x) for x in body.split(",")]
+    if kind == "alt:":
         if len(parts) != 4:
             raise ValueError("alt spec needs c+,c-,|A|,|B|: %r" % text)
         return AlternatingData(*parts, mirror=mirror)
-    if s.startswith("pd:"):
-        body = s[len("pd:"):].strip()
+    if kind == "pd:":
+        body = body.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError("pd spec must be bracketed: %r" % text)
         inner = body[1:-1].strip()
         tuples = []
-        if inner:
-            pos = 0
-            while pos < len(inner):
-                m = _PD_TUPLE_RE.match(inner, pos)
-                if not m:
-                    raise ValueError("malformed pd tuple at %r" % inner[pos:])
-                tuples.append(tuple(int(g) for g in m.groups()))
-                pos = m.end()
-                while pos < len(inner) and inner[pos] in ", ":
-                    pos += 1
+        pos = 0
+        while pos < len(inner):
+            m = _PD_TUPLE_RE.match(inner, pos)
+            if not m:
+                raise ValueError("malformed pd tuple at %r" % inner[pos:])
+            tuples.append(tuple(int(g) for g in m.groups()))
+            pos = m.end()
+            while pos < len(inner) and inner[pos] in ", ":
+                pos += 1
         return Diagram(tuple(tuples), mirror=mirror)
-    if s.startswith("name:"):
-        return Named(s[len("name:"):], mirror=mirror)
+    if kind == "name:":
+        return Named(body, mirror=mirror)
     raise ValueError("unrecognized knot spec %r" % text)
 
 
@@ -546,18 +564,14 @@ def _adequate(pd, pairing):
     return all(circle[cr[i]] != circle[cr[k]] for cr in pd)
 
 
-def _is_reduced_alternating(pd):
-    """True for an alternating diagram without nugatory crossings: such
-    a diagram is adequate in both its all-A and all-B states."""
-    return (is_alternating(pd) and _adequate(pd, ((0, 1), (2, 3)))
-            and _adequate(pd, ((1, 2), (3, 0))))
-
-
 @functools.cache
-def _reduced_alternating_counts(pd):
-    """``smoothing_counts`` of a reduced alternating diagram, else None;
-    cached, as a spec asks it for its colors, degrees and checks."""
-    return smoothing_counts(pd) if _is_reduced_alternating(pd) else None
+def _classify(pd):
+    """``smoothing_counts`` of a diagram, whether it alternates, and
+    whether its all-B and its all-A state are adequate; cached, as a
+    spec asks for it for its colors, degrees and checks, and the bracket
+    for the writhe."""
+    return (smoothing_counts(pd), is_alternating(pd),
+            _adequate(pd, ((1, 2), (3, 0))), _adequate(pd, ((0, 1), (2, 3))))
 
 
 def _state_circles(pd, pairing):

@@ -178,6 +178,21 @@ def test_limit_exit_code(capsys):
     assert "memory budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("degrees", "name:8_19", "--max-n", "3", "--limit-mb", "-1"),
+    ("compute", "name:3_1", "--n", "1", "--limit-mb", "-5")],
+    ids=["degrees", "compute"])
+def test_negative_limit_is_refused_before_any_work(capsys, monkeypatch,
+                                                  argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the knot spec was parsed")
+    monkeypatch.setattr("knotslopes.cli.parse_knot", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--limit-mb must be nonnegative" in err
+
+
 def test_limit_holds_for_cached_bracket(capsys):
     code, _, _ = run(capsys, "compute", "name:8_19", "--n", "2")
     assert code == 0
@@ -244,12 +259,12 @@ def test_report_fits_once_with_the_users_window(capsys, monkeypatch):
 def test_report_computes_alternating_degrees_once(capsys, monkeypatch, spec):
     # the alternating checks read the degree lists the report fitted
     calls = []
-    degrees = AlternatingData._degrees
+    degrees = knots._Spec.degrees
 
-    def counted(self, n_max, limit_mb):
+    def counted(self, n_max, limit_mb=None):
         calls.append(n_max)
         return degrees(self, n_max, limit_mb)
-    monkeypatch.setattr(AlternatingData, "_degrees", counted)
+    monkeypatch.setattr(knots._Spec, "degrees", counted)
     code, out, _ = run(capsys, "report", spec)
     assert code == 0
     assert "alternating checks: hold" in out
@@ -259,16 +274,16 @@ def test_report_computes_alternating_degrees_once(capsys, monkeypatch, spec):
 @pytest.mark.parametrize("spec", [
     "name:3_1", "pd:[(1,2,3,4),(2,5,6,3),(5,1,4,6)]"])
 def test_report_classifies_the_diagram_once(capsys, monkeypatch, spec):
-    # default colors, degrees and the alternating checks all ask whether
-    # the diagram is reduced alternating; one report answers it once
-    knots._reduced_alternating_counts.cache_clear()
+    # default colors, degrees, diagram counts and the alternating checks
+    # all read the diagram's classification; one report computes it once
+    knots._classify.cache_clear()
     calls = []
-    classify = knots._is_reduced_alternating
+    is_alternating = knots.is_alternating
 
     def counted(pd):
         calls.append(pd)
-        return classify(pd)
-    monkeypatch.setattr(knots, "_is_reduced_alternating", counted)
+        return is_alternating(pd)
+    monkeypatch.setattr(knots, "is_alternating", counted)
     code, out, _ = run(capsys, "report", spec)
     assert code == 0
     assert "alternating checks: hold" in out

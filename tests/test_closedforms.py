@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from knotslopes import closedforms
-from knotslopes.closedforms import (AlternatingInvariants, alt_degrees,
+from knotslopes import closedforms, knots
+from knotslopes.closedforms import (AlternatingInvariants, adequate_degrees,
                                     alt_invariants, alt_symmetrized,
                                     pretzel_boundary_slopes, pretzel_degrees,
                                     pretzel_slopes, torus_degrees)
 from knotslopes.engine import morton_colored_jones
 from knotslopes.knots import (AlternatingData, Pretzel237, bundled_knot_table,
-                              is_alternating, parse_knot, smoothing_counts)
+                              is_alternating, parse_knot, smoothing_counts,
+                              torus_pd)
 from knotslopes.quasifit import RationalGF, fit, slopes
 
 TREFOIL_DATA = AlternatingData(3, 0, 2, 3)
@@ -38,15 +39,17 @@ def test_alt_invariants_mirror():
 
 
 def test_alt_degrees_trefoil():
-    deltas = [alt_degrees(TREFOIL_DATA, n) for n in range(5)]
+    deltas = [adequate_degrees(TREFOIL_DATA.diagram_stats(), n)
+              for n in range(5)]
     assert [d for d, _ in deltas] == [0, 4, 11, 21, 34]
     assert [ds for _, ds in deltas] == [0, 1, 2, 3, 4]
 
 
 def test_alt_degrees_mirror_swaps_and_negates():
     for n in range(6):
-        d, ds = alt_degrees(TREFOIL_DATA, n)
-        md, mds = alt_degrees(AlternatingData(3, 0, 2, 3, mirror=True), n)
+        d, ds = adequate_degrees(TREFOIL_DATA.diagram_stats(), n)
+        md, mds = adequate_degrees(
+            AlternatingData(3, 0, 2, 3, mirror=True).diagram_stats(), n)
         assert (md, mds) == (-ds, -d)
 
 
@@ -83,7 +86,7 @@ def test_degrees_and_symmetrized_are_consistent():
     for _, data in pairs:
         inv = alt_invariants(data)
         for n in range(21):
-            d, ds = alt_degrees(data, n)
+            d, ds = adequate_degrees(data.diagram_stats(), n)
             dm, dp = alt_symmetrized(inv, n)
             assert d - ds == dp
             assert d + ds == dm
@@ -124,6 +127,17 @@ def test_torus_degrees_match_morton():
             d, ds = torus_degrees(a, b, n)
             assert Fraction(j.deg()) == d
             assert Fraction(j.mindeg()) == ds
+
+
+def test_adequate_degrees_match_morton_on_torus_diagrams():
+    # these closed braids do not alternate and only their all-A state is
+    # adequate; its closed form is the minimum degree of Morton's formula
+    for a, b in ((3, 4), (3, 5), (4, 5)):
+        pd = torus_pd(a, b)
+        assert knots._classify(pd)[1:] == (False, False, True)
+        st = smoothing_counts(pd)
+        for n in range(15):
+            assert adequate_degrees(st, n)[1] == torus_degrees(a, b, n)[1]
 
 
 def test_pretzel_degrees_p7():

@@ -1,10 +1,12 @@
 """Tests for knot specs, planar diagrams, and the bundled tables."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 
+from knotslopes import closedforms, engine, knots
 from knotslopes.closedforms import AlternatingInvariants
 from knotslopes.engine import EngineLimitError
 from knotslopes.knots import (INFINITY, AlternatingData, Diagram,
@@ -43,6 +45,13 @@ def test_parse_rejects():
                 "alt:3,0,2,4", "name:nope", "bogus:1", "", "pd:[(1,2,3)]"):
         with pytest.raises(ValueError):
             parse_knot(bad)
+
+
+@pytest.mark.parametrize("text", ["pretzel:-2,3,x", "torus:2,x",
+                                  "alt:3,0,x,3"])
+def test_parse_names_the_spec_of_a_non_integer_parameter(text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        parse_knot(text)
 
 
 def test_torus_validation():
@@ -122,6 +131,41 @@ def test_unreduced_alternating_diagram_uses_bracket():
     assert Diagram(two_bridge_pd([3, 1])).degrees(2)[0] == [0, 4, 11]
     with pytest.raises(EngineLimitError, match="--max-n"):
         Diagram(two_bridge_pd([3, 1])).default_colors()
+
+
+def test_diagram_classification():
+    # (alternating, all-B state adequate, all-A state adequate)
+    assert knots._classify(Named("3_1").pd)[1:] == (True, True, True)
+    assert knots._classify(two_bridge_pd([1, 2]))[1:] == (True, False, True)
+    assert knots._classify(Named("8_19").pd)[1:] == (False, False, True)
+    assert knots._classify(Named("9_49").pd)[1:] == (False, False, False)
+    assert knots._classify(parse_knot("pretzel:-2,3,-5").pd)[1:] == \
+        (False, True, False)
+
+
+def test_bundled_degrees_must_match_the_adequate_side(monkeypatch):
+    bundled = engine.bundled_degrees
+
+    def off_by_one(name, n_max):
+        dmax, dmin = bundled(name, n_max)
+        dmin[7] += 1
+        return dmax, dmin
+    monkeypatch.setattr(engine, "bundled_degrees", off_by_one)
+    with pytest.raises(AssertionError, match="name:8_19"):
+        Named("8_19").degrees(20)
+
+
+def test_pretzel_degrees_must_match_the_adequate_side(monkeypatch):
+    # the diagram of (-2,3,7) is A-adequate only: its minimum degree
+    pretzel_degrees = closedforms.pretzel_degrees
+
+    def off_by_one(p, n_max, limit_mb=None):
+        dmax, dmin = pretzel_degrees(p, n_max, limit_mb)
+        dmin[9] += 1
+        return dmax, dmin
+    monkeypatch.setattr(closedforms, "pretzel_degrees", off_by_one)
+    with pytest.raises(AssertionError, match="pretzel:-2,3,7"):
+        Pretzel237(7).degrees(20)
 
 
 def test_default_colors():
