@@ -5,55 +5,22 @@ An adequate side of a diagram has an exact quadratic degree in the
 diagram's counts (``adequate_degrees``), and torus degrees are a plain
 formula in (a, b).  The (-2, 3, p) pretzel diagram is adequate on one
 side only; its other side is known only through the generating function
-of its third difference, anchored by evaluating the state sum at colors
-one and two and then extended by the third-order recurrence the
-generating function encodes.  A request for colors 0..n grows the cached
-lists to n in one pass, with the generating function expanded once for
-the whole extension.
+of its third difference.  ``pretzel_degrees`` takes the degrees at
+colors 0..2, which the pretzel spec computes by the state sum, and
+extends them by the third-order recurrence that generating function
+encodes, expanding it once for the whole extension.  This module holds
+formulas only: it imports the standard library and ``quasifit``.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from .knots import Pretzel237, _Frozen
 from .quasifit import RationalGF, _cyclotomic_split
 
 __all__ = [
-    "AlternatingInvariants", "alt_invariants", "adequate_degrees",
-    "alt_symmetrized", "torus_degrees",
+    "adequate_degrees", "alt_symmetrized", "torus_degrees",
     "pretzel_degrees", "pretzel_slopes", "pretzel_boundary_slopes",
 ]
-
-
-class AlternatingInvariants(_Frozen):
-    """Crossing number, writhe, and signature of an alternating knot.
-
-    The signed crossing counts are derived: c_plus = (c + w) / 2 and
-    c_minus = (c - w) / 2.
-    """
-
-    def __init__(self, c, w, sigma):
-        super().__init__(c=Fraction(c), w=Fraction(w), sigma=Fraction(sigma))
-
-    @property
-    def c_plus(self):
-        return (self.c + self.w) / 2
-
-    @property
-    def c_minus(self):
-        return (self.c - self.w) / 2
-
-
-def alt_invariants(data):
-    """Invariants of the alternating knot the smoothing data describes.
-
-    The signature comes out of the smoothing-circle counts: it equals
-    a_circles - 1 - c_plus, and the count identity |A| + |B| = c + 2
-    guarantees the B-side expression -b_circles + 1 + c_minus agrees.
-    A mirror flag on the data applies through ``diagram_stats``.
-    """
-    st = data.diagram_stats()
-    sigma = st.a_circles - 1 - st.c_plus
-    return AlternatingInvariants(st.c_plus + st.c_minus, st.writhe, sigma)
 
 
 def adequate_degrees(st, n):
@@ -68,18 +35,20 @@ def adequate_degrees(st, n):
                      2))
 
 
-def alt_symmetrized(inv, n):
+def alt_symmetrized(st, n):
     """Degree sum and degree span of the color-n Jones polynomial of an
-    alternating knot, straight from (c, w, sigma)."""
-    dm = inv.w / 2 * n * n + (inv.w - 2 * inv.sigma) / 2 * n
-    dp = inv.c / 2 * n * n + inv.c / 2 * n
-    return dm, dp
+    alternating knot whose reduced diagram has the counts st (a
+    ``DiagramStats``), through its crossing number c, writhe w and
+    signature sigma = |A| - 1 - c_plus."""
+    c, w = st.c_plus + st.c_minus, st.writhe
+    sigma = st.a_circles - 1 - st.c_plus
+    return (Fraction(w * n * n + (w - 2 * sigma) * n, 2),
+            Fraction(c * n * n + c * n, 2))
 
 
 def torus_degrees(a, b, n):
     """Maximum and minimum degree of the color-n Jones polynomial of the
     positive (a, b) torus knot."""
-    from math import gcd
     if a < 2 or b < 2 or gcd(a, b) != 1:
         raise ValueError("need coprime torus parameters >= 2, got (%d, %d)"
                          % (a, b))
@@ -123,58 +92,39 @@ def _pretzel_tails(p):
     return None, gmin
 
 
-# (p, limit_mb) -> (dmax, dmin), grown in place by pretzel_degrees; a new
-# budget recomputes the seeds through the bracket memo, which re-checks it
-_PRETZEL_CACHE = {}
-
-
-def _pretzel_seeds(p, limit_mb):
-    from .engine import bracket_colored_jones
-    pd = Pretzel237(p).pd
-    dmax, dmin = [Fraction(0)], [Fraction(0)]
-    for n in (1, 2):
-        j = bracket_colored_jones(pd, n, limit_mb=limit_mb)
-        dmax.append(Fraction(j.deg()))
-        dmin.append(Fraction(j.mindeg()))
-    return dmax, dmin
-
-
 def _extend(vals, tail_gf, n_max):
-    """Grow a degree list to index n_max in one pass of the recurrence
+    """A new degree list for colors 0..n_max: vals, which holds colors
+    0..min(n_max, 2), cut to n_max or grown by the recurrence
     f(n+3) = d3(n) + 3 f(n+2) - 3 f(n+1) + f(n), where d3 is the series
     of tail_gf (identically zero when tail_gf is None), expanded once
     for the whole extension."""
-    if len(vals) > n_max:
-        return
+    out = vals[:n_max + 1]
+    if len(out) > n_max:
+        return out
     d3 = tail_gf.series(n_max - 2) if tail_gf is not None else None
-    for i in range(len(vals) - 3, n_max - 2):
+    for i in range(len(out) - 3, n_max - 2):
         step = d3[i] if d3 is not None else 0
-        vals.append(step + 3 * vals[-1] - 3 * vals[-2] + vals[-3])
+        out.append(step + 3 * out[-1] - 3 * out[-2] + out[-3])
+    return out
 
 
-def pretzel_degrees(p, n_max, limit_mb=None):
+def pretzel_degrees(p, n_max, seeds):
     """Maximum- and minimum-degree lists of the colored Jones polynomial
     of the (-2, 3, p) pretzel knot for colors 0..n_max, for odd p.
 
-    Each side is extended from state sum evaluations at colors one and
-    two by the generating function of its third difference, which is
-    zero on the side where the diagram is adequate; ``Pretzel237``
-    checks that side against ``adequate_degrees`` at every color.  The
-    lists are cached per p and budget and grow to n_max in one pass;
-    the caller gets copies.
+    ``seeds`` holds the (dmax, dmin) lists for colors 0..min(n_max, 2),
+    which ``knots.Pretzel237`` computes by the state sum.  Each side is
+    extended by the generating function of its third difference, which
+    is zero on the side where the diagram is adequate; the spec checks
+    that side against ``adequate_degrees`` at every color.  The seeds
+    are left as they are, and new lists are returned.
     """
     if p % 2 == 0:
         raise ValueError("pretzel parameter p must be odd, got %d" % p)
     if n_max < 0:
         raise ValueError("color must be nonnegative")
-    cache = _PRETZEL_CACHE.get((p, limit_mb))
-    if cache is None:
-        cache = _PRETZEL_CACHE[p, limit_mb] = _pretzel_seeds(p, limit_mb)
-    dmax, dmin = cache
     gmax, gmin = _pretzel_tails(p)
-    _extend(dmax, gmax, n_max)
-    _extend(dmin, gmin, n_max)
-    return dmax[:n_max + 1], dmin[:n_max + 1]
+    return _extend(seeds[0], gmax, n_max), _extend(seeds[1], gmin, n_max)
 
 
 def pretzel_slopes(p):

@@ -433,9 +433,10 @@ def degree_sequence(spec, kind, n_max, limit_mb=None):
     minimum degrees (``spec.degrees``): torus knots through Morton's
     formula, ``alt:`` specs through the adequate closed forms, and
     pretzel, named and ``pd:`` diagrams through one rule: an adequate
-    side from the closed form, any other side from the pretzel
-    generating functions, bundled degree files or the cabled bracket,
-    checked against the closed form of an adequate side.  Every spec
+    side from the closed form, any other side from bundled degree files
+    or the cabled bracket, checked against the closed form of an
+    adequate side.  A pretzel spec takes colors 0..2 from the bracket
+    and extends them by the family's generating functions.  Every spec
     computes them for the unmirrored knot, and the one mirror rule of
     ``knots._Spec`` turns (dmax, dmin) into (-dmin, -dmax).
     """

@@ -29,6 +29,9 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from . import closedforms
+from .quasifit import _number
+
 __all__ = [
     "Torus", "Pretzel237", "AlternatingData", "Diagram", "Named",
     "parse_knot", "DiagramStats", "validate_pd", "mirror_pd",
@@ -196,7 +199,6 @@ class AlternatingData(_Spec):
         return self
 
     def _degrees(self, n_max, limit_mb):
-        from . import closedforms
         st = self._diagram_stats()
         return _split([closedforms.adequate_degrees(st, n)
                        for n in range(n_max + 1)])
@@ -236,7 +238,6 @@ class _DiagramSpec(_Spec):
                                st.b_circles, self.mirror)
 
     def _degrees(self, n_max, limit_mb):
-        from . import closedforms
         st, _, *adequate = _classify(self.pd)
         forms = _split([closedforms.adequate_degrees(st, n)
                         for n in range(n_max + 1)] if any(adequate) else [])
@@ -305,7 +306,9 @@ class Named(_DiagramSpec):
 
 class Pretzel237(_DiagramSpec):
     """The (-2, 3, p) pretzel knot for odd p.  Its diagram is adequate on
-    one side only; its degree source is ``closedforms.pretzel_degrees``."""
+    one side only.  Its degree source computes colors 0..2 by the state
+    sum and hands them to ``closedforms.pretzel_degrees``, which extends
+    both lists by the family's generating functions."""
 
     def __init__(self, p, mirror=False):
         if p % 2 == 0:
@@ -320,19 +323,17 @@ class Pretzel237(_DiagramSpec):
         return "pretzel:-2,3,%d" % self.p
 
     def default_colors(self):
-        from . import closedforms
         period, _, _ = closedforms.pretzel_slopes(self.p)
         return max(20, 3 * period + 6)
 
     def _source_degrees(self, n_max, limit_mb):
-        from . import closedforms
-        return closedforms.pretzel_degrees(self.p, n_max, limit_mb=limit_mb)
+        seeds = super()._source_degrees(min(n_max, 2), limit_mb)
+        return closedforms.pretzel_degrees(self.p, n_max, seeds)
 
     def _boundary_slopes(self, db):
         """The family formula for p >= 7 and p <= -1; table rows for the
         exceptional p in {1, 3, 5}."""
         if self.p >= 7 or self.p <= -1:
-            from . import closedforms
             return frozenset(closedforms.pretzel_boundary_slopes(self.p))
         return db.get(self._render())
 
@@ -780,14 +781,14 @@ class _InfinitySlope:
 INFINITY = _InfinitySlope()
 
 
-def _parse_slope(tok):
+def _parse_slope(tok, where):
     tok = tok.strip()
     if tok == "inf":
         return INFINITY
     try:
-        return Fraction(tok)
+        return _number(tok)
     except (ValueError, ZeroDivisionError):
-        raise ValueError("unparseable slope %r" % tok)
+        raise ValueError("%s: unparseable slope %r" % (where, tok)) from None
 
 
 def _tsv_rows(path):
@@ -821,8 +822,9 @@ def load_slope_db(path):
     Slopes are reduced fractions or ``inf``; ``#`` starts a comment.
     Duplicate keys and empty slopes are rejected.
     """
-    return {key: frozenset(_parse_slope(t) for t in rest.split(","))
-            for _, key, rest in _tsv_rows(path)}
+    return {key: frozenset(_parse_slope(t, "%s:%d" % (path, ln))
+                           for t in rest.split(","))
+            for ln, key, rest in _tsv_rows(path)}
 
 
 def load_knot_table(path):

@@ -20,6 +20,7 @@ samples scaled to integers; values enter and leave as Fractions, and
 nothing is floated.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -283,10 +284,8 @@ def detect_period(seq, max_period=16, max_transient=8):
     len(seq) >= transient + 2 * period + 3.
     """
     seq = list(seq)
-    for t in range(max_transient + 1):
-        for p in range(1, max_period + 1):
-            if len(seq) < t + 2 * p + 3:
-                continue
+    for t in range(min(max_transient, len(seq) - 5) + 1):
+        for p in range(1, min(max_period, (len(seq) - t - 3) // 2) + 1):
             if all(seq[n] == seq[n + p] for n in range(t, len(seq) - p)):
                 return p, t
     raise ValueError("no period up to %d with transient up to %d fits "
@@ -377,8 +376,8 @@ def _fit_classes(seq, max_period, max_transient):
     integers once, and the class tests and the convolution run on
     them."""
     ints, scale = _scaled(seq)
-    pairs = [(t, p) for t in range(max_transient + 1)
-             for p in range(1, max_period + 1) if (len(seq) - t) // p >= 3]
+    pairs = [(t, p) for t in range(min(max_transient, len(seq) - 3) + 1)
+             for p in range(1, min(max_period, (len(seq) - t) // 3) + 1)]
     pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
     for t, p in pairs:
         classes = _try_classes(ints, t, p, scale)
@@ -466,11 +465,22 @@ def integrality_check(quasi):
     return witnesses
 
 
+_NUMBER = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
+def _number(tok):
+    """An integer or fraction token like -3/2 as a Fraction; ValueError
+    for decimals, exponents and underscores, which Fraction takes."""
+    if not _NUMBER.fullmatch(tok):
+        raise ValueError(tok)
+    return Fraction(tok)
+
+
 def load_sequence(path):
     """Read a sequence file: one value per line, # comments, blank lines
-    ignored.  Values may be integers or fractions like 3/2; any other
-    value, or a line that is not UTF-8, is a ValueError that names the
-    file and line."""
+    ignored.  Values are integers or fractions like 3/2 (``_number``);
+    any other value, or a line that is not UTF-8, is a ValueError that
+    names the file and line."""
     values = []
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -478,7 +488,7 @@ def load_sequence(path):
         try:
             line = raw.decode("utf-8").split("#", 1)[0].strip()
             if line:
-                values.append(Fraction(line))
+                values.append(_number(line))
         except UnicodeDecodeError as exc:
             raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
         except (ValueError, ZeroDivisionError):

@@ -1,7 +1,10 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +107,24 @@ def test_fit_rejects_bad_window_bounds(capsys):
     code, _, err = run(capsys, "fit", "torus:2,3", "--max-transient", "-1")
     assert code == 2
     assert "max_transient must be nonnegative, got -1" in err
+
+
+def test_fit_scan_is_bounded_by_the_samples():
+    # the candidates are bounded by the 21 samples, not by the options
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    seq = os.path.join(src, "knotslopes", "data", "sequences", "8_19.max.seq")
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = []
+    for bounds in ([], ["--max-period", "1000000000000",
+                        "--max-transient", "1000000000000"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotslopes.cli", "fit", "--input", seq,
+             *bounds], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "period: 2" in outs[0]
 
 
 def test_fit_constant_zero_file(tmp_path, capsys):
@@ -307,8 +328,10 @@ def test_bad_sequence_file(capsys):
 @pytest.mark.parametrize("value, message", [
     (b"1/0", "unparseable value '1/0'"),
     (b"abc", "unparseable value 'abc'"),
-    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0")],
-    ids=["1/0", "abc", "0xff"])
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"1e3", "unparseable value '1e3'"),
+    (b"1.5", "unparseable value '1.5'")],
+    ids=["1/0", "abc", "0xff", "1e3", "1.5"])
 def test_unparseable_sequence_value(capsys, tmp_path, value, message):
     path = tmp_path / "bad.seq"
     path.write_bytes(b"# header\n1\n" + value + b"\n")
@@ -316,3 +339,16 @@ def test_unparseable_sequence_value(capsys, tmp_path, value, message):
     assert code == 2
     assert err.startswith("error:")
     assert "%s:3: %s" % (path, message) in err
+
+
+@pytest.mark.parametrize("row, token", [
+    ("3_1\tabc", "abc"), ("3_1\t0,1e3", "1e3"), ("3_1\t0,", "")],
+    ids=["abc", "1e3", "empty"])
+def test_unparseable_slope_names_file_and_line(capsys, tmp_path, row, token):
+    path = tmp_path / "slopes.tsv"
+    path.write_text("# header\n8_19\t0,12\n%s\n" % row)
+    code, out, err = run(capsys, "verify", "name:3_1", "--slope-db",
+                         str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s:3: unparseable slope %r\n" % (path, token)

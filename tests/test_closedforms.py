@@ -1,18 +1,19 @@
 """Tests for the closed-form degree formulas."""
 
+import ast
+import sys
 from fractions import Fraction
 
 import pytest
 
 from knotslopes import closedforms, knots
-from knotslopes.closedforms import (AlternatingInvariants, adequate_degrees,
-                                    alt_invariants, alt_symmetrized,
+from knotslopes.closedforms import (adequate_degrees, alt_symmetrized,
                                     pretzel_boundary_slopes, pretzel_degrees,
                                     pretzel_slopes, torus_degrees)
-from knotslopes.engine import morton_colored_jones
-from knotslopes.knots import (AlternatingData, Pretzel237, bundled_knot_table,
-                              is_alternating, parse_knot, smoothing_counts,
-                              torus_pd)
+from knotslopes.engine import bracket_colored_jones, morton_colored_jones
+from knotslopes.knots import (AlternatingData, DiagramStats, Pretzel237,
+                              bundled_knot_table, is_alternating, parse_knot,
+                              pretzel_pd, smoothing_counts, torus_pd)
 from knotslopes.quasifit import RationalGF, fit, slopes
 
 TREFOIL_DATA = AlternatingData(3, 0, 2, 3)
@@ -22,20 +23,31 @@ P237_DELTA = [0, 13, 35, 67, 108, 158, 217, 286, 364, 451, 547, 653, 768,
               892, 1025, 1168, 1320, 1481, 1651, 1831]
 
 
+def test_closedforms_imports_only_the_standard_library_and_quasifit():
+    with open(closedforms.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "quasifit")
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names
+
+
 def test_alt_invariants_trefoil():
-    inv = alt_invariants(TREFOIL_DATA)
-    assert inv.c == 3
-    assert inv.w == 3
-    assert inv.sigma == -2
-    assert inv.c_plus == 3
-    assert inv.c_minus == 0
+    # the degree sum at color one is w - sigma and the span is c, so the
+    # trefoil's counts give c = 3, w = 3 and sigma = |A| - 1 - c+ = -2
+    st = TREFOIL_DATA.diagram_stats()
+    assert (st.c_plus + st.c_minus, st.writhe) == (3, 3)
+    assert alt_symmetrized(st, 1) == (3 - (-2), 3)
 
 
 def test_alt_invariants_mirror():
-    inv = alt_invariants(AlternatingData(3, 0, 2, 3, mirror=True))
-    assert inv.c == 3
-    assert inv.w == -3
-    assert inv.sigma == 2
+    st = AlternatingData(3, 0, 2, 3, mirror=True).diagram_stats()
+    assert (st.c_plus + st.c_minus, st.writhe) == (3, -3)
+    assert alt_symmetrized(st, 1) == (-3 - 2, 3)
 
 
 def test_alt_degrees_trefoil():
@@ -54,16 +66,17 @@ def test_alt_degrees_mirror_swaps_and_negates():
 
 
 def test_alt_symmetrized_trefoil():
-    inv = alt_invariants(TREFOIL_DATA)
-    assert alt_symmetrized(inv, 0) == (0, 0)
-    assert alt_symmetrized(inv, 1) == (5, 3)
-    assert alt_symmetrized(inv, 2) == (13, 9)
+    st = TREFOIL_DATA.diagram_stats()
+    assert alt_symmetrized(st, 0) == (0, 0)
+    assert alt_symmetrized(st, 1) == (5, 3)
+    assert alt_symmetrized(st, 2) == (13, 9)
 
 
 def test_symmetrized_span_at_one_is_crossing_number():
-    for c, w, sigma in ((3, 3, -2), (8, 0, 0), (12, -2, 4)):
-        inv = AlternatingInvariants(c, w, sigma)
-        assert alt_symmetrized(inv, 1)[1] == c
+    # (c, w, sigma) = (3, 3, -2), (8, 0, 0) and (12, -2, 4)
+    for c, st in ((3, DiagramStats(3, 0, 2, 3)), (8, DiagramStats(4, 4, 5, 5)),
+                  (12, DiagramStats(5, 7, 10, 4))):
+        assert alt_symmetrized(st, 1)[1] == c
 
 
 def bundled_alternating_data():
@@ -84,10 +97,10 @@ def test_degrees_and_symmetrized_are_consistent():
     pairs = bundled_alternating_data()
     assert pairs
     for _, data in pairs:
-        inv = alt_invariants(data)
+        st = data.diagram_stats()
         for n in range(21):
-            d, ds = adequate_degrees(data.diagram_stats(), n)
-            dm, dp = alt_symmetrized(inv, n)
+            d, ds = adequate_degrees(st, n)
+            dm, dp = alt_symmetrized(st, n)
             assert d - ds == dp
             assert d + ds == dm
 
@@ -141,8 +154,8 @@ def test_adequate_degrees_match_morton_on_torus_diagrams():
 
 
 def test_pretzel_degrees_p7():
-    assert pretzel_degrees(7, 19)[0] == P237_DELTA
-    assert pretzel_degrees(7, 19)[1] == [5 * n for n in range(20)]
+    assert Pretzel237(7).degrees(19) == (P237_DELTA,
+                                         [5 * n for n in range(20)])
 
 
 def test_pretzel_degrees_expand_the_tail_once(monkeypatch):
@@ -153,33 +166,43 @@ def test_pretzel_degrees_expand_the_tail_once(monkeypatch):
         calls.append(count)
         return series(self, count)
     monkeypatch.setattr(RationalGF, "series", counted)
-    monkeypatch.setattr(closedforms, "_PRETZEL_CACHE", {})
     dmax, dmin = Pretzel237(19).degrees(54)
     assert len(dmax) == len(dmin) == 55
     # one expansion for the whole list, not one per color
     assert len(calls) == 1
-    assert Pretzel237(19).degrees(54) == (dmax, dmin)
-    assert len(calls) == 1
 
 
 def test_pretzel_degrees_are_copies():
-    dmax, _ = pretzel_degrees(7, 5)
+    seeds = (P237_DELTA[:3], [0, 5, 10])
+    dmax, _ = pretzel_degrees(7, 5, seeds)
     dmax.append(0)
-    assert pretzel_degrees(7, 6)[0][6] == P237_DELTA[6]
+    assert pretzel_degrees(7, 6, seeds)[0] == P237_DELTA[:7]
+    assert pretzel_degrees(7, 1, seeds) == (P237_DELTA[:2], [0, 5])
+    assert seeds == (P237_DELTA[:3], [0, 5, 10])
+
+
+@pytest.mark.parametrize("p", [-5, 7])
+def test_pretzel_tails_match_the_state_sum_at_color_3(p):
+    # color 3 is the first color the generating functions extrapolate;
+    # p = -5 checks the minimum-degree tail and p = 7 the maximum one
+    j = bracket_colored_jones(pretzel_pd([-2, 3, p]), 3)
+    dmax, dmin = pretzel_degrees(p, 3, Pretzel237(p).degrees(2))
+    assert (dmax[3], dmin[3]) == (j.deg(), j.mindeg())
 
 
 def test_pretzel_small_p_are_torus_knots():
     for p, (a, b) in ((1, (2, 5)), (3, (3, 4)), (5, (3, 5))):
-        dmax, dmin = pretzel_degrees(p, 8)
+        dmax, dmin = Pretzel237(p).degrees(8)
         for n in range(9):
             assert (dmax[n], dmin[n]) == torus_degrees(a, b, n)
 
 
 def test_pretzel_degrees_rejects():
+    seeds = ([0, 13, 35], [0, 5, 10])
     with pytest.raises(ValueError):
-        pretzel_degrees(4, 1)
+        pretzel_degrees(4, 1, seeds)
     with pytest.raises(ValueError):
-        pretzel_degrees(7, -1)
+        pretzel_degrees(7, -1, seeds)
 
 
 def test_pretzel_leading_coefficient_matches_slopes():
@@ -187,7 +210,7 @@ def test_pretzel_leading_coefficient_matches_slopes():
     # published slope, and the fitted period is the published period
     for p in range(5, 22, 2):
         period, js, _ = pretzel_slopes(p)
-        seq = pretzel_degrees(p, 3 * period + 11)[0]
+        seq = Pretzel237(p).degrees(3 * period + 11)[0]
         q = fit(seq, max_period=max(period, 16))
         assert q.period == period
         assert slopes(q) == [js]
@@ -197,7 +220,7 @@ def test_pretzel_negative_p_slopes():
     for p in (-1, -3, -5, -7):
         period, js, js_star = pretzel_slopes(p)
         hi = 3 * period + 12
-        dmax, dmin = pretzel_degrees(p, hi - 1)
+        dmax, dmin = Pretzel237(p).degrees(hi - 1)
         qmax = fit(dmax, max_period=max(period, 16))
         qmin = fit(dmin, max_period=max(period, 16))
         assert slopes(qmax) == [js]

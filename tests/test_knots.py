@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from knotslopes import closedforms, engine, knots
-from knotslopes.closedforms import AlternatingInvariants
 from knotslopes.engine import EngineLimitError
 from knotslopes.knots import (INFINITY, AlternatingData, Diagram,
                               DiagramStats, Named, Pretzel237, Torus,
@@ -80,8 +79,7 @@ def test_specs_are_frozen():
     cases = [(Torus(2, 3), "b"), (Pretzel237(7), "mirror"),
              (AlternatingData(3, 0, 2, 3), "c_plus"),
              (Diagram(TREFOIL_PD), "pd"), (Named("3_1"), "name"),
-             (DiagramStats(3, 0, 2, 3), "a_circles"),
-             (AlternatingInvariants(3, 3, -2), "sigma")]
+             (DiagramStats(3, 0, 2, 3), "a_circles")]
     for obj, field in cases:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, 1)
@@ -159,8 +157,8 @@ def test_pretzel_degrees_must_match_the_adequate_side(monkeypatch):
     # the diagram of (-2,3,7) is A-adequate only: its minimum degree
     pretzel_degrees = closedforms.pretzel_degrees
 
-    def off_by_one(p, n_max, limit_mb=None):
-        dmax, dmin = pretzel_degrees(p, n_max, limit_mb)
+    def off_by_one(p, n_max, seeds):
+        dmax, dmin = pretzel_degrees(p, n_max, seeds)
         dmin[9] += 1
         return dmax, dmin
     monkeypatch.setattr(closedforms, "pretzel_degrees", off_by_one)

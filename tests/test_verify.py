@@ -153,7 +153,6 @@ def test_alternating_theorems_trefoil():
     assert out["holds"]
     assert out["problems"] == []
     assert out["checkerboard_slopes"] == (6, 0)
-    assert out["invariants"].sigma == -2
     assert out["report"].period == 1
     assert out["report"].jones_diameter == 3
 
