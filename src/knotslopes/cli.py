@@ -207,6 +207,14 @@ def cmd_report(args):
     return EXIT_REFUTED if failed else EXIT_OK
 
 
+def _integer_option(text):
+    """An integer option value, read as ``quasifit._integer`` reads it."""
+    try:
+        return quasifit._integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_knot_args(p):
     p.add_argument("knot_pos", nargs="?", metavar="KNOT",
                    help="knot spec: torus:a,b | pretzel:-2,3,p | "
@@ -217,8 +225,8 @@ def _add_knot_args(p):
 
 
 def _add_fit_args(p):
-    p.add_argument("--max-period", type=int, default=16)
-    p.add_argument("--max-transient", type=int, default=8)
+    p.add_argument("--max-period", type=_integer_option, default=16)
+    p.add_argument("--max-transient", type=_integer_option, default=8)
 
 
 def _build_parser():
@@ -230,11 +238,12 @@ def _build_parser():
 
     p = sub.add_parser("compute", help="print one colored Jones polynomial")
     _add_knot_args(p)
-    p.add_argument("--n", type=int, default=1, help="color (default 1)")
+    p.add_argument("--n", type=_integer_option, default=1,
+                   help="color (default 1)")
 
     q = sub.add_parser("degrees", help="print a degree sequence")
     _add_knot_args(q)
-    q.add_argument("--max-n", type=int, default=None)
+    q.add_argument("--max-n", type=_integer_option, default=None)
     q.add_argument("--kind", choices=["max", "min", "span", "sum"],
                    default="max")
 
@@ -242,14 +251,14 @@ def _build_parser():
     _add_knot_args(f)
     f.add_argument("--input", help="sequence file (one value per line, "
                                    "# comments) instead of a knot")
-    f.add_argument("--max-n", type=int, default=None)
+    f.add_argument("--max-n", type=_integer_option, default=None)
     f.add_argument("--kind", choices=["max", "min", "span", "sum"],
                    default="max")
     _add_fit_args(f)
 
     s = sub.add_parser("slopes", help="fitted Jones slopes and period")
     _add_knot_args(s)
-    s.add_argument("--max-n", type=int, default=None)
+    s.add_argument("--max-n", type=_integer_option, default=None)
     _add_fit_args(s)
 
     v = sub.add_parser("verify", help="check the Slope Conjecture")
@@ -258,20 +267,20 @@ def _build_parser():
                    help="run over every knot in the bundled table")
     v.add_argument("--slope-db", help="boundary-slope table overriding "
                                       "the bundled one")
-    v.add_argument("--max-n", type=int, default=None)
+    v.add_argument("--max-n", type=_integer_option, default=None)
     _add_fit_args(v)
 
     r = sub.add_parser("report", help="verify plus crossing-bound and "
                                       "alternating checks")
     _add_knot_args(r)
     r.add_argument("--slope-db")
-    r.add_argument("--max-n", type=int, default=None)
+    r.add_argument("--max-n", type=_integer_option, default=None)
     _add_fit_args(r)
 
     for p_ in (p, q, f, s, v, r):
         p_.add_argument("--json", action="store_true",
                         help="machine-readable output")
-        p_.add_argument("--limit-mb", type=int, default=None,
+        p_.add_argument("--limit-mb", type=_integer_option, default=None,
                         help="memory budget for the state sum")
     return ap
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .laurent import LaurentPoly
-from .knots import _classify, validate_pd
+from .knots import _A_PAIRING, _B_PAIRING, _classify, validate_pd
 from .quasifit import load_sequence
 import os
 
@@ -180,10 +180,6 @@ def _apply_smoothing(pattern, pairing):
         else:
             circles += 1
     return tuple(pairs), circles
-
-
-_A_PAIRING = ((0, 1), (2, 3))
-_B_PAIRING = ((1, 2), (3, 0))
 
 
 # bytes per stored term of the state sum, as ru_maxrss above the 16 MB

@@ -15,7 +15,10 @@ color, the ``polynomial`` at one color, ``default_colors``,
 ``diagram_stats``, ``alternating_data`` (only ``alt:`` specs and
 reduced alternating diagrams get the alternating checks) and
 ``boundary_slopes``.  The ``pretzel:``, ``name:`` and ``pd:`` kinds
-read their degrees off a diagram by the one rule of ``_DiagramSpec``.
+read their degrees off a diagram by the one rule of ``_DiagramSpec``,
+from its crossing signs, alternation, state circles and adequacy, which
+``_classify`` reads in one cached pass over a diagram that
+``validate_pd`` has checked.  Spec integers are ASCII digits.
 A kind answers for the unmirrored knot, and one rule in ``_Spec``
 applies the mirror: degrees (dmax, dmin) become (-dmin, -dmax), the
 polynomial takes q -> 1/q, diagram counts swap c+ with c- and |A| with
@@ -24,13 +27,14 @@ Torus(a, -b); every other spec carries a ``mirror`` flag.
 """
 
 import functools
+import operator
 import os
 import re
 from fractions import Fraction
 from math import gcd
 
 from . import closedforms
-from .quasifit import _number
+from .quasifit import _INTEGER, _integer, _number
 
 __all__ = [
     "Torus", "Pretzel237", "AlternatingData", "Diagram", "Named",
@@ -343,7 +347,8 @@ def _pretzel237_pd(p):
     return pretzel_pd([-2, 3, p])
 
 
-_PD_TUPLE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_PD_TUPLE_RE = re.compile(
+    r"\(%s\)" % ",".join([r"\s*(%s)\s*" % _INTEGER.pattern] * 4), re.ASCII)
 
 
 def parse_knot(text):
@@ -356,10 +361,10 @@ def parse_knot(text):
     body = s[len(kind):]
     if kind in ("torus:", "pretzel:", "alt:"):
         try:
-            parts = [int(x) for x in body.split(",")]
-        except ValueError:
-            raise ValueError("knot spec %r needs integer parameters"
-                             % text) from None
+            parts = [_integer(x.strip()) for x in body.split(",")]
+        except ValueError as exc:
+            raise ValueError("knot spec %r needs integer parameters: %s"
+                             % (text, exc)) from None
     if kind == "torus:":
         if len(parts) != 2:
             raise ValueError("torus spec needs two parameters: %r" % text)
@@ -426,7 +431,7 @@ def _arc_endpoints(pd):
 
 def _component_walk(pd, ends):
     """Walk the strand from crossing 0; return the entry slot used at each
-    crossing visit as a dict {(crossing, entry_slot): order}."""
+    crossing visit as a dict {(crossing, entry_slot): step}, in walk order."""
     entries = {}
     # start on the under-strand of crossing 0, entering at slot 0
     ci, entry = 0, 0
@@ -437,26 +442,33 @@ def _component_walk(pd, ends):
             break
         entries[(ci, entry)] = step
         exit_slot = (entry + 2) % 4
-        arc = pd[ci][exit_slot]
-        (c1, s1), (c2, s2) = ends[arc]
-        if (c1, s1) == (ci, exit_slot):
-            ci, entry = c2, s2
-        else:
-            ci, entry = c1, s1
+        arc_ends = ends[pd[ci][exit_slot]]
+        ci, entry = arc_ends[arc_ends[0] == (ci, exit_slot)]  # the other end
     if len(entries) != 2 * len(pd):
         raise ValueError("diagram has more than one component")
     return entries
 
 
-def validate_pd(pd):
-    """Check a PD code and return it as a tuple of 4-tuples.
+def _label(x):
+    """An arc label as an int.  A label that is not an integer, such as
+    1.9, is a ValueError naming it, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError("PD label %r is not an integer" % (x,)) from None
 
-    Requirements: every arc appears exactly twice, the diagram is a
-    single closed component, the walk enters every under-strand at
-    slot 0 (the PD orientation convention), and the rotation system is
-    planar by the Euler formula.
+
+def validate_pd(pd):
+    """Check a PD code and return it as a tuple of 4-tuples of int labels.
+
+    Requirements: every label is an integer, every arc appears exactly
+    twice, the diagram is a single closed component, the walk enters
+    every under-strand at slot 0 (the PD orientation convention), and
+    the rotation system is planar by the Euler formula.  Every diagram
+    a spec holds has passed here, so ``_classify`` reads it without
+    checking it again.
     """
-    pd = tuple(tuple(int(x) for x in cr) for cr in pd)
+    pd = tuple(tuple(map(_label, cr)) for cr in pd)
     if not pd:
         return pd  # the 0-crossing unknot
     ends = _arc_endpoints(pd)
@@ -481,12 +493,8 @@ def validate_pd(pd):
                 seen.add((a, t))
                 ci, slot = ends[a][t]
                 nslot = (slot + 1) % 4
-                narc = pd[ci][nslot]
-                (c1, s1), (c2, s2) = ends[narc]
-                if (c1, s1) == (ci, nslot):
-                    a, t = narc, 1
-                else:
-                    a, t = narc, 0
+                a = pd[ci][nslot]
+                t = int(ends[a][0] == (ci, nslot))
             faces += 1
     v, e = len(pd), 2 * len(pd)
     if v - e + faces != 2:
@@ -512,7 +520,7 @@ def canonical_pd(pd):
     direction, walks the component once, and rotates by two slots where
     the walk enters at slot 2.
     """
-    pd = tuple(tuple(int(x) for x in cr) for cr in pd)
+    pd = tuple(tuple(map(_label, cr)) for cr in pd)
     if not pd:
         return pd
     entries = _component_walk(pd, _arc_endpoints(pd))
@@ -528,94 +536,84 @@ def canonical_pd(pd):
 
 
 def smoothing_counts(pd):
-    """Crossing signs and A/B smoothing circle counts for a diagram.
+    """Crossing signs and A/B smoothing circle counts for a diagram, read
+    off its classification (``_classify``) after ``validate_pd``.
 
     The A smoothing joins the counterclockwise-adjacent arc pairs
     (slots 0,1) and (slots 2,3); the B smoothing joins (1,2) and (3,0).
     A crossing is positive when the strand walk traverses its over-strand
     from the fourth listed arc to the second.
     """
-    pd = validate_pd(pd)
-    if not pd:
-        return DiagramStats(0, 0, 1, 1)
-    ends = _arc_endpoints(pd)
-    entries = _component_walk(pd, ends)
-    c_plus = c_minus = 0
-    for ci in range(len(pd)):
-        if (ci, 3) in entries:
-            c_plus += 1
-        elif (ci, 1) in entries:
-            c_minus += 1
-        else:
-            raise ValueError("crossing %d has no over-strand entry" % ci)
-    a_circles = _circle_count(pd, ((0, 1), (2, 3)))
-    b_circles = _circle_count(pd, ((1, 2), (3, 0)))
-    return DiagramStats(c_plus, c_minus, a_circles, b_circles)
+    return _classify(validate_pd(pd))[0]
 
 
-def _circle_count(pd, pairing):
-    return len(set(_state_circles(pd, pairing).values()))
+def is_alternating(pd):
+    """True when the strand walk alternates under and over passes."""
+    return _classify(validate_pd(pd))[1]
 
 
-def _adequate(pd, pairing):
-    """True when no crossing's smoothing by pairing meets the same state
-    circle twice."""
-    circle = _state_circles(pd, pairing)
-    (i, _), (k, _) = pairing
-    return all(circle[cr[i]] != circle[cr[k]] for cr in pd)
+_A_PAIRING = ((0, 1), (2, 3))
+_B_PAIRING = ((1, 2), (3, 0))
 
 
 @functools.cache
 def _classify(pd):
-    """``smoothing_counts`` of a diagram, whether it alternates, and
-    whether its all-B and its all-A state are adequate; cached, as a
-    spec asks for it for its colors, degrees and checks, and the bracket
-    for the writhe."""
-    return (smoothing_counts(pd), is_alternating(pd),
-            _adequate(pd, ((1, 2), (3, 0))), _adequate(pd, ((0, 1), (2, 3))))
+    """The ``DiagramStats`` of a validated diagram, whether it alternates,
+    and whether its all-B and its all-A state are adequate.
+
+    One strand walk gives the crossing signs and the alternation, and one
+    circle labelling per state gives that state's circle count and its
+    adequacy: no crossing's smoothing meets the same state circle twice.
+    Cached, as a spec asks for it for its colors, degrees and checks, and
+    the bracket for the writhe.
+    """
+    if not pd:
+        return DiagramStats(0, 0, 1, 1), False, True, True
+    entries = _component_walk(pd, _arc_endpoints(pd))
+    slots = [slot for _, slot in entries]  # entry slots in walk order
+    unders = [slot == 0 for slot in slots]
+    alternating = all(u != v for u, v in zip(unders, unders[1:] + unders[:1]))
+    circles, adequate = [], []
+    for pairing in (_A_PAIRING, _B_PAIRING):
+        circle = _state_circles(pd, pairing)
+        (i, _), (k, _) = pairing
+        circles.append(len(set(circle.values())))
+        adequate.append(all(circle[cr[i]] != circle[cr[k]] for cr in pd))
+    return (DiagramStats(slots.count(3), slots.count(1), *circles),
+            alternating, adequate[1], adequate[0])
 
 
 def _state_circles(pd, pairing):
     """Arc -> a label of its circle in the state that smooths every
     crossing by pairing."""
-    arcs = sorted({arc for cr in pd for arc in cr})
-    parent = {a: a for a in arcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    parent = {arc: arc for cr in pd for arc in cr}
     for cr in pd:
         for i, j in pairing:
-            union(cr[i], cr[j])
-    return {a: find(a) for a in arcs}
+            _union(parent, cr[i], cr[j])
+    return {arc: _find(parent, arc) for arc in parent}
 
 
-def is_alternating(pd):
-    """True when the strand walk alternates under and over passes."""
-    pd = validate_pd(pd)
-    if not pd:
-        return False
-    ends = _arc_endpoints(pd)
-    entries = _component_walk(pd, ends)
-    order = {step: slot for (ci, slot), step in entries.items()}
-    kinds = [0 if order[s] == 0 else 1 for s in range(len(order))]
-    return all(kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds)))
+def _find(parent, x):
+    """Root of x in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
 
 
 # ---------------------------------------------------------------------------
 # diagram generators
 
 class _Builder:
-    """Accumulates crossings over provisional arc tokens, then resolves
-    token identifications into a canonical PD."""
+    """Accumulates crossings over provisional arc tokens, identified by
+    ``_union`` in the forest ``parent``, then resolves them into a
+    canonical PD."""
 
     def __init__(self):
         self.crossings = []
@@ -626,31 +624,13 @@ class _Builder:
         self.parent.append(t)
         return t
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
     def crossing(self, a, b, c, d):
         self.crossings.append((a, b, c, d))
 
     def finish(self):
-        labels = {}
-        out = []
-        for cr in self.crossings:
-            resolved = []
-            for t in cr:
-                r = self.find(t)
-                if r not in labels:
-                    labels[r] = len(labels) + 1
-                resolved.append(labels[r])
-            out.append(tuple(resolved))
+        labels = {}  # token root -> arc label, numbered by first use
+        out = [tuple(labels.setdefault(_find(self.parent, t), len(labels) + 1)
+                     for t in cr) for cr in self.crossings]
         return canonical_pd(out)
 
 
@@ -695,7 +675,7 @@ def braid_pd(word, strands):
     if not all(touched):
         raise ValueError("closure has a free loop: some strand is never crossed")
     for j in range(strands):
-        b.union(cur[j], tops[j])
+        _union(b.parent, cur[j], tops[j])
     return b.finish()
 
 
@@ -725,10 +705,11 @@ def pretzel_pd(twists):
         bl, br = _twist_pair(b, tl, tr, t)
         ports.append((tl, tr, bl, br))
     for j in range(len(ports) - 1):
-        b.union(ports[j][1], ports[j + 1][0])      # top right to next top left
-        b.union(ports[j][3], ports[j + 1][2])      # bottom right to next bottom left
-    b.union(ports[0][0], ports[-1][1])             # outer top arc
-    b.union(ports[0][2], ports[-1][3])             # outer bottom arc
+        # top right to next top left, bottom right to next bottom left
+        _union(b.parent, ports[j][1], ports[j + 1][0])
+        _union(b.parent, ports[j][3], ports[j + 1][2])
+    _union(b.parent, ports[0][0], ports[-1][1])  # outer top arc
+    _union(b.parent, ports[0][2], ports[-1][3])  # outer bottom arc
     return b.finish()
 
 
@@ -750,10 +731,10 @@ def two_bridge_pd(partial_quotients):
             cur[1], cur[2] = _twist_pair(b, cur[1], cur[2], a)
         else:
             cur[0], cur[1] = _twist_pair(b, cur[0], cur[1], -a)
-    b.union(tops[0], tops[1])
-    b.union(tops[2], tops[3])
-    b.union(cur[0], cur[1])
-    b.union(cur[2], cur[3])
+    _union(b.parent, tops[0], tops[1])
+    _union(b.parent, tops[2], tops[3])
+    _union(b.parent, cur[0], cur[1])
+    _union(b.parent, cur[2], cur[3])
     return b.finish()
 
 

@@ -465,7 +465,19 @@ def integrality_check(quasi):
     return witnesses
 
 
-_NUMBER = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+# integers from outside (spec parameters, PD labels, integer options)
+# and sequence values are ASCII digits: int() and Fraction() also take
+# underscores and non-ASCII digits such as an Arabic-Indic three
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMBER = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
+
+
+def _integer(tok):
+    """An integer token like -3 as an int; a ValueError naming the token
+    for anything else."""
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError("%r is not an integer" % tok)
+    return int(tok)
 
 
 def _number(tok):

@@ -199,6 +199,27 @@ def test_limit_exit_code(capsys):
     assert "memory budget" in err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (("slopes", "pretzel:-2,3,1_9"), "1_9"),
+    (("compute", "torus:2,\u0663"), "\u0663"),
+    (("compute", "pd:[(1,2,3,4),(2,5,6,3),(5,1,4,\u0666)]"), "\u0666"),
+    (("compute", "torus:2,3", "--n", "\u0661"), "\u0661"),
+    (("degrees", "torus:2,3", "--max-n", "0_3"), "0_3"),
+    (("fit", "torus:2,3", "--max-period", "1_6"), "1_6"),
+    (("fit", "torus:2,3", "--max-transient", "\u0663"), "\u0663"),
+    (("compute", "torus:2,3", "--limit-mb", "5_0"), "5_0")],
+    ids=["spec-underscore", "spec-digit", "pd-label", "n", "max-n",
+         "max-period", "max-transient", "limit-mb"])
+def test_integers_are_ascii_digits(capsys, argv, token):
+    # int() reads underscores and non-ASCII digits; the CLI refuses them
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses an option value
+        code = exc.code
+    assert code == 2
+    assert token in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("degrees", "name:8_19", "--max-n", "3", "--limit-mb", "-1"),
     ("compute", "name:3_1", "--n", "1", "--limit-mb", "-5")],
@@ -298,17 +319,10 @@ def test_report_classifies_the_diagram_once(capsys, monkeypatch, spec):
     # default colors, degrees, diagram counts and the alternating checks
     # all read the diagram's classification; one report computes it once
     knots._classify.cache_clear()
-    calls = []
-    is_alternating = knots.is_alternating
-
-    def counted(pd):
-        calls.append(pd)
-        return is_alternating(pd)
-    monkeypatch.setattr(knots, "is_alternating", counted)
     code, out, _ = run(capsys, "report", spec)
     assert code == 0
     assert "alternating checks: hold" in out
-    assert len(calls) == 1
+    assert knots._classify.cache_info().misses == 1
 
 
 def test_report_refuted_exit(tmp_path, capsys):

@@ -46,11 +46,24 @@ def test_parse_rejects():
             parse_knot(bad)
 
 
-@pytest.mark.parametrize("text", ["pretzel:-2,3,x", "torus:2,x",
-                                  "alt:3,0,x,3"])
-def test_parse_names_the_spec_of_a_non_integer_parameter(text):
-    with pytest.raises(ValueError, match=re.escape(text)):
+NON_INTEGER_SPECS = [
+    ("pretzel:-2,3,x", "x"), ("torus:2,x", "x"), ("alt:3,0,x,3", "x"),
+    ("pretzel:-2,3,1_9", "1_9"), ("torus:2,\u0663", "\u0663")]
+
+
+@pytest.mark.parametrize("text, token", NON_INTEGER_SPECS,
+                         ids=[text for text, _ in NON_INTEGER_SPECS])
+def test_parse_names_the_spec_of_a_non_integer_parameter(text, token):
+    # int() would read 1_9 as 19 and an Arabic-Indic three as 3
+    with pytest.raises(ValueError, match=re.escape(text)) as exc:
         parse_knot(text)
+    assert repr(token) in str(exc.value)
+
+
+def test_parse_reads_pd_labels_as_ascii_digits():
+    message = "malformed pd tuple at '(5,1,4,\u0666)'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_knot("pd:[(1,2,3,4),(2,5,6,3),(5,1,4,\u0666)]")
 
 
 def test_torus_validation():
@@ -132,13 +145,38 @@ def test_unreduced_alternating_diagram_uses_bracket():
 
 
 def test_diagram_classification():
-    # (alternating, all-B state adequate, all-A state adequate)
-    assert knots._classify(Named("3_1").pd)[1:] == (True, True, True)
-    assert knots._classify(two_bridge_pd([1, 2]))[1:] == (True, False, True)
-    assert knots._classify(Named("8_19").pd)[1:] == (False, False, True)
-    assert knots._classify(Named("9_49").pd)[1:] == (False, False, False)
-    assert knots._classify(parse_knot("pretzel:-2,3,-5").pd)[1:] == \
-        (False, True, False)
+    # (DiagramStats(c+, c-, |A|, |B|), alternating, all-B state adequate,
+    # all-A state adequate), of each diagram and of its mirror image
+    cases = [
+        (Named("3_1").pd, (3, 0, 2, 3), (True, True, True),
+         (0, 3, 3, 2), (True, True, True)),
+        (two_bridge_pd([1, 2]), (3, 0, 4, 1), (True, False, True),
+         (0, 3, 1, 4), (True, True, False)),
+        (Named("8_19").pd, (8, 0, 3, 1), (False, False, True),
+         (0, 8, 1, 3), (False, True, False)),
+        (Named("9_49").pd, (9, 2, 2, 5), (False, False, False),
+         (2, 9, 5, 2), (False, False, False)),
+        (parse_knot("pretzel:-2,3,-5").pd, (5, 5, 6, 4), (False, True, False),
+         (5, 5, 4, 6), (False, False, True))]
+    for pd, stats, kinds, mirror_stats, mirror_kinds in cases:
+        assert knots._classify(pd) == (DiagramStats(*stats), *kinds)
+        assert knots._classify(mirror_pd(pd)) == \
+            (DiagramStats(*mirror_stats), *mirror_kinds)
+
+
+def test_classification_walks_the_diagram_once(monkeypatch):
+    # one strand walk and one circle labelling per state for a cache miss
+    pd = Named("9_49").pd
+    calls = []
+    for name in ("_component_walk", "_state_circles"):
+        def counted(*args, _fn=getattr(knots, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(knots, name, counted)
+    knots._classify.cache_clear()
+    knots._classify(pd)
+    assert sorted(calls) == ["_component_walk", "_state_circles",
+                             "_state_circles"]
 
 
 def test_bundled_degrees_must_match_the_adequate_side(monkeypatch):
@@ -184,6 +222,9 @@ def test_validate_pd():
         validate_pd([(1, 2, 3, 4)])  # arcs must appear exactly twice
     with pytest.raises(ValueError):
         validate_pd([(1, 2, 3), (1, 2, 3)])
+    # a non-integral label is refused, not truncated to the trefoil
+    with pytest.raises(ValueError, match="PD label 1.9 is not an integer"):
+        validate_pd([(1.9, 2, 3, 4), (2, 5, 6, 3), (5, 1.2, 4, 6)])
 
 
 def test_mirror_pd_involution():
