@@ -46,8 +46,9 @@ def _print_fit(q, out):
     out.write("slopes: %s\n"
               % ", ".join(str(s) for s in quasifit.slopes(q)))
     out.write(q.describe() + "\n")
-    if q.gf is not None:
-        out.write("generating function: %s\n" % q.gf)
+    gf = q.gf
+    if gf is not None:
+        out.write("generating function: %s\n" % gf)
 
 
 def cmd_compute(args):

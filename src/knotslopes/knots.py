@@ -613,7 +613,8 @@ def _union(parent, x, y):
 class _Builder:
     """Accumulates crossings over provisional arc tokens, identified by
     ``_union`` in the forest ``parent``, then resolves them into a
-    canonical PD."""
+    canonical PD.  A token whose arc meets no crossing lies on a loop
+    of the closure that no crossing touches, which is refused."""
 
     def __init__(self):
         self.crossings = []
@@ -631,6 +632,9 @@ class _Builder:
         labels = {}  # token root -> arc label, numbered by first use
         out = [tuple(labels.setdefault(_find(self.parent, t), len(labels) + 1)
                      for t in cr) for cr in self.crossings]
+        if any(_find(self.parent, t) not in labels
+               for t in range(len(self.parent))):
+            raise ValueError("closure has a free loop")
         return canonical_pd(out)
 
 
@@ -639,8 +643,9 @@ def _twist_pair(builder, left, right, count):
 
     Positive count gives positive crossings: the left strand dives
     under toward the lower right.  Returns the outgoing (left, right)
-    tokens.
+    tokens.  A count that is not an integer is a TypeError.
     """
+    count = operator.index(count)
     for _ in range(abs(count)):
         out_l = builder.token()
         out_r = builder.token()
@@ -664,16 +669,12 @@ def braid_pd(word, strands):
     b = _Builder()
     tops = [b.token() for _ in range(strands)]
     cur = list(tops)
-    touched = [False] * strands
     for g in word:
         i = abs(g) - 1
         if not (0 <= i < strands - 1):
             raise ValueError("generator %d out of range for %d strands" % (g, strands))
         cur[i], cur[i + 1] = _twist_pair(b, cur[i], cur[i + 1],
                                          1 if g > 0 else -1)
-        touched[i] = touched[i + 1] = True
-    if not all(touched):
-        raise ValueError("closure has a free loop: some strand is never crossed")
     for j in range(strands):
         _union(b.parent, cur[j], tops[j])
     return b.finish()
@@ -720,13 +721,10 @@ def two_bridge_pd(partial_quotients):
     of the left pair; with all entries positive the diagram is
     alternating with sum(entries) crossings.
     """
-    pq = [int(x) for x in partial_quotients]
-    if not pq:
-        raise ValueError("empty continued fraction")
     b = _Builder()
     tops = [b.token() for _ in range(4)]
     cur = list(tops)
-    for i, a in enumerate(pq):
+    for i, a in enumerate(partial_quotients):
         if i % 2 == 0:
             cur[1], cur[2] = _twist_pair(b, cur[1], cur[2], a)
         else:

@@ -7,22 +7,21 @@ functions whose poles are roots of unity of order at most three.
 
 The fitter scans (transient, period) pairs and interpolates a quadratic
 through the first three samples of each residue class, checked on every
-later sample of the class.  Those classes are the model.  Convolving the
-sequence with (1 - z^p)^3 turns the accepted candidate into a generating
-function; reduced to lowest terms, it must reproduce every sample, and
-it fixes the reported period and transient, to which the classes are
-cut.  A sequence whose third difference settles into a period with a
-nonzero sum grows like n^3 and is refused.
+later sample of the class.  The first candidate whose classes hold, do
+not repeat with a smaller period, and have slopes whose products with
+the squared period are integers is the model; the scan order makes it
+the smallest one, so nothing is reduced to find the period and
+transient.  The model's generating function is built only when read.  A sequence whose third difference
+settles into a period with a nonzero sum grows like n^3 and is refused.
 
 The arithmetic is exact: integer kernels, Fractions at the interface.
-The class scan, the convolution and the series recurrence run on the
-samples scaled to integers; values enter and leave as Fractions, and
-nothing is floated.
+The class scan and the series recurrence run on the samples scaled to
+integers; values enter and leave as Fractions, and nothing is floated.
 """
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 __all__ = [
     "QuasiPolynomial", "RationalGF", "cyclotomic", "difference",
@@ -180,13 +179,6 @@ class RationalGF:
             out.append(c)
         return [Fraction(c, scale) for c in out]
 
-    def period_lcm(self):
-        out = 1
-        for d in self.den:
-            if d > 1:
-                out = out * d // gcd(out, d)
-        return out
-
     def __str__(self):
         num = _poly_str(self.num)
         if not self.den:
@@ -209,8 +201,9 @@ class QuasiPolynomial:
     """Piecewise quadratic model: classes[n % period] gives (c2, c1, c0),
     guaranteed to match the fitted data for n >= transient.
 
-    fit() also attaches the reduced generating function of the model as
-    ``gf``; otherwise it is None.
+    fit() also keeps the samples below the transient, from which ``gf``
+    builds the model's generating function; on a model built by hand
+    ``gf`` is None.
     """
 
     def __init__(self, period, transient, classes):
@@ -219,7 +212,23 @@ class QuasiPolynomial:
         self.period = period
         self.transient = transient
         self.classes = [tuple(Fraction(c) for c in trip) for trip in classes]
-        self.gf = None
+        self._head = None
+
+    @property
+    def gf(self):
+        """The fitted sequence as a reduced RationalGF: the samples below
+        the transient, then the classes, convolved with (1 - z^p)^3,
+        which leaves nothing from index transient + 3p on.  Built anew
+        on every read."""
+        if self._head is None:
+            return None
+        p, t = self.period, self.transient
+        seq = self._head + [self.evaluate(n) for n in range(t, t + 3 * p)]
+        # (1 - z^p)^3 = 1 - 3 z^p + 3 z^2p - z^3p
+        conv = [sum(ck * seq[n - k] for k, ck in
+                    ((0, 1), (p, -3), (2 * p, 3), (3 * p, -1)) if k <= n)
+                for n in range(len(seq))]
+        return RationalGF(conv, _cyclotomic_split(p, 3)).reduced()
 
     def evaluate(self, n):
         """The class formula at n.  Below the transient this extrapolates;
@@ -343,63 +352,52 @@ def _try_classes(seq, t, p, scale):
     return classes
 
 
-def _finish(seq, classes, g):
-    """Reduce an accepted candidate's generating function, check that it
-    reproduces the whole sample, and cut the candidate's classes to the
-    reduced period and transient.  Reduction keeps deg(num) - deg(den)
-    and leaves a period dividing the candidate's, so each cut class
-    keeps every sample it was certified on."""
-    r = g.reduced()
-    if r.series(len(seq)) != seq:
-        raise ValueError("generating function does not reproduce the "
-                         "sequence")
-    p = r.period_lcm()
-    t = max(0, len(r.num) - len(r.den_poly()) + 1)
-    quasi = QuasiPolynomial(p, t, classes[:p])
-    for n in range(t, len(seq)):
-        if quasi.evaluate(n) != seq[n]:
-            raise ValueError("sequence not quasi-quadratic in window")
-    integrality_check(quasi)
-    quasi.gf = r
-    return quasi
+def _repeats(classes):
+    """True when the class list repeats with a smaller period."""
+    p = len(classes)
+    return any(classes == classes[:d] * (p // d)
+               for d in range(1, p) if p % d == 0)
 
 
 def _fit_classes(seq, max_period, max_transient):
-    """Scan (transient, period) pairs, fit a quadratic per residue
-    class, and rebuild the generating function by convolving the
-    sequence with (1 - z^p)^3.
+    """Scan (transient, period) pairs and fit a quadratic per residue
+    class; the first candidate whose classes hold, do not repeat with a
+    smaller period, and pass ``integrality_check`` is the model.
 
     Pairs that leave every class a fourth sample, so that some sample
     checks each class, are tried first; pairs whose thinnest class
     holds only its three interpolation points come after.  Both passes
     run in lexicographic (t, p) order.  The sequence is scaled to
-    integers once, and the class tests and the convolution run on
-    them."""
+    integers once, and the class tests run on them."""
     ints, scale = _scaled(seq)
     pairs = [(t, p) for t in range(min(max_transient, len(seq) - 3) + 1)
              for p in range(1, min(max_period, (len(seq) - t) // 3) + 1)]
     pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
+    refusal = None
     for t, p in pairs:
         classes = _try_classes(ints, t, p, scale)
-        if classes is None:
+        if classes is None or _repeats(classes):
             continue
-        # (1 - z^p)^3 = 1 - 3 z^p + 3 z^2p - z^3p
-        conv = []
-        for n in range(min(len(seq), t + 3 * p)):
-            c = 0
-            for k, ck in ((0, 1), (p, -3), (2 * p, 3), (3 * p, -1)):
-                if k <= n:
-                    c += ck * ints[n - k]
-            conv.append(Fraction(c, scale))
+        quasi = QuasiPolynomial(p, t, classes)
         try:
-            return _finish(seq, classes,
-                           RationalGF(conv, _cyclotomic_split(p, 3)))
-        except ValueError:
+            integrality_check(quasi)
+        except ValueError as exc:
+            refusal = exc
             continue
+        # The first candidate to get here is the smallest model.  A
+        # smaller one (t' <= t, p' dividing p) that also fits has at
+        # least as many samples per class, so the scan met it first, in
+        # this pass or an earlier one, with these classes cut to p'.  If
+        # p' < p, these classes repeat and _repeats skips them; if
+        # p' = p, it failed this same integrality check.
+        quasi._head = seq[:t]
+        return quasi
     if not pairs:
         raise ValueError(
             "not enough samples: fitting period p needs at least 3p "
             "values past the transient, got %d" % len(seq))
+    if refusal is not None:
+        raise refusal
     raise ValueError(
         "no quadratic quasi-polynomial with period <= %d and transient "
         "<= %d fits the data" % (max_period, max_transient))
@@ -428,10 +426,11 @@ def fit(seq, max_period=16, max_transient=8):
     Candidates come from per-class interpolation over (transient,
     period) pairs with period <= max_period and transient <=
     max_transient, pairs with a spare sample in every class first.  The
-    first candidate is returned whose reduced generating function
-    reproduces every sample, whose classes, cut to the period and
-    transient of that function, match every sample from the transient
-    on, and whose slopes times the squared period are integers.
+    first candidate is returned whose classes match every sample from
+    its transient on, whose class list does not repeat with a smaller
+    period, and whose slopes times the squared period are integers; it
+    is the smallest model in the window.  When candidates fit but none
+    passes the integrality check, the check's last message is raised.
     Sequences whose third difference settles into a period with a
     nonzero sum are refused as cubic.
     """

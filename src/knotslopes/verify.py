@@ -42,7 +42,8 @@ def quasi_dict(q, slopes=False):
     }
     if slopes:
         doc["slopes"] = [str(s) for s in quasifit.slopes(q)]
-    doc["gf"] = str(q.gf) if q.gf is not None else None
+    gf = q.gf
+    doc["gf"] = None if gf is None else str(gf)
     return doc
 
 

@@ -136,6 +136,16 @@ def test_fit_constant_zero_file(tmp_path, capsys):
     assert "n = 0 mod 1: 0" in out
 
 
+def test_fit_refused_on_integrality(tmp_path, capsys):
+    # n^2/3 is exactly quadratic; the refusal is the integrality check's
+    f = tmp_path / "third.seq"
+    f.write_text("".join("%d/3\n" % (n * n) for n in range(9)))
+    code, out, err = run(capsys, "fit", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert err == "error: slope 2/3 times period^2 = 2/3 is not an integer\n"
+
+
 def test_slopes_trefoil(capsys):
     code, out, _ = run(capsys, "slopes", "torus:2,3")
     assert code == 0

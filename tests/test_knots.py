@@ -266,6 +266,8 @@ def test_braid_pd_torus():
     assert braid_pd((1, 1, 1), 2) == torus_pd(2, 3)
     with pytest.raises(ValueError):
         braid_pd((1, 1), 2)  # closure is a link, not a knot
+    with pytest.raises(ValueError, match="closure has a free loop"):
+        braid_pd((1, 1, 1), 3)  # the third strand is never crossed
 
 
 def test_two_bridge_pd():
@@ -274,8 +276,15 @@ def test_two_bridge_pd():
     assert is_alternating(two_bridge_pd([3]))
     with pytest.raises(ValueError):
         two_bridge_pd([4])  # two components
-    with pytest.raises(ValueError):
-        two_bridge_pd([])
+    # no crossing at all, or a crossing-free loop in the closure
+    for make, twists in ((two_bridge_pd, []), (two_bridge_pd, [0]),
+                         (pretzel_pd, [0, 0, 1])):
+        with pytest.raises(ValueError, match="closure has a free loop"):
+            make(twists)
+    # twist counts are integers, not truncated floats or digit strings
+    for twists in ([1.9, 2], ["3"], [2, 1.5]):
+        with pytest.raises(TypeError):
+            two_bridge_pd(twists)
 
 
 def test_bundled_tables_load():

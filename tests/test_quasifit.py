@@ -1,6 +1,7 @@
 """Tests for quasi-polynomial fitting and the generating-function toolkit."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -202,6 +203,7 @@ def test_evaluate_below_transient_extrapolates():
     q = QuasiPolynomial(1, 2, [(1, 0, 0)])
     assert q.evaluate(0) == 0
     assert q.evaluate(5) == 25
+    assert q.gf is None  # built by hand, not fitted
 
 
 def test_integrality_check():
@@ -212,6 +214,12 @@ def test_integrality_check():
     bad = QuasiPolynomial(1, 0, [(Fraction(1, 3), 0, 0)])
     with pytest.raises(ValueError):
         integrality_check(bad)
+    # n^2/3 is exactly quadratic, but its slope fails the check; the
+    # period-3 model that would pass is the period-1 model repeated, so
+    # the fit is refused with the check's message
+    with pytest.raises(ValueError, match="^slope 2/3 times period\\^2 = "
+                       "2/3 is not an integer$"):
+        fit([Fraction(n * n, 3) for n in range(9)])
 
 
 def test_load_sequence(tmp_path):
@@ -257,29 +265,33 @@ def test_round_trip_property(q):
 
 @st.composite
 def fit_inputs(draw):
-    """A synthetic quasi-polynomial behind up to three arbitrary samples,
-    which the fitter must accept, or a short run of small integers,
-    which it may refuse."""
+    """Window bounds and a sequence: a synthetic quasi-polynomial behind
+    up to three arbitrary samples, which the fitter must accept when the
+    bounds admit it, or a short run of small integers, which it may
+    refuse.  The smallest model depends on the bounds, so they vary."""
+    bounds = (draw(st.integers(1, 8)), draw(st.integers(0, 4)))
     if draw(st.booleans()):
-        return draw(st.lists(st.integers(-5, 5), max_size=14)), False
+        return draw(st.lists(st.integers(-5, 5), max_size=14)), bounds, False
     q = draw(quasi_polys())
     head = draw(st.lists(st.integers(-20, 20), max_size=3))
     count = len(head) + draw(st.integers(3, 5)) * q.period
-    return head + [q.evaluate(n) for n in range(len(head), count)], True
+    must_fit = q.period <= bounds[0] and len(head) <= bounds[1]
+    return (head + [q.evaluate(n) for n in range(len(head), count)],
+            bounds, must_fit)
 
 
 @settings(max_examples=150, deadline=None)
 @given(fit_inputs())
 def test_fitted_model_is_its_generating_function(case):
-    seq, must_fit = case
+    seq, (max_period, max_transient), must_fit = case
     try:
-        q = fit(seq)
+        q = fit(seq, max_period, max_transient)
     except ValueError:
         assert not must_fit
         return
     g = q.gf
     assert g.series(len(seq)) == seq
-    assert q.period == g.period_lcm()
+    assert q.period == lcm(*g.den)
     poly_part, _ = quasifit._pdivmod(g.num, g.den_poly())
     assert q.transient == len(poly_part)
     sample = g.series(q.transient + 3 * q.period)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 from knotslopes import engine
+from knotslopes.quasifit import RationalGF
 from knotslopes.knots import (INFINITY, AlternatingData, DiagramStats, Named,
                               Pretzel237, Torus, parse_knot)
 from knotslopes.verify import (analyze, check_alternating_theorems,
@@ -22,6 +23,23 @@ def test_analyze_8_19():
     assert r.conjecture_verdict == "verified"
     assert r.evidence["max_color"] == 12
     assert any("2*s" in note for note in r.evidence["notes"])
+
+
+def test_generating_functions_are_reduced_only_for_output(monkeypatch):
+    # analyze reduces nothing; the JSON form reduces each model once
+    calls = []
+    reduced = RationalGF.reduced
+
+    def counted(self):
+        calls.append(self)
+        return reduced(self)
+    monkeypatch.setattr(RationalGF, "reduced", counted)
+    r = analyze(Pretzel237(7), 20)
+    assert calls == []
+    doc = r.to_dict()["evidence"]
+    assert len(calls) == 2
+    assert doc["delta"]["gf"] == str(r.evidence["delta"].gf)
+    assert doc["delta_star"]["gf"] is not None
 
 
 def test_analyze_reads_each_degree_list_once(monkeypatch):
