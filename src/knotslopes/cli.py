@@ -127,6 +127,8 @@ def _verify_one(args, spec, db):
 
 
 def cmd_verify(args):
+    if args.all and (args.knot or args.knot_pos):
+        raise ValueError("pass either --all or a knot spec, not both")
     db = load_slope_db(args.slope_db) if args.slope_db else None
     if args.all:
         reports = [(key, _verify_one(args, Named(key), db))

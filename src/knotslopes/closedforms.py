@@ -70,7 +70,7 @@ def _pretzel_tails(p):
     there, pinned by the first three values)."""
     if p > 0:
         if p >= 7:
-            num = [Fraction(0)] * (p - 7) + [Fraction(1), Fraction(-1)]
+            num = [0] * (p - 7) + [1, -1]
             gmax = RationalGF(num, _cyclotomic_split(p - 3, 1))
         elif p == 5:
             gmax = RationalGF([-3], {2: 1})
@@ -85,8 +85,7 @@ def _pretzel_tails(p):
     elif p == -3:
         gmin = RationalGF([-4, -4, -3, -1], {3: 2})
     else:
-        num = [Fraction(0)] * (q - 4) + [Fraction(1), Fraction(-2)]
-        num += [Fraction(-1)] * (q - 1)
+        num = [0] * (q - 4) + [1, -2] + [-1] * (q - 1)
         den = {d: 2 for d in range(2, q + 1) if q % d == 0}
         gmin = RationalGF(num, den)
     return None, gmin

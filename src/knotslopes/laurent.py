@@ -8,10 +8,11 @@ is a whole power of q (every key divisible by 4).
 
 Coefficients are arbitrary-precision Python integers throughout.
 
-This is the one polynomial type of the Jones evaluators, which divide
-through ``exact_div``.  Since q = A^-4, a map of A-exponents read as
-quarter-keys is the mirror image.  The dense generating functions of
-``quasifit`` are a separate type: Fraction coefficients in z.
+This is the package's one polynomial type.  The Jones evaluators divide
+through ``exact_div``; since q = A^-4, a map of A-exponents read as
+quarter-keys is the mirror image.  The generating functions of
+``quasifit`` hold a polynomial in z as the same polynomial in q, z^i at
+the quarter-key 4i, and multiply and divide it here.
 """
 
 import heapq

@@ -11,64 +11,46 @@ later sample of the class.  The first candidate whose classes hold, do
 not repeat with a smaller period, and have slopes whose products with
 the squared period are integers is the model; the scan order makes it
 the smallest one, so nothing is reduced to find the period and
-transient.  The model's generating function is built only when read.  A sequence whose third difference
-settles into a period with a nonzero sum grows like n^3 and is refused.
+transient.  The model's generating function is built only when read.
+A sequence whose third difference settles into a period with a nonzero
+sum grows like n^3 and is refused.
 
 The arithmetic is exact: integer kernels, Fractions at the interface.
-The class scan and the series recurrence run on the samples scaled to
-integers; values enter and leave as Fractions, and nothing is floated.
+The class scan, the series recurrence and the generating functions run
+on the samples scaled to integers; a polynomial in z is a
+``LaurentPoly``, which does every product and quotient.  Values enter
+and leave as Fractions, and nothing is floated.
 """
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
+from .laurent import LaurentPoly
+
 __all__ = [
-    "QuasiPolynomial", "RationalGF", "cyclotomic", "difference",
+    "QuasiPolynomial", "RationalGF", "difference",
     "detect_period", "fit", "slopes",
     "integrality_check", "load_sequence",
 ]
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q as ascending coefficient lists
+# polynomials in z, held as the LaurentPoly of the same polynomial in q
 
 
-def _pstrip(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _zpoly(coeffs):
+    """``coeffs``, ascending in z, as a LaurentPoly: z^i at key 4i."""
+    return LaurentPoly({4 * i: c for i, c in enumerate(coeffs)})
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _pstrip(out)
-
-
-def _pdivmod(a, b):
-    b = _pstrip(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = _pstrip(list(a))
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] -= c * cb
-        a.pop()
-    return _pstrip(q), _pstrip(a)
+def _zcoeffs(poly):
+    """Ascending coefficients of a polynomial in z; [] for zero."""
+    out = [0] * (max(poly.terms, default=-4) // 4 + 1)
+    for k, c in poly.terms.items():
+        out[k // 4] = c
+    return out
 
 
 def _scaled(values):
@@ -78,7 +60,7 @@ def _scaled(values):
     return [int(x * scale) for x in values], scale
 
 
-def _poly_str(p, var="z"):
+def _poly_str(p):
     if not p:
         return "0"
     parts = []
@@ -89,35 +71,26 @@ def _poly_str(p, var="z"):
             term = str(c)
         else:
             mag = "" if abs(c) == 1 else str(abs(c))
-            pw = var if i == 1 else "%s^%d" % (var, i)
+            pw = "z" if i == 1 else "z^%d" % i
             term = ("-" if c < 0 else "") + mag + pw
-            if c < 0 and abs(c) != 1:
-                term = "-" + str(abs(c)) + pw
         if not parts:
             parts.append(term)
+        elif term.startswith("-"):
+            parts.append("- " + term[1:])
         else:
-            if term.startswith("-"):
-                parts.append("- " + term[1:])
-            else:
-                parts.append("+ " + term)
+            parts.append("+ " + term)
     return " ".join(parts)
 
 
-_CYCLOTOMIC = {1: [Fraction(-1), Fraction(1)]}
-
-
-def cyclotomic(d):
-    """Coefficients of the d-th cyclotomic polynomial, ascending."""
-    if d in _CYCLOTOMIC:
-        return list(_CYCLOTOMIC[d])
-    num = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+@lru_cache(maxsize=None)
+def _factor(d):
+    """F_d: 1 - z^d divided by F_e for every proper divisor e of d, so
+    F_1 = 1 - z and F_d is the d-th cyclotomic polynomial for d > 1."""
+    f = LaurentPoly({0: 1, 4 * d: -1})
     for e in range(1, d):
         if d % e == 0:
-            num, rem = _pdivmod(num, cyclotomic(e))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder")
-    _CYCLOTOMIC[d] = num
-    return list(num)
+            f = f.exact_div(_factor(e))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -125,41 +98,42 @@ def cyclotomic(d):
 
 
 class RationalGF:
-    """P(z) / prod_d F_d(z)^m_d where F_1 = 1 - z and F_d is the d-th
-    cyclotomic polynomial for d > 1."""
+    """P(z) / prod_d F_d(z)^m_d with F_d from ``_factor``.  P is a list of
+    Fractions; products and quotients run on integers, in LaurentPolys."""
 
     def __init__(self, numerator, denominator):
-        self.num = _pstrip([Fraction(c) for c in numerator])
+        num = [Fraction(c) for c in numerator]
+        while num and not num[-1]:
+            num.pop()
+        self.num = num
         self.den = {int(d): int(m) for d, m in denominator.items() if m}
         for d, m in self.den.items():
             if d < 1 or m < 0:
                 raise ValueError("bad denominator factor %r^%r" % (d, m))
 
     def den_poly(self):
-        out = [Fraction(1)]
+        """Ascending integer coefficients of the denominator."""
+        out = LaurentPoly.one()
         for d, m in sorted(self.den.items()):
-            base = cyclotomic(d) if d > 1 else [Fraction(1), Fraction(-1)]
-            for _ in range(m):
-                out = _pmul(out, base)
-        return out
+            out = out * _factor(d) ** m
+        return _zcoeffs(out)
 
     def reduced(self):
-        """Cancel cyclotomic factors and (1 - z) out of the numerator."""
-        num = list(self.num)
-        if not any(num):
-            return RationalGF([], {})
-        den = dict(self.den)
-        for d in sorted(den):
-            base = cyclotomic(d) if d > 1 else [Fraction(1), Fraction(-1)]
-            while den[d] > 0 and num:
-                q, r = _pdivmod(num, base)
-                if r:
+        """Cancel the factors F_d that divide the numerator.  Each F_d is
+        primitive with constant term 1, so it divides over Q exactly when
+        it divides the numerator scaled to integers."""
+        ints, scale = _scaled(self.num)
+        num = _zpoly(ints)
+        den = {}
+        for d, m in sorted(self.den.items()):
+            while m:
+                try:
+                    num = num.exact_div(_factor(d))
+                except ValueError:
                     break
-                num = q
-                den[d] -= 1
-            if den[d] == 0:
-                del den[d]
-        return RationalGF(num, den)
+                m -= 1
+            den[d] = m
+        return RationalGF([Fraction(c, scale) for c in _zcoeffs(num)], den)
 
     def series(self, count):
         """First ``count`` coefficients of the Taylor expansion at 0.
@@ -168,7 +142,7 @@ class RationalGF:
         so the recurrence runs on integers once the numerator is scaled
         by the lcm of its denominators."""
         num, scale = _scaled(self.num)
-        taps = [(k, int(c)) for k, c in enumerate(self.den_poly()) if k and c]
+        taps = [(k, c) for k, c in enumerate(self.den_poly()) if k and c]
         out = []
         for n in range(count):
             c = num[n] if n < len(num) else 0
@@ -185,8 +159,8 @@ class RationalGF:
             return num
         parts = []
         for d, m in sorted(self.den.items()):
-            base = "(1 - z)" if d == 1 else "(%s)" % _poly_str(cyclotomic(d))
-            parts.append(base + ("^%d" % m if m > 1 else ""))
+            parts.append("(%s)" % _poly_str(_zcoeffs(_factor(d)))
+                         + ("^%d" % m if m > 1 else ""))
         return "(%s) / (%s)" % (num, " ".join(parts))
 
     def __repr__(self):
@@ -217,18 +191,17 @@ class QuasiPolynomial:
     @property
     def gf(self):
         """The fitted sequence as a reduced RationalGF: the samples below
-        the transient, then the classes, convolved with (1 - z^p)^3,
-        which leaves nothing from index transient + 3p on.  Built anew
-        on every read."""
+        the transient, then the classes, times (1 - z^p)^3, which leaves
+        the model nothing from index transient + 3p on, so the product is
+        cut there.  Built anew on every read."""
         if self._head is None:
             return None
         p, t = self.period, self.transient
-        seq = self._head + [self.evaluate(n) for n in range(t, t + 3 * p)]
-        # (1 - z^p)^3 = 1 - 3 z^p + 3 z^2p - z^3p
-        conv = [sum(ck * seq[n - k] for k, ck in
-                    ((0, 1), (p, -3), (2 * p, 3), (3 * p, -1)) if k <= n)
-                for n in range(len(seq))]
-        return RationalGF(conv, _cyclotomic_split(p, 3)).reduced()
+        ints, scale = _scaled(
+            self._head + [self.evaluate(n) for n in range(t, t + 3 * p)])
+        conv = _zcoeffs(_zpoly(ints) * LaurentPoly({0: 1, 4 * p: -1}) ** 3)
+        return RationalGF([Fraction(c, scale) for c in conv[:t + 3 * p]],
+                          _cyclotomic_split(p, 3)).reduced()
 
     def evaluate(self, n):
         """The class formula at n.  Below the transient this extrapolates;

@@ -100,6 +100,15 @@ def test_fit_rejects_input_plus_knot(tmp_path, capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("spec", [["name:3_1"], ["--knot", "torus:2,3"]],
+                         ids=["positional", "option"])
+def test_verify_all_rejects_a_knot_spec(capsys, spec):
+    code, out, err = run(capsys, "verify", "--all", *spec)
+    assert code == 2
+    assert out == ""
+    assert "pass either --all or a knot spec, not both" in err
+
+
 def test_fit_rejects_bad_window_bounds(capsys):
     code, _, err = run(capsys, "fit", "torus:2,3", "--max-period", "0")
     assert code == 2

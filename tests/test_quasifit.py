@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotslopes import quasifit
-from knotslopes.quasifit import (QuasiPolynomial, RationalGF, cyclotomic,
-                                 detect_period, difference, fit,
-                                 integrality_check, load_sequence, slopes)
+from knotslopes.quasifit import (QuasiPolynomial, RationalGF, detect_period,
+                                 difference, fit, integrality_check,
+                                 load_sequence, slopes)
 
 # (-2,3,7) pretzel maximum degrees, colors 0..19
 P237_DELTA = [0, 13, 35, 67, 108, 158, 217, 286, 364, 451, 547, 653, 768,
@@ -70,10 +70,17 @@ def test_periodic_gf_series():
 
 
 def test_cyclotomic_factors():
-    assert cyclotomic(1) == [Fraction(-1), Fraction(1)]
-    assert cyclotomic(2) == [Fraction(1), Fraction(1)]
-    assert cyclotomic(4) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert cyclotomic(6) == [Fraction(1), Fraction(-1), Fraction(1)]
+    assert RationalGF([], {1: 1}).den_poly() == [1, -1]
+    assert RationalGF([], {2: 1}).den_poly() == [1, 1]
+    assert RationalGF([], {4: 1}).den_poly() == [1, 0, 1]
+    assert RationalGF([], {6: 1}).den_poly() == [1, -1, 1]
+    assert RationalGF([], {}).den_poly() == [1]
+
+
+def test_factors_of_one_minus_z_to_the_n():
+    for n in range(1, 41):
+        den = RationalGF([], quasifit._cyclotomic_split(n, 1)).den_poly()
+        assert den == [1] + [0] * (n - 1) + [-1]
 
 
 def test_linear_gf_series():
@@ -292,8 +299,7 @@ def test_fitted_model_is_its_generating_function(case):
     g = q.gf
     assert g.series(len(seq)) == seq
     assert q.period == lcm(*g.den)
-    poly_part, _ = quasifit._pdivmod(g.num, g.den_poly())
-    assert q.transient == len(poly_part)
+    assert q.transient == max(0, len(g.num) - len(g.den_poly()) + 1)
     sample = g.series(q.transient + 3 * q.period)
     for r in range(q.period):
         n0 = q.transient + (r - q.transient) % q.period
@@ -309,13 +315,73 @@ def test_fitted_model_is_its_generating_function(case):
 def _series_reference(g, count):
     """The Fraction recurrence ``RationalGF.series`` used to run."""
     q = g.den_poly()
-    inv0 = 1 / q[0]
+    inv0 = Fraction(1, q[0])
     out = []
     for n in range(count):
         c = g.num[n] if n < len(g.num) else Fraction(0)
         for k in range(1, min(n, len(q) - 1) + 1):
             c -= q[k] * out[n - k]
         out.append(c * inv0)
+    return out
+
+
+def _strip(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pdivmod_reference(a, b):
+    """The Fraction long division from the top term that
+    ``RationalGF.reduced`` used to run: (quotient, remainder)."""
+    b = _strip(list(b))
+    a = _strip(list(a))
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv = Fraction(1) / b[-1]
+    while len(a) >= len(b):
+        if not a[-1]:
+            a.pop()
+            continue
+        k = len(a) - len(b)
+        c = a[-1] * inv
+        q[k] = c
+        for i, cb in enumerate(b):
+            a[k + i] -= c * cb
+        a.pop()
+    return _strip(q), _strip(a)
+
+
+def _factor_reference(d):
+    """F_d in Fractions: 1 - z^d over F_e for the proper divisors e."""
+    f = [Fraction(1)] + [Fraction(0)] * (d - 1) + [Fraction(-1)]
+    for e in range(1, d):
+        if d % e == 0:
+            f, rem = _pdivmod_reference(f, _factor_reference(e))
+            assert not rem
+    return f
+
+
+def _reduced_reference(g):
+    """The Fraction reduction ``RationalGF.reduced`` used to run."""
+    num = list(g.num)
+    if not any(num):
+        return RationalGF([], {})
+    den = dict(g.den)
+    for d in sorted(den):
+        while den[d] > 0 and num:
+            q, r = _pdivmod_reference(num, _factor_reference(d))
+            if r:
+                break
+            num = q
+            den[d] -= 1
+    return RationalGF(num, den)
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
     return out
 
 
@@ -345,6 +411,24 @@ def test_integer_series_matches_fraction_recurrence(num, den, count):
     got = g.series(count)
     assert got == _series_reference(g, count)
     assert all(isinstance(c, Fraction) for c in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.sampled_from([1, 3, 8])),
+                max_size=8),
+       st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=4),
+       st.dictionaries(st.integers(1, 12), st.integers(1, 2), max_size=3))
+def test_reduction_matches_fraction_division(num, den, factors):
+    # the numerator times F_d^m for the drawn factors, so some of the
+    # denominator's factors divide it and others do not
+    num = [Fraction(a, b) for a, b in num]
+    for d, m in factors.items():
+        for _ in range(m):
+            num = _convolve(num, _factor_reference(d))
+    g = RationalGF(num, den)
+    got, ref = g.reduced(), _reduced_reference(g)
+    assert (got.num, got.den, str(got)) == (ref.num, ref.den, str(ref))
+    assert all(isinstance(c, Fraction) for c in got.num)
 
 
 @st.composite
