@@ -8,11 +8,15 @@ Both return Laurent polynomials in q, indexed so that color 0 is the
 unknot normalization (constant 1) and color 1 is the Jones polynomial.
 
 ``LaurentPoly`` is the only polynomial type: both evaluators divide by
-q**((n+1)/2) - q**(-(n+1)/2) through ``LaurentPoly.exact_div``.  The
-bracket state sum runs in A with q = A**-4 on plain dicts of
-A-exponents, handed over once as a mirrored ``LaurentPoly``.  Every
-closed circle, the last one included, is a factor -A**2 - A**-2; the
-empty diagram has bracket 1.
+q**((n+1)/2) - q**(-(n+1)/2) through ``LaurentPoly.exact_div``.  That
+divisor is a binomial with coefficients +-1 of opposite signs, so the
+division takes ``exact_div``'s residue-class route, linear in the
+quotient, and not the long division that other divisors need.  Both evaluators apply
+their framing shift to the dividend, so no pass over the quotient
+follows the division.  The bracket state sum runs in A with q = A**-4
+on plain dicts of A-exponents, handed over once as a mirrored
+``LaurentPoly``.  Every closed circle, the last one included, is a
+factor -A**2 - A**-2; the empty diagram has bracket 1.
 
 The frontier is precompiled.  Which arcs are open after each step of
 the contraction order does not depend on the state, so each step's
@@ -73,19 +77,20 @@ def morton_colored_jones(a, b, n):
     if n == 0:
         return LaurentPoly.one()
 
-    # numerator sum over K = 2k, K = -n, -n+2, ..., n, as quarter-keys
+    # numerator sum over K = 2k, K = -n, -n+2, ..., n, as quarter-keys,
+    # times the framing prefactor q**(ab n(n+2)/4): shifting the 2(n+1)
+    # numerator terms costs less than shifting the quotient
     num = {}
     ab = a * b
+    frame = ab * n * (n + 2)
     for bigk in range(-n, n + 1, 2):
-        e1 = -ab * bigk * bigk + 2 * (a - b) * bigk + 2
-        e2 = -ab * bigk * bigk + 2 * (a + b) * bigk - 2
+        e1 = frame - ab * bigk * bigk + 2 * (a - b) * bigk + 2
+        e2 = frame - ab * bigk * bigk + 2 * (a + b) * bigk - 2
         num[e1] = num.get(e1, 0) + 1
         num[e2] = num.get(e2, 0) - 1
 
-    # divide by q**((n+1)/2) - q**(-(n+1)/2), then multiply by the
-    # framing prefactor q**(ab n(n+2)/4)
-    quot = LaurentPoly(num).exact_div(_binomial(n))
-    return quot.shift(Fraction(ab * n * (n + 2), 4))
+    # divide by q**((n+1)/2) - q**(-(n+1)/2)
+    return LaurentPoly(num).exact_div(_binomial(n))
 
 
 # the circle factor -A**2 - A**-2, the same map in A and in quarter-keys
@@ -369,13 +374,13 @@ def bracket_colored_jones(pd, n, limit_mb=None):
         total += ((-1) ** i * comb(n - i, i)
                   * _cable_bracket(pd, n - 2 * i, entry_limit))
 
-    # divide by (-1)^n [n+1] = (-1)^n (q^((n+1)/2) - q^(-(n+1)/2)) /
-    # (q^(1/2) - q^(-1/2)), then correct the writhe framing by
-    # mu_n^(-w) with mu_n = (-1)^n q^(-(n^2 + 2n)/4)
-    poly = (total * _binomial(0)).exact_div(_binomial(n))
+    # correct the writhe framing by mu_n^(-w) with mu_n = (-1)^n
+    # q^(-(n^2 + 2n)/4), on the dividend, then divide by (-1)^n [n+1] =
+    # (-1)^n (q^((n+1)/2) - q^(-(n+1)/2)) / (q^(1/2) - q^(-1/2))
+    num = (total * _binomial(0)).shift(Fraction(w * (n * n + 2 * n), 4))
     if (n + n * w) % 2:
-        poly = -poly
-    poly = poly.shift(Fraction(w * (n * n + 2 * n), 4))
+        num = -num
+    poly = num.exact_div(_binomial(n))
     if not poly.is_integral():
         raise AssertionError("bracket normalization left fractional powers")
     return poly

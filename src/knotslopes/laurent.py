@@ -13,11 +13,21 @@ through ``exact_div``; since q = A^-4, a map of A-exponents read as
 quarter-keys is the mirror image.  The generating functions of
 ``quasifit`` hold a polynomial in z as the same polynomial in q, z^i at
 the quarter-key 4i, and multiply and divide it here.
+
+``exact_div`` has two routes, and the divisor alone picks one.  Every
+Jones evaluator divides by q^((n+1)/2) - q^(-(n+1)/2), and ``quasifit``
+by 1 - z: binomials whose coefficients are +-1 of opposite signs.  Their
+quotient is a run of one value in each residue class between the
+dividend's terms, so it is written run by run in time linear in its
+size (``_binomial_div``).  Any other divisor, such as 1 + z or a
+cyclotomic F_e with e >= 3, goes through long division with the pending
+exponents in a heap (``_long_div``), one pop and push per quotient term.
 """
 
 import heapq
 import re
 from fractions import Fraction
+from itertools import repeat
 
 __all__ = ["LaurentPoly", "parse_poly"]
 
@@ -102,38 +112,24 @@ class LaurentPoly:
     def exact_div(self, divisor):
         """The quotient self / divisor, exact over the integers.
 
-        Long division from the lowest term up, visiting the pending
-        exponents in heap order.  Raises ValueError when the division
-        leaves a remainder and ZeroDivisionError for a zero divisor.
+        The divisor picks the route.  A binomial whose coefficients are
+        +-1 of opposite signs, such as q^((n+1)/2) - q^(-(n+1)/2) or
+        1 - z, divides in residue-class runs (``_binomial_div``), in time
+        linear in the quotient; any other divisor goes through long
+        division (``_long_div``).
+        Raises ValueError when the division leaves a remainder and
+        ZeroDivisionError for a zero divisor.
         """
         d = divisor.terms
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
             return LaurentPoly()
-        low = min(d)
-        lead = d[low]
-        rest = [(k - low, c) for k, c in d.items() if k != low]
-        bound = max(self.terms) - max(d)
-        work = dict(self.terms)
-        pending = list(work)
-        heapq.heapify(pending)
-        quot = {}
-        while pending:
-            k = heapq.heappop(pending)
-            c = work.pop(k, 0)
-            if not c:
-                continue
-            q, r = divmod(c, lead)
-            if r or k - low > bound:
-                raise ValueError("the division leaves a remainder")
-            quot[k - low] = q
-            for dk, dc in rest:
-                nk = k + dk
-                if nk not in work:
-                    heapq.heappush(pending, nk)
-                work[nk] = work.get(nk, 0) - q * dc
-        return LaurentPoly(quot)
+        if len(d) == 2:
+            (k1, c1), (k2, c2) = sorted(d.items())
+            if c1 in (1, -1) and c2 == -c1:
+                return _wrap(_binomial_div(self.terms, k1, c1, k2 - k1))
+        return _wrap(_long_div(self.terms, d))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -154,6 +150,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -217,6 +216,67 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
+def _wrap(terms):
+    """A LaurentPoly on ``terms``, which hold no zero coefficient."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.terms = terms
+    return p
+
+
+def _long_div(terms, d):
+    """Long division of ``terms`` by ``d`` from the lowest term up,
+    visiting the pending exponents in heap order: one pop and push per
+    quotient term."""
+    low = min(d)
+    lead = d[low]
+    rest = [(k - low, c) for k, c in d.items() if k != low]
+    bound = max(terms) - max(d)
+    work = dict(terms)
+    pending = list(work)
+    heapq.heapify(pending)
+    quot = {}
+    while pending:
+        k = heapq.heappop(pending)
+        c = work.pop(k, 0)
+        if not c:
+            continue
+        q, r = divmod(c, lead)
+        if r or k - low > bound:
+            raise ValueError("the division leaves a remainder")
+        quot[k - low] = q
+        for dk, dc in rest:
+            nk = k + dk
+            if nk not in work:
+                heapq.heappush(pending, nk)
+            work[nk] = work.get(nk, 0) - q * dc
+    return quot
+
+
+def _binomial_div(terms, low, c, s):
+    """``terms`` divided by c (q^low - q^(low+s)), with c = +-1.
+
+    The quotient satisfies Q_j = c P_(j+low) + Q_(j-s), so each residue
+    class of j mod s is a run of one value between the dividend's terms.
+    A class that ends on a nonzero value is the remainder."""
+    classes = {}
+    for k in sorted(terms):
+        j = k - low
+        classes.setdefault(j % s, []).append(j)
+    quot = {}
+    fill = quot.update
+    for js in classes.values():
+        v = 0
+        prev = js[0]
+        for j in js:
+            if v:
+                fill(zip(range(prev, j, s), repeat(v)))
+            v += c * terms[j + low]
+            prev = j
+        if v:
+            raise ValueError("the division leaves a remainder")
+    return quot
+
+
 def _fmt_exp(e):
     if e.denominator == 1:
         return str(e.numerator)
@@ -243,8 +303,9 @@ _TERM_RE = re.compile(
     r"""
     (?P<sign>[+-])?\s*
     (?:
-        (?P<coeff>\d+)\s*(?:\*\s*)?(?P<qc>q(?:\s*\^\s*(?P<expc>-?\d+(?:/\d+)?))?)?
-      | (?P<qb>q(?:\s*\^\s*(?P<expb>-?\d+(?:/\d+)?))?)
+        (?P<coeff>[0-9]+)\s*(?:\*\s*)?
+        (?P<qc>q(?:\s*\^\s*(?P<expc>-?[0-9]+(?:/[0-9]+)?))?)?
+      | (?P<qb>q(?:\s*\^\s*(?P<expb>-?[0-9]+(?:/[0-9]+)?))?)
     )
     \s*
     """,

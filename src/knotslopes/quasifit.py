@@ -16,10 +16,11 @@ A sequence whose third difference settles into a period with a nonzero
 sum grows like n^3 and is refused.
 
 The arithmetic is exact: integer kernels, Fractions at the interface.
-The class scan, the series recurrence and the generating functions run
-on the samples scaled to integers; a polynomial in z is a
-``LaurentPoly``, which does every product and quotient.  Values enter
-and leave as Fractions, and nothing is floated.
+The cubic check, the class scan and its coefficients, the series
+recurrence and the generating functions run on the samples scaled to
+integers; a polynomial in z is a ``LaurentPoly``, which does every
+product and quotient.  Values enter and leave as Fractions, and
+nothing is floated.
 """
 
 import re
@@ -57,7 +58,7 @@ def _scaled(values):
     """Fractions times the lcm of their denominators, as integers, and
     that lcm."""
     scale = lcm(*(x.denominator for x in values))
-    return [int(x * scale) for x in values], scale
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def _poly_str(p):
@@ -283,20 +284,6 @@ def _cyclotomic_split(power_of, mult):
     return den
 
 
-def _interpolate_quadratic(points):
-    """Exact quadratic through three (n, value) points."""
-    (x0, y0), (x1, y1), (x2, y2) = points
-    c2 = (y0 / ((x0 - x1) * (x0 - x2)) + y1 / ((x1 - x0) * (x1 - x2))
-          + y2 / ((x2 - x0) * (x2 - x1)))
-    c1 = (-y0 * (x1 + x2) / ((x0 - x1) * (x0 - x2))
-          - y1 * (x0 + x2) / ((x1 - x0) * (x1 - x2))
-          - y2 * (x0 + x1) / ((x2 - x0) * (x2 - x1)))
-    c0 = (y0 * x1 * x2 / ((x0 - x1) * (x0 - x2))
-          + y1 * x0 * x2 / ((x1 - x0) * (x1 - x2))
-          + y2 * x0 * x1 / ((x2 - x0) * (x2 - x1)))
-    return c2, c1, c0
-
-
 # ---------------------------------------------------------------------------
 # the fit
 
@@ -307,8 +294,9 @@ def _try_classes(seq, t, p, scale):
     ``seq`` holds integers, the samples times ``scale``.  The samples of
     a class are equally spaced, so a quadratic through the first three
     fits every later one exactly when the class's third differences
-    vanish; only then is it interpolated, in Fractions.  Returns the
-    class list, or None if some class misses or lacks three samples."""
+    vanish; only then are the coefficients read off the integer first
+    and second differences.  Returns the class list, or None if some
+    class misses or lacks three samples."""
     starts = range(t, t + p)    # the first index of each class
     for n0 in starts:
         ys = seq[n0::p]
@@ -318,10 +306,16 @@ def _try_classes(seq, t, p, scale):
             if ys[i + 3] - 3 * ys[i + 2] + 3 * ys[i + 1] - ys[i]:
                 return None
     classes = [None] * p
+    den = 2 * p * p * scale
     for n0 in starts:
-        pts = [(Fraction(n), Fraction(seq[n], scale))
-               for n in (n0, n0 + p, n0 + 2 * p)]
-        classes[n0 % p] = _interpolate_quadratic(pts)
+        # Newton's form in x = (n - n0)/p: y0 + d1 x + d2 x(x - 1)/2
+        y0, y1, y2 = seq[n0], seq[n0 + p], seq[n0 + 2 * p]
+        d1, d2 = y1 - y0, y2 - 2 * y1 + y0
+        classes[n0 % p] = (
+            Fraction(d2, den),
+            Fraction(2 * p * d1 - d2 * (2 * n0 + p), den),
+            Fraction(2 * p * p * y0 - 2 * p * d1 * n0 + d2 * n0 * (n0 + p),
+                     den))
     return classes
 
 
@@ -332,7 +326,7 @@ def _repeats(classes):
                for d in range(1, p) if p % d == 0)
 
 
-def _fit_classes(seq, max_period, max_transient):
+def _fit_classes(seq, ints, scale, max_period, max_transient):
     """Scan (transient, period) pairs and fit a quadratic per residue
     class; the first candidate whose classes hold, do not repeat with a
     smaller period, and pass ``integrality_check`` is the model.
@@ -340,9 +334,8 @@ def _fit_classes(seq, max_period, max_transient):
     Pairs that leave every class a fourth sample, so that some sample
     checks each class, are tried first; pairs whose thinnest class
     holds only its three interpolation points come after.  Both passes
-    run in lexicographic (t, p) order.  The sequence is scaled to
-    integers once, and the class tests run on them."""
-    ints, scale = _scaled(seq)
+    run in lexicographic (t, p) order.  The class tests run on ``ints``,
+    the samples ``seq`` times ``scale``."""
     pairs = [(t, p) for t in range(min(max_transient, len(seq) - 3) + 1)
              for p in range(1, min(max_period, (len(seq) - t) // 3) + 1)]
     pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
@@ -376,13 +369,15 @@ def _fit_classes(seq, max_period, max_transient):
         "<= %d fits the data" % (max_period, max_transient))
 
 
-def _reject_cubic(seq, max_period, max_transient):
+def _reject_cubic(ints, max_period, max_transient):
     """Refuse a sequence whose third difference is eventually periodic
     with a nonzero sum over one period: it grows like n^3, and the class
-    scan would otherwise interpolate it with no sample left to check."""
-    if len(seq) < 4:
+    scan would otherwise interpolate it with no sample left to check.
+    The differences run on ``ints``, the samples scaled to integers,
+    which keeps both their period and whether their sum vanishes."""
+    if len(ints) < 4:
         return
-    d3 = difference(seq, 3)
+    d3 = difference(ints, 3)
     try:
         period, t = detect_period(d3, max_period, max_transient)
     except ValueError:
@@ -414,8 +409,9 @@ def fit(seq, max_period=16, max_transient=8):
         raise ValueError("max_transient must be nonnegative, got %d"
                          % max_transient)
     seq = [Fraction(x) for x in seq]
-    _reject_cubic(seq, max_period, max_transient)
-    return _fit_classes(seq, max_period, max_transient)
+    ints, scale = _scaled(seq)
+    _reject_cubic(ints, max_period, max_transient)
+    return _fit_classes(seq, ints, scale, max_period, max_transient)
 
 
 def slopes(quasi):

@@ -131,15 +131,20 @@ def test_torus_degrees_rejects_bad_parameters():
 
 
 def test_torus_degrees_match_morton():
+    # the closed form is the test oracle of the Morton route that
+    # ``Torus`` specs take: every coprime pair below 8 and (2, 9), which
+    # covers the 8 torus knots of the benchmark, to color 40 on both
+    # chiralities
     from math import gcd
     pairs = [(a, b) for a in range(2, 8) for b in range(a + 1, 8)
-             if gcd(a, b) == 1]
+             if gcd(a, b) == 1] + [(2, 9)]
     for a, b in pairs:
-        for n in range(13):
-            j = morton_colored_jones(a, b, n)
+        for n in range(41):
             d, ds = torus_degrees(a, b, n)
-            assert Fraction(j.deg()) == d
-            assert Fraction(j.mindeg()) == ds
+            j = morton_colored_jones(a, b, n)
+            assert (j.deg(), j.mindeg()) == (d, ds)
+            m = morton_colored_jones(a, -b, n)
+            assert (m.deg(), m.mindeg()) == (-ds, -d)
 
 
 def test_adequate_degrees_match_morton_on_torus_diagrams():

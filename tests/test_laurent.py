@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotslopes.laurent import LaurentPoly, parse_poly
+from knotslopes.laurent import LaurentPoly, _long_div, parse_poly
 
 
 def rand_poly(draw_terms):
@@ -98,6 +98,13 @@ def test_exact_div_fixed():
     assert LaurentPoly.zero().exact_div(unit) == LaurentPoly.zero()
     assert parse_poly("2 + 4q").exact_div(LaurentPoly({0: 2})) == parse_poly(
         "1 + 2q")
+    # 1 - z^6 over 1 - z and over 1 + z, z at the quarter-key 4: one run
+    # in the residue-class route, and the long division
+    z6 = LaurentPoly({0: 1, 24: -1})
+    assert z6.exact_div(LaurentPoly({0: 1, 4: -1})) == LaurentPoly(
+        {4 * i: 1 for i in range(6)})
+    assert z6.exact_div(LaurentPoly({0: 1, 4: 1})) == LaurentPoly(
+        {4 * i: (-1) ** i for i in range(6)})
 
 
 def test_exact_div_rejects_remainders_and_zero():
@@ -107,6 +114,23 @@ def test_exact_div_rejects_remainders_and_zero():
             parse_poly(num).exact_div(parse_poly(den))
     with pytest.raises(ZeroDivisionError):
         parse_poly("1 + q").exact_div(LaurentPoly.zero())
+
+
+def test_constants_hash_as_the_ints_they_equal():
+    for c in (0, 1, -7, 10**30):
+        assert LaurentPoly({0: c}) == c
+        assert hash(LaurentPoly({0: c})) == hash(c)
+    assert {1: "x"}[LaurentPoly.one()] == "x"
+    assert {0: "x"}[LaurentPoly.zero()] == "x"
+    assert {LaurentPoly.one(), 1, True} == {1}
+
+
+def test_parse_poly_refuses_non_ascii_digits():
+    # an Arabic-Indic three, in a coefficient and in an exponent
+    for text in ("\u0663q^2", "q^\u0663", "q^1/\u0663", "1 + \u0663"):
+        with pytest.raises(ValueError):
+            parse_poly(text)
+    assert parse_poly("3q^2") == LaurentPoly({8: 3})
 
 
 def test_pow():
@@ -140,19 +164,50 @@ def test_degree_additivity(a, b):
     assert p.mindeg() == a.mindeg() + b.mindeg()
 
 
-@settings(max_examples=300, deadline=None)
-@given(polys, nonzero_polys)
+# ---------------------------------------------------------------------------
+# the residue-class route against the long division
+
+
+def _long(a, d):
+    """``a / d`` through the heap long division alone."""
+    if not a.terms:
+        return LaurentPoly()
+    return LaurentPoly(_long_div(a.terms, d.terms))
+
+
+@st.composite
+def unit_binomials(draw):
+    # c_low q^low + c_high q^(low+s), keys on the quarter lattice: both
+    # sign patterns (1 - z up to a unit, which takes the residue-class
+    # route, and 1 + z, which does not) and offsets that are not whole
+    # powers of q
+    low = draw(st.integers(-40, 40))
+    s = draw(st.integers(1, 24))
+    c_low, c_high = draw(st.sampled_from([1, -1])), draw(
+        st.sampled_from([1, -1]))
+    return LaurentPoly({low: c_low, low + s: c_high})
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys, nonzero_polys | unit_binomials())
 def test_exact_div_round_trip(a, d):
-    assert (a * d).exact_div(d) == a
+    got = (a * d).exact_div(d)
+    assert got == a
+    assert got == _long(a * d, d)
+    assert all(got.terms.values())
 
 
-@settings(max_examples=300, deadline=None)
-@given(polys, nonzero_polys.filter(lambda d: len(d.terms) > 1),
-       coeffs.filter(bool), exps)
+@settings(max_examples=400, deadline=None)
+@given(polys, nonzero_polys.filter(lambda d: len(d.terms) > 1)
+       | unit_binomials(), coeffs.filter(bool), st.integers(-80, 80))
 def test_exact_div_rejects_a_remainder(a, d, c, k):
-    # a nonzero multiple of d spans as far as d at least; a monomial does not
-    with pytest.raises(ValueError):
-        (a * d + LaurentPoly({k: c})).exact_div(d)
+    # a nonzero multiple of d spans as far as d at least; a monomial does
+    # not, and both routes say so
+    num = a * d + LaurentPoly({k: c})
+    with pytest.raises(ValueError, match="remainder"):
+        num.exact_div(d)
+    with pytest.raises(ValueError, match="remainder"):
+        _long(num, d)
 
 
 @settings(max_examples=200, deadline=None)

@@ -162,9 +162,10 @@ def test_fit_rejects_bad_window_bounds():
 
 
 def test_fit_rejects_non_quadratic():
-    cubic = [n ** 3 for n in range(20)]
-    with pytest.raises(ValueError):
-        fit(cubic)
+    for cubic in ([n ** 3 for n in range(20)],
+                  [Fraction(n ** 3, 12) for n in range(20)]):
+        with pytest.raises(ValueError, match="nonzero mean"):
+            fit(cubic)
 
 
 def test_fit_with_transient():
@@ -305,7 +306,7 @@ def test_fitted_model_is_its_generating_function(case):
         n0 = q.transient + (r - q.transient) % q.period
         pts = [(Fraction(n), sample[n])
                for n in (n0, n0 + q.period, n0 + 2 * q.period)]
-        assert q.classes[r] == quasifit._interpolate_quadratic(pts)
+        assert q.classes[r] == _interpolate_quadratic(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +386,21 @@ def _convolve(a, b):
     return out
 
 
+def _interpolate_quadratic(points):
+    """Exact quadratic through three (n, value) points, in Fractions:
+    the Lagrange form ``_try_classes`` used to run."""
+    (x0, y0), (x1, y1), (x2, y2) = points
+    c2 = (y0 / ((x0 - x1) * (x0 - x2)) + y1 / ((x1 - x0) * (x1 - x2))
+          + y2 / ((x2 - x0) * (x2 - x1)))
+    c1 = (-y0 * (x1 + x2) / ((x0 - x1) * (x0 - x2))
+          - y1 * (x0 + x2) / ((x1 - x0) * (x1 - x2))
+          - y2 * (x0 + x1) / ((x2 - x0) * (x2 - x1)))
+    c0 = (y0 * x1 * x2 / ((x0 - x1) * (x0 - x2))
+          + y1 * x0 * x2 / ((x1 - x0) * (x1 - x2))
+          + y2 * x0 * x1 / ((x2 - x0) * (x2 - x1)))
+    return c2, c1, c0
+
+
 def _try_classes_reference(seq, t, p):
     """The Fraction interpolation ``_try_classes`` used to run."""
     classes = [None] * p
@@ -393,7 +409,7 @@ def _try_classes_reference(seq, t, p):
         if len(ns) < 3:
             return None
         pts = [(Fraction(n), seq[n]) for n in ns[:3]]
-        c2, c1, c0 = quasifit._interpolate_quadratic(pts)
+        c2, c1, c0 = _interpolate_quadratic(pts)
         for n in ns[3:]:
             if c2 * n * n + c1 * n + c0 != seq[n]:
                 return None
