@@ -284,7 +284,12 @@ def _build_parser():
         p_.add_argument("--json", action="store_true",
                         help="machine-readable output")
         p_.add_argument("--limit-mb", type=_integer_option, default=None,
-                        help="memory budget for the state sum")
+                        help="memory budget of the cabled state sum in "
+                        "MiB (default 512): each stored frontier state is "
+                        "charged a fixed overhead plus the bytes of its "
+                        "packed polynomial, for the frontier a step reads "
+                        "and the one it writes; checked every 4096 new "
+                        "states, exit code 3 when exceeded")
     return ap
 
 

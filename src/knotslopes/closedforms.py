@@ -2,13 +2,14 @@
 the (-2, 3, p) pretzel family.
 
 An adequate side of a diagram has an exact quadratic degree in the
-diagram's counts (``adequate_degrees``), and torus degrees are a plain
-formula in (a, b).  The (-2, 3, p) pretzel diagram is adequate on one
-side only; its other side is known only through the generating function
-of its third difference.  ``pretzel_degrees`` takes the degrees at
-colors 0..2, which the pretzel spec computes by the state sum, and
-extends them by the third-order recurrence that generating function
-encodes, expanding it once for the whole extension.  This module holds
+diagram's counts (``adequate_max_degree``, ``adequate_min_degree``), and
+torus degrees are a plain formula in (a, b).  The (-2, 3, p) pretzel
+diagram is adequate on one side only; its other side is known only
+through the generating function of its third difference.
+``pretzel_degrees`` takes the degrees at colors 0..2, which the pretzel
+spec computes by the state sum, and extends them by the third-order
+recurrence that generating function encodes, expanding it once for the
+whole extension.  This module holds
 formulas only: it imports the standard library and ``quasifit``.
 """
 
@@ -18,21 +19,28 @@ from math import gcd
 from .quasifit import RationalGF, _cyclotomic_split
 
 __all__ = [
-    "adequate_degrees", "alt_symmetrized", "torus_degrees",
+    "adequate_degrees", "adequate_max_degree", "adequate_min_degree",
+    "alt_symmetrized", "torus_degrees",
     "pretzel_degrees", "pretzel_slopes", "pretzel_boundary_slopes",
 ]
 
 
 def adequate_degrees(st, n):
     """The colored Lickorish-Thistlethwaite degrees (dmax, dmin) at color
-    n of a diagram with the counts st (a ``DiagramStats``).  dmax is the
-    maximum degree when the all-B state is adequate, and dmin the
-    minimum degree when the all-A state is; a reduced alternating
-    diagram is adequate on both sides."""
-    return (Fraction(st.c_plus * n * n + (st.writhe + st.b_circles - 1) * n,
-                     2),
-            Fraction(-st.c_minus * n * n + (st.writhe - st.a_circles + 1) * n,
-                     2))
+    n of a diagram with the counts st (a ``DiagramStats``), for a
+    diagram adequate on both sides, such as a reduced alternating one."""
+    return adequate_max_degree(st, n), adequate_min_degree(st, n)
+
+
+def adequate_max_degree(st, n):
+    """The maximum degree at color n when the all-B state is adequate."""
+    return Fraction(st.c_plus * n * n + (st.writhe + st.b_circles - 1) * n, 2)
+
+
+def adequate_min_degree(st, n):
+    """The minimum degree at color n when the all-A state is adequate."""
+    return Fraction(-st.c_minus * n * n + (st.writhe - st.a_circles + 1) * n,
+                    2)
 
 
 def alt_symmetrized(st, n):
@@ -116,8 +124,8 @@ def pretzel_degrees(p, n_max, seeds):
     which ``knots.Pretzel237`` computes by the state sum.  Each side is
     extended by the generating function of its third difference, which
     is zero on the side where the diagram is adequate; the spec checks
-    that side against ``adequate_degrees`` at every color.  The seeds
-    are left as they are, and new lists are returned.
+    that side against its adequate closed form at every color.  The
+    seeds are left as they are, and new lists are returned.
     """
     if p % 2 == 0:
         raise ValueError("pretzel parameter p must be odd, got %d" % p)

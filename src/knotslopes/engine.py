@@ -11,12 +11,24 @@ unknot normalization (constant 1) and color 1 is the Jones polynomial.
 q**((n+1)/2) - q**(-(n+1)/2) through ``LaurentPoly.exact_div``.  That
 divisor is a binomial with coefficients +-1 of opposite signs, so the
 division takes ``exact_div``'s residue-class route, linear in the
-quotient, and not the long division that other divisors need.  Both evaluators apply
-their framing shift to the dividend, so no pass over the quotient
-follows the division.  The bracket state sum runs in A with q = A**-4
-on plain dicts of A-exponents, handed over once as a mirrored
-``LaurentPoly``.  Every closed circle, the last one included, is a
-factor -A**2 - A**-2; the empty diagram has bracket 1.
+quotient, and not the long division that other divisors need.  Both
+evaluators apply their framing shift to the dividend, so no pass over
+the quotient follows the division.  The bracket state sum runs in A with
+q = A**-4.  Every closed circle, the last one included, is a factor
+-A**2 - A**-2; the empty diagram has bracket 1.
+
+Each frontier state's polynomial is packed into one Python int
+(Kronecker substitution).  All its A-exponents agree mod 4, so it is a
+pair (lo, packed): its lowest A-exponent and the polynomial in X = A**4
+above it, evaluated at X = 2**bits.  A merge of two states is one shift
+and add, a circle factor is lo - 2 and a multiply by -(1 + 2**bits), and
+the bracket is decoded once, from signed base-2**bits digits straight
+into mirrored q quarter-keys.  ``bits`` = 2N + 3 for an N-crossing cable
+is a proven bound on every coefficient; ``_bracket_raw`` gives the
+argument and the mod-4 one.  The memory budget charges each stored state
+a calibrated overhead plus its packed int's bytes, over the frontier a
+step reads and the one it writes, and is checked every 4096 new states
+as well as after each step.
 
 The frontier is precompiled.  Which arcs are open after each step of
 the contraction order does not depend on the state, so each step's
@@ -35,7 +47,7 @@ import functools
 from fractions import Fraction
 from math import comb, gcd
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _wrap
 from .knots import _A_PAIRING, _B_PAIRING, _classify, validate_pd
 from .quasifit import load_sequence
 import os
@@ -187,22 +199,59 @@ def _apply_smoothing(pattern, pairing):
     return tuple(pairs), circles
 
 
-# bytes per stored term of the state sum, as ru_maxrss above the 16 MB
-# interpreter floor: 148 on 8_19's 3-cable (62,876 terms, 25.5 MB), 145 on
-# 9_42's (50,577 terms), 119-143 on 8_19 at color 4 and 9_49 at color 3
-_TERM_BYTES = 150
+# bytes charged per stored frontier state besides its packed int's bits/8:
+# its key tuple, its (lo, packed) pair, the int lo, the int's header and
+# a dict slot.  Fitted so that the peak charge meets ru_maxrss above the
+# 16 MB interpreter floor, it is 356 on 8_19's 3-cable (5.5 MB), 359 on
+# 9_42's (4.8 MB), 314 on 9_49's (133 MB) and 206 on 8_19's 4-cable
+# (422 MB, where read and written states share many packed ints)
+_STATE_BYTES = 360
+
+# new states of a step between two checks of the running stored bytes
+_CHECK_EVERY = 4096
 
 
-def _check_budget(entries, entry_limit):
-    if entries > entry_limit:
+def _pack(coeffs, bits):
+    """The polynomial sum(c_i * X**i) at X = 2**bits, as one int."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << bits) + c
+    return packed
+
+
+def _unpack(packed, bits):
+    """The coefficients c_0, c_1, ... of a packed polynomial, lowest
+    first and without trailing zeros: the signed base-2**bits digits of
+    ``packed``, which are the coefficients when every
+    |c_i| < 2**(bits - 1)."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs = []
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << bits
+        coeffs.append(c)
+        packed = (packed - c) >> bits
+    return coeffs
+
+
+def _check_budget(byte_limit, step, read, written, bits):
+    """The stored bytes of a step that has read a frontier of ``read``
+    states and written ``written`` so far, whose packed ints hold
+    ``bits`` bits in all.  Raises EngineLimitError above ``byte_limit``.
+    """
+    stored = (read + written) * _STATE_BYTES + (bits >> 3)
+    if stored > byte_limit:
         raise EngineLimitError(
-            "bracket state sum exceeded the memory budget "
-            "(%d stored terms); raise the limit to continue" % entries)
+            "bracket state sum exceeded the memory budget in step %d, at "
+            "%d new frontier states on %d read (%d stored bytes); raise "
+            "the limit to continue" % (step, written, read, stored))
+    return stored
 
 
-def _bracket_raw(crossings, free_circles, entry_limit):
+def _bracket_raw(crossings, free_circles, byte_limit):
     """Kauffman bracket of a raw crossing list as a LaurentPoly in q,
-    with the peak number of terms the state sum stored.
+    with the peak stored bytes of the state sum.
 
     The open arcs after each step of the contraction order do not depend
     on the state, so they sit in one list per step and a state is the
@@ -213,18 +262,55 @@ def _bracket_raw(crossings, free_circles, entry_limit):
     the step consumes, at an index of ``consumed``; or an arc the step
     opens, at a new position of its own.  A smoothing's outcome depends
     on a state only through the partners of the consumed positions, so
-    that tuple keys a per-step memo of rules (new links, A-shift,
-    delta**circles factor) that ``_compile_rule`` fills on a miss.  The
-    per-state polynomials are plain dicts keyed by A-exponents, turned
-    into q once at the end.
+    that tuple keys a per-step memo of rules (new links, A-shift, packed
+    circle factor) that ``_compile_rule`` fills on a miss.
+
+    A state's polynomial is a pair (lo, packed): its lowest A-exponent
+    lo, and the polynomial in X = A**4 above it evaluated at X = 2**bits.
+    The lowest slot is never zero, as a merge whose lowest slots cancel
+    moves lo up.  All exponents of a state agree mod 4, and so do those
+    of every partial smoothing with the same frontier matching: after k
+    crossings with b B-smoothings and L closed loops an exponent is
+    k - 2(b + L) mod 4, and completing two such partial smoothings alike
+    gives full states whose b + circles have one parity, since one
+    smoothing switch changes the circles of a planar diagram by +-1.
+    So a merge is one shift and add, and a misaligned merge raises.  The
+    circle factor delta**c = (-1)**c A**(-2c) (1 + X)**c moves lo by -2c
+    and multiplies by a packed constant.
+
+    ``bits`` = 2N + 3 for N crossings is a proven bound.  A coefficient
+    of a state is at most the sum of 2**L(s) over its partial smoothings
+    s in absolute value, since those of delta**L are +-C(L, j).  There
+    are at most 2**N of them, and L(s) <= N + 1: the closed loops of s
+    stay circles of every completion, and a state of a connected diagram
+    has at most N + 1 circles, because its circles and crossings form a
+    connected graph.  So every |c| <= 2**(2N + 1) < 2**(bits - 1), and
+    ``_unpack`` reads the bracket back exactly.  The diagram is
+    connected when no step but the first starts on an empty frontier,
+    which is checked.
+
+    The budget charges each stored state ``_STATE_BYTES`` plus its
+    packed int's bytes, for the frontier a step reads and the one it
+    writes, which are alive together.  It is checked after every
+    ``_CHECK_EVERY`` new states and at the end of each step, and the
+    largest charge seen is the peak.
     """
     result_scale = _DELTA ** free_circles
     if not crossings:
         return result_scale, 0
-    peak = 0
+    bits = 2 * len(crossings) + 3
+    low = (1 << bits) - 1
+    # a smoothing closes at most two circles, each through two slots
+    factors = (None,) + tuple(
+        _pack([(-1) ** c * comb(c, j) for j in range(c + 1)], bits)
+        for c in (1, 2))
+    peak = held_bits = 0
     open_arcs = []
-    dp = {(): {0: 1}}
-    for idx in _pick_order(crossings):
+    dp = {(): (0, 1)}
+    for step, idx in enumerate(_pick_order(crossings), 1):
+        if step > 1 and not open_arcs:
+            raise AssertionError("the crossings do not form a connected "
+                                 "diagram")
         arcs = crossings[idx]
         where = {a: i for i, a in enumerate(open_arcs)}
         consumed = [where[a] for a in arcs if a in where]
@@ -246,58 +332,71 @@ def _bracket_raw(crossings, free_circles, entry_limit):
         opened = [-1] * (len(open_arcs) - len(kept))
         rules = {}
         ndp = {}
-        for state, poly in dp.items():
+        new_bits = 0
+        for state, (lo, packed) in dp.items():
             local = tuple([state[i] for i in consumed])
             rule = rules.get(local)
             if rule is None:
                 rule = rules[local] = _compile_rule(
-                    local, consumed, at, self_links, ends, remap)
+                    local, consumed, at, self_links, ends, remap, factors)
             # a kept position whose partner was consumed, and each
             # opened arc, hold -1 until the rule's links fill them
             base = [remap[state[i]] for i in kept] + opened
-            for links, shift, scale in rule:
+            for links, shift, factor in rule:
                 nt = base[:]
                 for u, v in links:
                     nt[u] = v
                     nt[v] = u
                 key = tuple(nt)
+                e = lo + shift
+                p = packed if factor is None else packed * factor
                 dst = ndp.get(key)
-                if scale is None:
-                    if dst is None:
-                        ndp[key] = {k + shift: c for k, c in poly.items()}
-                        continue
-                    for k, c in poly.items():
-                        k += shift
-                        c += dst.get(k, 0)
-                        if c:
-                            dst[k] = c
-                        else:
-                            del dst[k]
+                if dst is None:
+                    ndp[key] = e, p
+                    new_bits += p.bit_length()
+                    if not len(ndp) % _CHECK_EVERY:
+                        peak = max(peak, _check_budget(
+                            byte_limit, step, len(dp), len(ndp),
+                            held_bits + new_bits))
+                    continue
+                lo0, p0 = dst
+                d = e - lo0
+                if d & 3:
+                    raise AssertionError("misaligned merge of A-exponents "
+                                         "%d and %d" % (lo0, e))
+                if d > 0:
+                    p = p0 + (p << (d >> 2) * bits)
+                    e = lo0
+                elif d:
+                    p += p0 << (-d >> 2) * bits
                 else:
-                    if dst is None:
-                        dst = ndp[key] = {}
-                    for k, c in poly.items():
-                        for ks, cs in scale:
-                            k2 = k + ks
-                            c2 = dst.get(k2, 0) + c * cs
-                            if c2:
-                                dst[k2] = c2
-                            else:
-                                dst.pop(k2, None)
-        dp = {k: v for k, v in ndp.items() if v}
-        entries = sum(len(p) for p in dp.values())
-        _check_budget(entries, entry_limit)
-        peak = max(peak, entries)
+                    p += p0
+                    if not p & low:
+                        # the lowest slots cancelled
+                        if not p:
+                            new_bits -= p0.bit_length()
+                            del ndp[key]
+                            continue
+                        z = ((p & -p).bit_length() - 1) // bits
+                        p >>= z * bits
+                        e += 4 * z
+                new_bits += p.bit_length() - p0.bit_length()
+                ndp[key] = e, p
+        peak = max(peak, _check_budget(byte_limit, step, len(dp), len(ndp),
+                                       held_bits + new_bits))
+        dp, held_bits = ndp, new_bits
     if list(dp) != [()]:
         raise AssertionError("frontier did not close up")
-    return LaurentPoly(dp[()]).mirror() * result_scale, peak
+    lo, packed = dp[()]
+    terms = {-lo - 4 * i: c for i, c in enumerate(_unpack(packed, bits)) if c}
+    return _wrap(terms) * result_scale, peak
 
 
-def _compile_rule(local, consumed, at, self_links, ends, remap):
+def _compile_rule(local, consumed, at, self_links, ends, remap, factors):
     """The A and B outcomes of one step for the states whose consumed
     positions have the partners ``local``: the links between new
-    positions, the A-shift, and the delta**circles factor as shifted
-    (exponent, coefficient) pairs, or None.  ``consumed[j]`` sits at
+    positions, the A-shift, and the packed circle factor
+    ``factors[circles]``, None for no circle.  ``consumed[j]`` sits at
     slot ``at[j]``; a consumed partner links two slots as a self-arc
     does, and a kept partner makes the slot an outward end at the
     partner's new position, as an opened arc is."""
@@ -307,34 +406,32 @@ def _compile_rule(local, consumed, at, self_links, ends, remap):
             pattern[s] = at[consumed.index(p)]
         else:
             ends[s] = remap[p]
-    return [(tuple((ends[s], ends[t]) for s, t in pairs), shift, scale)
-            for pairs, shift, scale in _pattern_rule(tuple(pattern))]
+    return [(tuple((ends[s], ends[t]) for s, t in pairs), shift,
+             factors[circles])
+            for pairs, shift, circles in _pattern_rule(tuple(pattern))]
 
 
 @functools.cache
 def _pattern_rule(pattern):
     """The A and B outcomes of a 4-slot pattern: the pairs of outward
-    slots each smoothing joins, its A-shift and its delta**circles
-    factor.  This is the whole Temperley-Lieb local algebra of the
-    state sum; it is worked out once per pattern and process."""
+    slots each smoothing joins, its A-shift with the A**(-2c) of its
+    delta**c, and the number c of circles it closes.  This is the whole
+    Temperley-Lieb local algebra of the state sum; it is worked out
+    once per pattern and process."""
     rule = []
     for pairing, shift in ((_A_PAIRING, 1), (_B_PAIRING, -1)):
         pairs, circles = _apply_smoothing(pattern, pairing)
-        scale = None
-        if circles:
-            scale = tuple((k + shift, c)
-                          for k, c in (_DELTA ** circles).terms.items())
-        rule.append((pairs, shift, scale))
+        rule.append((pairs, shift - 2 * circles, circles))
     return tuple(rule)
 
 
-# (pd, m) -> (bracket of the m-parallel, peak stored terms of its sum),
+# (pd, m) -> (bracket of the m-parallel, peak stored bytes of its sum),
 # holding at most _BRACKET_CACHE_SIZE entries in insertion order
 _BRACKET_CACHE = {}
 _BRACKET_CACHE_SIZE = 64
 
 
-def _cable_bracket(pd, m, entry_limit):
+def _cable_bracket(pd, m, byte_limit):
     """Bracket of the m-parallel of pd.  A cached bracket is refused
     under a budget that its state sum exceeded; a full memo drops its
     oldest entry."""
@@ -342,12 +439,15 @@ def _cable_bracket(pd, m, entry_limit):
     hit = _BRACKET_CACHE.get(key)
     if hit is None:
         crossings, circles = _cable(pd, m)
-        hit = _bracket_raw(crossings, circles, entry_limit)
+        hit = _bracket_raw(crossings, circles, byte_limit)
         if len(_BRACKET_CACHE) >= _BRACKET_CACHE_SIZE:
             del _BRACKET_CACHE[next(iter(_BRACKET_CACHE))]
         _BRACKET_CACHE[key] = hit
     val, peak = hit
-    _check_budget(peak, entry_limit)
+    if peak > byte_limit:
+        raise EngineLimitError(
+            "bracket state sum of the %d-parallel peaked at %d stored bytes, "
+            "over the memory budget; raise the limit to continue" % (m, peak))
     return val
 
 
@@ -356,23 +456,29 @@ def bracket_colored_jones(pd, n, limit_mb=None):
 
     Cables the diagram, expands the bracket of the cables along the
     Chebyshev recursion, corrects for the writhe framing, and divides
-    by the unknot value.  Raises EngineLimitError when the frontier
-    dynamic program grows past ``limit_mb`` (default 512).
+    by the unknot value.  Each cable's bracket is a frontier state sum
+    whose states hold their polynomials packed into one int each, on the
+    stride-4 lattice of A-exponents, at 2N + 3 bits a coefficient for N
+    cable crossings (see ``_bracket_raw``).  Raises EngineLimitError, in
+    the step that overflows, when the stored bytes of the state sum
+    exceed ``limit_mb`` MiB (default 512): each stored state is charged
+    a calibrated overhead plus its packed int's bytes, for the frontier
+    a step reads and the one it writes.  8_19 at color 4 peaks at about
+    483 MiB.
     """
     if n < 0:
         raise ValueError("color must be nonnegative")
     pd = validate_pd(pd)
     if n == 0:
         return LaurentPoly.one()
-    budget_mb = 512 if limit_mb is None else limit_mb
-    entry_limit = int(budget_mb * (1 << 20) / _TERM_BYTES)
+    byte_limit = (512 if limit_mb is None else limit_mb) << 20
     w = _classify(pd)[0].writhe
 
     # <cable_n> = sum_i (-1)^i C(n-i, i) <parallel_(n-2i)>
     total = LaurentPoly()
     for i in range(n // 2 + 1):
         total += ((-1) ** i * comb(n - i, i)
-                  * _cable_bracket(pd, n - 2 * i, entry_limit))
+                  * _cable_bracket(pd, n - 2 * i, byte_limit))
 
     # correct the writhe framing by mu_n^(-w) with mu_n = (-1)^n
     # q^(-(n^2 + 2n)/4), on the dividend, then divide by (-1)^n [n+1] =

@@ -220,7 +220,8 @@ class _DiagramSpec(_Spec):
     """Answers read off the planar diagram ``pd``.  Degrees follow one
     rule: ``closedforms.adequate_degrees`` when both sides are adequate,
     else the kind's ``_source_degrees`` (by default the bracket), whose
-    adequate side must equal that closed form at every color."""
+    adequate side, if any, must equal its closed form at every color;
+    only that side's closed form is built."""
 
     def default_colors(self):
         if self.alternating_data() is not None:
@@ -231,7 +232,8 @@ class _DiagramSpec(_Spec):
         raise engine.EngineLimitError(
             "a non-alternating diagram without bundled degrees has no "
             "default color depth: every color is a cabled state sum that "
-            "costs about a hundred times the one before; pass --max-n")
+            "costs about a hundred times the one before (8_19: 0.7 s at "
+            "color 3, 71 s at color 4); pass --max-n")
 
     def alternating_data(self):
         """Counts of an alternating diagram adequate on both sides."""
@@ -243,17 +245,22 @@ class _DiagramSpec(_Spec):
 
     def _degrees(self, n_max, limit_mb):
         st, _, *adequate = _classify(self.pd)
-        forms = _split([closedforms.adequate_degrees(st, n)
-                        for n in range(n_max + 1)] if any(adequate) else [])
+        colors = range(n_max + 1)
         if all(adequate):
-            return forms
+            return _split([closedforms.adequate_degrees(st, n)
+                           for n in colors])
         got = self._source_degrees(n_max, limit_mb)
-        for side, name in enumerate(("maximum", "minimum")):
-            if adequate[side] and got[side] != forms[side]:
+        for side, name, form in (
+                (0, "maximum", closedforms.adequate_max_degree),
+                (1, "minimum", closedforms.adequate_min_degree)):
+            if not adequate[side]:
+                continue
+            want = [form(st, n) for n in colors]
+            if got[side] != want:
                 raise AssertionError(
                     "%s: %s degrees %s differ from the closed form %s" % (
                         self._render(), name, " ".join(map(str, got[side])),
-                        " ".join(map(str, forms[side]))))
+                        " ".join(map(str, want))))
         return got
 
     _source_degrees = _Spec._degrees

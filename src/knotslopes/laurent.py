@@ -78,7 +78,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
+        return _wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -175,7 +175,7 @@ class LaurentPoly:
 
     def mirror(self):
         """Substitute q -> 1/q (the mirror-image rule for colored Jones)."""
-        return LaurentPoly({-k: c for k, c in self.terms.items()})
+        return _wrap({-k: c for k, c in self.terms.items()})
 
     def is_integral(self):
         """True when every exponent is a whole integer power of q."""
@@ -184,7 +184,7 @@ class LaurentPoly:
     def shift(self, exponent):
         """Multiply by q^exponent."""
         d = _to_key(exponent)
-        return LaurentPoly({k + d: c for k, c in self.terms.items()})
+        return _wrap({k + d: c for k, c in self.terms.items()})
 
     def coefficient(self, exponent):
         return self.terms.get(_to_key(exponent), 0)

@@ -4,6 +4,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotslopes import engine
 from knotslopes.engine import (EngineLimitError, bracket_colored_jones,
@@ -72,47 +74,117 @@ def test_bracket_matches_morton_on_8_19_color_3():
     assert bracket_colored_jones(pd, 3) == morton_colored_jones(3, 4, 3)
 
 
-def test_state_sum_peak_terms_on_8_19():
+def test_state_sum_peak_bytes_on_8_19():
     # --limit-mb is a bound on these peaks, so they must not drift
     pd = bundled_knot_table()["8_19"]
-    for m, peak in ((1, 9), (2, 557), (3, 62876)):
+    for m, peak in ((1, 3624), (2, 103402), (3, 5803054)):
         crossings, circles = engine._cable(pd, m)
         assert engine._bracket_raw(crossings, circles, peak)[1] == peak
     crossings, circles = engine._cable(pd, 2)
-    with pytest.raises(EngineLimitError, match="557 stored terms"):
-        engine._bracket_raw(crossings, circles, 556)
+    with pytest.raises(EngineLimitError, match="103402 stored bytes"):
+        engine._bracket_raw(crossings, circles, 103401)
 
 
-# (peak stored terms, digest of the sorted terms) of the bracket of the
-# 1- and 2-cable of each diagram, as the arc-level local rule computed
-# them before the state sum saw only 4-slot patterns
+def test_budget_checked_inside_a_step(monkeypatch):
+    # a limit that the running charge first tops inside a step raises
+    # there, before the step has written its whole frontier
+    crossings, circles = engine._cable(bundled_knot_table()["8_19"], 3)
+    checks = []
+    check_budget = engine._check_budget
+
+    def recorded(byte_limit, step, read, written, bits):
+        stored = check_budget(byte_limit, step, read, written, bits)
+        checks.append((step, written, stored))
+        return stored
+    monkeypatch.setattr(engine, "_check_budget", recorded)
+    engine._bracket_raw(crossings, circles, 10 ** 9)
+    monkeypatch.undo()
+    written = {step: n for step, n, _ in checks}  # the last check of a step
+    top = 0
+    for step, n, stored in checks:
+        if stored > top and n < written[step]:
+            break
+        top = max(top, stored)
+    else:
+        pytest.fail("no check inside a step tops the ones before it")
+    assert n % engine._CHECK_EVERY == 0
+    with pytest.raises(EngineLimitError, match=(
+            r"memory budget in step %d, at %d new frontier states on \d+ "
+            r"read \(%d stored bytes\)" % (step, n, stored))):
+        engine._bracket_raw(crossings, circles, stored - 1)
+
+
+# (peak stored bytes, digest of the sorted terms) of the bracket of the
+# 1- and 2-cable of each diagram.  The digests are those the arc-level
+# local rule computed before the state sum saw only 4-slot patterns.
 ARC_LEVEL_BRACKETS = {
-    "12a_669": ((21, "3e4e9e7bf613e91a"), (660, "8cb89d50f411f340")),
-    "3_1": ((4, "434ab89ac4509a3c"), (32, "549df223d945ee12")),
-    "8_17": ((12, "b9e4ac8b00c5459a"), (1459, "218919dc1019e4b7")),
-    "8_19": ((9, "8cc13052445b9c80"), (557, "fdea10242b292191")),
-    "8_20": ((8, "7575f7d0ac9f6963"), (604, "c6f98078f2ec8056")),
-    "8_21": ((12, "56d902eef6d2dfe8"), (1083, "91499ff5fccd759b")),
-    "9_42": ((8, "fc540d1376e320e1"), (520, "d0bc3a38a7d8595e")),
-    "9_43": ((10, "c4f9a3061abc692b"), (660, "04e63fb2182c92ba")),
-    "9_44": ((11, "723298f4689a726d"), (649, "8e7f307edb29925c")),
-    "9_45": ((11, "894bdf1c2acace2f"), (520, "9f66463a67dc3552")),
-    "9_46": ((10, "ed3ebee6716671f2"), (810, "0e45d8ab320244f6")),
-    "9_47": ((18, "d57675bea939041e"), (1114, "c3a36ce182c36884")),
-    "9_48": ((11, "989909ad0f8b491a"), (916, "98f53b00bfcdb005")),
-    "9_49": ((17, "74cd480ee15a1fb3"), (5498, "e25ca0ba3845b28a")),
-    "pretzel_2_3_5_5": ((23, "482fc45961396729"), (2253, "7e622b44d8f9627a")),
-    "pretzel_2_5_3_5": ((26, "482fc45961396729"), (2451, "7e622b44d8f9627a")),
-    -15: ((20, "cad022921a2d3c12"), (693, "f46d619ad24a0944")),
-    -3: ((8, "2d5522072f541112"), (693, "e17b2350ca921c02")),
-    7: ((9, "11f7bd0bd51f46a5"), (685, "4a46b7c2da3ba6ac")),
-    19: ((21, "00150042ab7f0e9b"), (685, "d3151e95db311117")),
+    "12a_669": ((2900, "3e4e9e7bf613e91a"), (95300, "8cb89d50f411f340")),
+    "3_1": ((1441, "434ab89ac4509a3c"), (8428, "549df223d945ee12")),
+    "8_17": ((3622, "b9e4ac8b00c5459a"), (116732, "218919dc1019e4b7")),
+    "8_19": ((3624, "8cc13052445b9c80"), (103402, "fdea10242b292191")),
+    "8_20": ((2894, "7575f7d0ac9f6963"), (99830, "c6f98078f2ec8056")),
+    "8_21": ((2916, "56d902eef6d2dfe8"), (110278, "91499ff5fccd759b")),
+    "9_42": ((2896, "fc540d1376e320e1"), (85277, "d0bc3a38a7d8595e")),
+    "9_43": ((2896, "c4f9a3061abc692b"), (92099, "04e63fb2182c92ba")),
+    "9_44": ((2896, "723298f4689a726d"), (92161, "8e7f307edb29925c")),
+    "9_45": ((2896, "894bdf1c2acace2f"), (85276, "9f66463a67dc3552")),
+    "9_46": ((2906, "ed3ebee6716671f2"), (105491, "0e45d8ab320244f6")),
+    "9_47": ((3666, "d57675bea939041e"), (113758, "c3a36ce182c36884")),
+    "9_48": ((2906, "989909ad0f8b491a"), (96090, "98f53b00bfcdb005")),
+    "9_49": ((5435, "74cd480ee15a1fb3"), (561288, "e25ca0ba3845b28a")),
+    "pretzel_2_3_5_5": ((3020, "482fc45961396729"),
+                        (157789, "7e622b44d8f9627a")),
+    "pretzel_2_5_3_5": ((3053, "482fc45961396729"),
+                        (166061, "7e622b44d8f9627a")),
+    -15: ((2912, "cad022921a2d3c12"), (116634, "f46d619ad24a0944")),
+    -3: ((2894, "2d5522072f541112"), (102438, "e17b2350ca921c02")),
+    7: ((2900, "11f7bd0bd51f46a5"), (106944, "4a46b7c2da3ba6ac")),
+    19: ((2918, "00150042ab7f0e9b"), (120924, "d3151e95db311117")),
 }
 
 
 def _terms_digest(poly):
     text = repr(sorted(poly.terms.items()))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# digests of the brackets of the 3-cables, as the state sum over dicts
+# of A-exponents computed them before it packed each state into one int
+THREE_CABLE_DIGESTS = {"8_19": "583b1b80bfe21b3b", "9_42": "c0327d9084302aae"}
+
+
+def test_three_cable_brackets_unchanged():
+    table = bundled_knot_table()
+    for name, digest in THREE_CABLE_DIGESTS.items():
+        poly, _ = engine._bracket_raw(*engine._cable(table[name], 3), 10 ** 9)
+        assert _terms_digest(poly) == digest, name
+
+
+@st.composite
+def packed_polys(draw):
+    """A slot width and coefficients that fit it, its extremes included."""
+    bits = draw(st.integers(min_value=2, max_value=160))
+    top = (1 << bits - 1) - 1
+    coeff = st.integers(min_value=-top, max_value=top) | \
+        st.sampled_from([top, -top, 1, -1, 0])
+    return bits, draw(st.lists(coeff, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_polys())
+def test_pack_round_trip(case):
+    # a negative coefficient borrows from the slot above it
+    bits, coeffs = case
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    assert engine._unpack(engine._pack(coeffs, bits), bits) == coeffs
+
+
+def test_unpack_needs_coefficients_below_half_a_slot():
+    half = 1 << 4
+    assert engine._unpack(engine._pack([half - 1, -half + 1], 5), 5) == \
+        [half - 1, -half + 1]
+    assert engine._unpack(engine._pack([half], 5), 5) == [-half, 1]
 
 
 def test_pattern_rules_match_arc_level_rules():
@@ -252,13 +324,13 @@ def test_bracket_le_degree_bounds():
                 - (st.c_minus + 1) * n
 
 
-def test_budget_charges_150_bytes_per_stored_term():
-    # 8_19's 3-cable peaks at 62,876 stored terms: more than the 55,924
-    # that 8 MiB buys at 150 B each, fewer than the 69,905 of 10 MiB
+def test_budget_charges_bytes_per_stored_state():
+    # 8_19's 3-cable peaks at 5,803,054 stored bytes: more than the
+    # 5,242,880 of 5 MiB, less than the 6,291,456 of 6 MiB
     pd = bundled_knot_table()["8_19"]
-    with pytest.raises(EngineLimitError, match="stored terms"):
-        bracket_colored_jones(pd, 3, limit_mb=8)
-    assert bracket_colored_jones(pd, 3, limit_mb=10) == \
+    with pytest.raises(EngineLimitError, match="stored bytes"):
+        bracket_colored_jones(pd, 3, limit_mb=5)
+    assert bracket_colored_jones(pd, 3, limit_mb=6) == \
         morton_colored_jones(3, 4, 3)
 
 
@@ -347,6 +419,15 @@ def test_named_sequences_agree_with_bracket_at_color_3():
         j = bracket_colored_jones(table[key], 3)
         assert degree_sequence(Named(key), "max", 3)[3] == j.deg(), key
         assert degree_sequence(Named(key), "min", 3)[3] == j.mindeg(), key
+
+
+@pytest.mark.slow
+def test_bracket_matches_morton_on_8_19_color_4():
+    # the 4-cable's 128 crossings peak at 506,279,170 stored bytes, under
+    # the default budget of 512 MiB: about 70 s and 435 MB of RSS
+    pd = bundled_knot_table()["8_19"]
+    want = morton_colored_jones(3, 4, 4)
+    assert bracket_colored_jones(pd, 4) in (want, want.mirror())
 
 
 def test_bundled_degrees_available():
