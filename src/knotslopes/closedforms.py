@@ -19,26 +19,22 @@ from math import gcd
 from .quasifit import RationalGF, _cyclotomic_split
 
 __all__ = [
-    "adequate_degrees", "adequate_max_degree", "adequate_min_degree",
-    "alt_symmetrized", "torus_degrees",
+    "adequate_max_degree", "adequate_min_degree", "alt_symmetrized",
+    "torus_degrees",
     "pretzel_degrees", "pretzel_slopes", "pretzel_boundary_slopes",
 ]
 
 
-def adequate_degrees(st, n):
-    """The colored Lickorish-Thistlethwaite degrees (dmax, dmin) at color
-    n of a diagram with the counts st (a ``DiagramStats``), for a
-    diagram adequate on both sides, such as a reduced alternating one."""
-    return adequate_max_degree(st, n), adequate_min_degree(st, n)
-
-
 def adequate_max_degree(st, n):
-    """The maximum degree at color n when the all-B state is adequate."""
+    """The colored Lickorish-Thistlethwaite maximum degree at color n of
+    a diagram with the counts st (a ``DiagramStats``) whose all-B state
+    is adequate."""
     return Fraction(st.c_plus * n * n + (st.writhe + st.b_circles - 1) * n, 2)
 
 
 def adequate_min_degree(st, n):
-    """The minimum degree at color n when the all-A state is adequate."""
+    """The colored Lickorish-Thistlethwaite minimum degree at color n of
+    a diagram with the counts st whose all-A state is adequate."""
     return Fraction(-st.c_minus * n * n + (st.writhe - st.a_circles + 1) * n,
                     2)
 

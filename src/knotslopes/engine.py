@@ -364,23 +364,25 @@ def _bracket_raw(crossings, free_circles, byte_limit):
                 if d & 3:
                     raise AssertionError("misaligned merge of A-exponents "
                                          "%d and %d" % (lo0, e))
+                # align on the lower exponent by shifting the other
+                # polynomial up, add, and normalise a zero lowest slot,
+                # which only equal exponents can leave
+                old_bits = p0.bit_length()
                 if d > 0:
-                    p = p0 + (p << (d >> 2) * bits)
+                    p <<= (d >> 2) * bits
                     e = lo0
                 elif d:
-                    p += p0 << (-d >> 2) * bits
-                else:
-                    p += p0
-                    if not p & low:
-                        # the lowest slots cancelled
-                        if not p:
-                            new_bits -= p0.bit_length()
-                            del ndp[key]
-                            continue
-                        z = ((p & -p).bit_length() - 1) // bits
-                        p >>= z * bits
-                        e += 4 * z
-                new_bits += p.bit_length() - p0.bit_length()
+                    p0 <<= (-d >> 2) * bits
+                p += p0
+                if not (d or p & low):
+                    if not p:
+                        new_bits -= old_bits
+                        del ndp[key]
+                        continue
+                    z = ((p & -p).bit_length() - 1) // bits
+                    p >>= z * bits
+                    e += 4 * z
+                new_bits += p.bit_length() - old_bits
                 ndp[key] = e, p
         peak = max(peak, _check_budget(byte_limit, step, len(dp), len(ndp),
                                        held_bits + new_bits))
@@ -503,12 +505,6 @@ def _seq_file(name, kind):
     return os.path.join(_SEQ_DIR, "%s.%s.seq" % (name, kind))
 
 
-def bundled_degrees_available(name):
-    """Whether packaged degree files cover the named knot."""
-    return (os.path.exists(_seq_file(name, "max"))
-            and os.path.exists(_seq_file(name, "min")))
-
-
 def bundled_degrees(name, n_max):
     """Packaged maximum- and minimum-degree lists of the named knot for
     colors 0..n_max."""
@@ -537,15 +533,16 @@ def degree_sequence(spec, kind, n_max, limit_mb=None):
 
     kind is one of max, min, span, sum, and is checked before any
     degree work.  The spec checks n_max and supplies the maximum and
-    minimum degrees (``spec.degrees``): torus knots through Morton's
-    formula, ``alt:`` specs through the adequate closed forms, and
-    pretzel, named and ``pd:`` diagrams through one rule: an adequate
-    side from the closed form, any other side from bundled degree files
-    or the cabled bracket, checked against the closed form of an
-    adequate side.  A pretzel spec takes colors 0..2 from the bracket
-    and extends them by the family's generating functions.  Every spec
-    computes them for the unmirrored knot, and the one mirror rule of
-    ``knots._Spec`` turns (dmax, dmin) into (-dmin, -dmax).
+    minimum degrees (``spec.degrees``) by the one rule of
+    ``knots._Spec._degrees``: an adequate side from its closed form,
+    and any other side from the kind's source, checked against the
+    closed form of an adequate side.  The sources are Morton's formula
+    for torus knots, the bundled degree files for named knots, the
+    bracket at colors 0..2 extended by the family's generating
+    functions for pretzel knots, and the cabled bracket for ``pd:``
+    diagrams; an ``alt:`` spec is adequate on both sides.  Every spec
+    computes its degrees for the unmirrored knot, and the one mirror
+    rule of ``knots._Spec`` turns (dmax, dmin) into (-dmin, -dmax).
     """
     combine = _KINDS.get(kind)
     if combine is None:

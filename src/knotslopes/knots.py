@@ -14,11 +14,16 @@ answers every per-knot question of the pipeline: ``degrees`` up to a
 color, the ``polynomial`` at one color, ``default_colors``,
 ``diagram_stats``, ``alternating_data`` (only ``alt:`` specs and
 reduced alternating diagrams get the alternating checks) and
-``boundary_slopes``.  The ``pretzel:``, ``name:`` and ``pd:`` kinds
-read their degrees off a diagram by the one rule of ``_DiagramSpec``,
-from its crossing signs, alternation, state circles and adequacy, which
-``_classify`` reads in one cached pass over a diagram that
-``validate_pd`` has checked.  Spec integers are ASCII digits.
+``boundary_slopes``.  Every kind answers ``degrees`` by the one rule
+of ``_Spec._degrees``: an adequate side is its closed form in the
+diagram's counts, and every other side comes from the kind's
+``_source_degrees``.  ``alt:`` specs are adequate on both sides and
+``Torus`` specs on neither, so Morton's polynomials are their source.
+The ``pretzel:``, ``name:`` and ``pd:`` kinds read their counts and
+adequacy off a diagram with ``_classify``, in one cached pass over a
+diagram that ``validate_pd`` has checked; their sources are the
+bracket seeds plus the family's tails, the bundled ``.seq`` files and
+the bracket.  Spec integers are ASCII digits.
 A kind answers for the unmirrored knot, and one rule in ``_Spec``
 applies the mirror: degrees (dmax, dmin) become (-dmin, -dmax), the
 polynomial takes q -> 1/q, diagram counts swap c+ with c- and |A| with
@@ -34,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import closedforms
-from .quasifit import _INTEGER, _integer, _number
+from .quasifit import _INTEGER, _data_lines, _integer, _number
 
 __all__ = [
     "Torus", "Pretzel237", "AlternatingData", "Diagram", "Named",
@@ -49,11 +54,6 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # ---------------------------------------------------------------------------
 # knot specifications
-
-
-def _split(pairs):
-    """The maximum-degree and minimum-degree lists of (max, min) pairs."""
-    return [hi for hi, _ in pairs], [lo for _, lo in pairs]
 
 
 class _Frozen:
@@ -138,9 +138,38 @@ class _Spec(_Frozen):
         does not get them."""
         return None
 
+    # whether the maximum- and the minimum-degree side of the kind's
+    # diagram are adequate; a kind without a diagram answers neither
+    _adequate = (False, False)
+
     def _degrees(self, n_max, limit_mb):
+        """The one degree rule of every kind.  An adequate side is its
+        colored Lickorish-Thistlethwaite closed form in the counts of
+        ``_diagram_stats``; any other side comes from ``_source_degrees``,
+        whose adequate side, if it has one, must equal its closed form
+        at every color.  Only an adequate side's closed form is built."""
+        forms = (closedforms.adequate_max_degree,
+                 closedforms.adequate_min_degree)
+        adequate = self._adequate
+        st = self._diagram_stats() if any(adequate) else None
+        want = [[form(st, n) for n in range(n_max + 1)] if ok else None
+                for form, ok in zip(forms, adequate)]
+        if None not in want:
+            return want
+        got = self._source_degrees(n_max, limit_mb)
+        for side, name in enumerate(("maximum", "minimum")):
+            if want[side] is not None and got[side] != want[side]:
+                raise AssertionError(
+                    "%s: %s degrees %s differ from the closed form %s" % (
+                        self._render(), name, " ".join(map(str, got[side])),
+                        " ".join(map(str, want[side]))))
+        return got
+
+    def _source_degrees(self, n_max, limit_mb):
+        """Both degree lists read off the kind's polynomials."""
         polys = (self._polynomial(n, limit_mb) for n in range(n_max + 1))
-        return _split([(j.deg(), j.mindeg()) for j in polys])
+        pairs = [(j.deg(), j.mindeg()) for j in polys]
+        return [hi for hi, _ in pairs], [lo for _, lo in pairs]
 
     def _boundary_slopes(self, db):
         return None
@@ -199,13 +228,10 @@ class AlternatingData(_Spec):
     def default_colors(self):
         return 20
 
+    _adequate = (True, True)
+
     def alternating_data(self):
         return self
-
-    def _degrees(self, n_max, limit_mb):
-        st = self._diagram_stats()
-        return _split([closedforms.adequate_degrees(st, n)
-                       for n in range(n_max + 1)])
 
     def _polynomial(self, n, limit_mb):
         raise ValueError("no polynomial route for %s specs; alt: data only "
@@ -217,11 +243,9 @@ class AlternatingData(_Spec):
 
 
 class _DiagramSpec(_Spec):
-    """Answers read off the planar diagram ``pd``.  Degrees follow one
-    rule: ``closedforms.adequate_degrees`` when both sides are adequate,
-    else the kind's ``_source_degrees`` (by default the bracket), whose
-    adequate side, if any, must equal its closed form at every color;
-    only that side's closed form is built."""
+    """Answers read off the planar diagram ``pd``, whose adequate sides
+    ``_classify`` reads; by default the other sides come from the
+    bracket."""
 
     def default_colors(self):
         if self.alternating_data() is not None:
@@ -243,27 +267,9 @@ class _DiagramSpec(_Spec):
         return AlternatingData(st.c_plus, st.c_minus, st.a_circles,
                                st.b_circles, self.mirror)
 
-    def _degrees(self, n_max, limit_mb):
-        st, _, *adequate = _classify(self.pd)
-        colors = range(n_max + 1)
-        if all(adequate):
-            return _split([closedforms.adequate_degrees(st, n)
-                           for n in colors])
-        got = self._source_degrees(n_max, limit_mb)
-        for side, name, form in (
-                (0, "maximum", closedforms.adequate_max_degree),
-                (1, "minimum", closedforms.adequate_min_degree)):
-            if not adequate[side]:
-                continue
-            want = [form(st, n) for n in colors]
-            if got[side] != want:
-                raise AssertionError(
-                    "%s: %s degrees %s differ from the closed form %s" % (
-                        self._render(), name, " ".join(map(str, got[side])),
-                        " ".join(map(str, want))))
-        return got
-
-    _source_degrees = _Spec._degrees
+    @property
+    def _adequate(self):
+        return _classify(self.pd)[2:]
 
     def _polynomial(self, n, limit_mb):
         from . import engine
@@ -284,8 +290,9 @@ class Diagram(_DiagramSpec):
 
 
 class Named(_DiagramSpec):
-    """A knot resolved through the bundled table; its degree source is
-    the bundled degree files when they exist, else the bracket."""
+    """A knot resolved through the bundled table.  Its degree source is
+    the bundled degree files: every bundled diagram that is not adequate
+    on both sides has both of them."""
 
     def __init__(self, name, mirror=False):
         if name not in bundled_knot_table():
@@ -300,16 +307,11 @@ class Named(_DiagramSpec):
         return "name:" + self.name
 
     def default_colors(self):
-        from . import engine
-        if engine.bundled_degrees_available(self.name):
-            return 20
-        return super().default_colors()
+        return 20
 
     def _source_degrees(self, n_max, limit_mb):
         from . import engine
-        if engine.bundled_degrees_available(self.name):
-            return engine.bundled_degrees(self.name, n_max)
-        return super()._source_degrees(n_max, limit_mb)
+        return engine.bundled_degrees(self.name, n_max)
 
     def _boundary_slopes(self, db):
         return db.get(self.name)
@@ -440,14 +442,12 @@ def _component_walk(pd, ends):
     """Walk the strand from crossing 0; return the entry slot used at each
     crossing visit as a dict {(crossing, entry_slot): step}, in walk order."""
     entries = {}
-    # start on the under-strand of crossing 0, entering at slot 0
+    # start on the under-strand of crossing 0, entering at slot 0; a
+    # step is a bijection of (crossing, slot) pairs, so the first pair
+    # the walk repeats is its start
     ci, entry = 0, 0
-    for step in range(2 * len(pd) + 1):
-        if (ci, entry) in entries:
-            if (ci, entry) != (0, 0):
-                raise ValueError("strand walk closed early: not a single component")
-            break
-        entries[(ci, entry)] = step
+    while (ci, entry) not in entries:
+        entries[(ci, entry)] = len(entries)
         exit_slot = (entry + 2) % 4
         arc_ends = ends[pd[ci][exit_slot]]
         ci, entry = arc_ends[arc_ends[0] == (ci, exit_slot)]  # the other end
@@ -479,9 +479,6 @@ def validate_pd(pd):
     if not pd:
         return pd  # the 0-crossing unknot
     ends = _arc_endpoints(pd)
-    if len(ends) != 2 * len(pd):
-        raise ValueError("a knot diagram with %d crossings needs %d arcs"
-                         % (len(pd), 2 * len(pd)))
     entries = _component_walk(pd, ends)
     for (ci, entry) in entries:
         if entry == 2:
@@ -779,19 +776,10 @@ def _parse_slope(tok, where):
 
 def _tsv_rows(path):
     """The ``(line number, key, rest)`` rows of a ``key <TAB> rest``
-    table.  ``#`` starts a comment and blank lines are skipped; a line
-    without a tab, with a key seen before or that is not UTF-8 is
-    rejected."""
+    table, read by ``_data_lines``; a line without a tab or with a key
+    seen before is rejected."""
     seen = set()
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for ln, raw in enumerate(lines, 1):
-        try:
-            line = raw.decode("utf-8").split("#", 1)[0].rstrip()
-        except UnicodeDecodeError as exc:
-            raise ValueError("%s:%d: %s" % (path, ln, exc)) from None
-        if not line.strip():
-            continue
+    for ln, line in _data_lines(path):
         if "\t" not in line:
             raise ValueError("%s:%d: expected a tab separator" % (path, ln))
         key, rest = line.split("\t", 1)

@@ -456,21 +456,32 @@ def _number(tok):
     return Fraction(tok)
 
 
+def _data_lines(path):
+    """The ``(line number, text)`` pairs of a data file: ``#``
+    starts a comment, the text is right-stripped, and blank lines are
+    skipped.  A line that is not UTF-8 is a ValueError that names the
+    file and line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].rstrip()
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+        if line.strip():
+            yield lineno, line
+
+
 def load_sequence(path):
     """Read a sequence file: one value per line, # comments, blank lines
     ignored.  Values are integers or fractions like 3/2 (``_number``);
     any other value, or a line that is not UTF-8, is a ValueError that
     names the file and line."""
     values = []
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, line in _data_lines(path):
+        line = line.strip()
         try:
-            line = raw.decode("utf-8").split("#", 1)[0].strip()
-            if line:
-                values.append(_number(line))
-        except UnicodeDecodeError as exc:
-            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+            values.append(_number(line))
         except (ValueError, ZeroDivisionError):
             raise ValueError("%s:%d: unparseable value %r"
                              % (path, lineno, line)) from None

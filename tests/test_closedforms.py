@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from knotslopes import closedforms, knots
-from knotslopes.closedforms import (adequate_degrees, alt_symmetrized,
-                                    pretzel_boundary_slopes, pretzel_degrees,
-                                    pretzel_slopes, torus_degrees)
+from knotslopes.closedforms import (adequate_max_degree, adequate_min_degree,
+                                    alt_symmetrized, pretzel_boundary_slopes,
+                                    pretzel_degrees, pretzel_slopes,
+                                    torus_degrees)
 from knotslopes.engine import bracket_colored_jones, morton_colored_jones
 from knotslopes.knots import (AlternatingData, DiagramStats, Pretzel237,
                               bundled_knot_table, is_alternating, parse_knot,
@@ -51,18 +52,17 @@ def test_alt_invariants_mirror():
 
 
 def test_alt_degrees_trefoil():
-    deltas = [adequate_degrees(TREFOIL_DATA.diagram_stats(), n)
-              for n in range(5)]
-    assert [d for d, _ in deltas] == [0, 4, 11, 21, 34]
-    assert [ds for _, ds in deltas] == [0, 1, 2, 3, 4]
+    st = TREFOIL_DATA.diagram_stats()
+    assert [adequate_max_degree(st, n) for n in range(5)] == [0, 4, 11, 21, 34]
+    assert [adequate_min_degree(st, n) for n in range(5)] == [0, 1, 2, 3, 4]
 
 
 def test_alt_degrees_mirror_swaps_and_negates():
+    st = TREFOIL_DATA.diagram_stats()
+    mirror = AlternatingData(3, 0, 2, 3, mirror=True).diagram_stats()
     for n in range(6):
-        d, ds = adequate_degrees(TREFOIL_DATA.diagram_stats(), n)
-        md, mds = adequate_degrees(
-            AlternatingData(3, 0, 2, 3, mirror=True).diagram_stats(), n)
-        assert (md, mds) == (-ds, -d)
+        assert adequate_max_degree(mirror, n) == -adequate_min_degree(st, n)
+        assert adequate_min_degree(mirror, n) == -adequate_max_degree(st, n)
 
 
 def test_alt_symmetrized_trefoil():
@@ -99,7 +99,7 @@ def test_degrees_and_symmetrized_are_consistent():
     for _, data in pairs:
         st = data.diagram_stats()
         for n in range(21):
-            d, ds = adequate_degrees(st, n)
+            d, ds = adequate_max_degree(st, n), adequate_min_degree(st, n)
             dm, dp = alt_symmetrized(st, n)
             assert d - ds == dp
             assert d + ds == dm
@@ -155,7 +155,7 @@ def test_adequate_degrees_match_morton_on_torus_diagrams():
         assert knots._classify(pd)[1:] == (False, False, True)
         st = smoothing_counts(pd)
         for n in range(15):
-            assert adequate_degrees(st, n)[1] == torus_degrees(a, b, n)[1]
+            assert adequate_min_degree(st, n) == torus_degrees(a, b, n)[1]
 
 
 def test_pretzel_degrees_p7():

@@ -1,6 +1,7 @@
 """Tests for the colored Jones engines and degree sequences."""
 
 import hashlib
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from knotslopes import engine
 from knotslopes.engine import (EngineLimitError, bracket_colored_jones,
-                               bundled_degrees_available, degree_sequence,
-                               morton_colored_jones)
+                               degree_sequence, morton_colored_jones)
 from knotslopes.knots import (Diagram, Named, Pretzel237, Torus,
                               bundled_knot_table,
                               is_alternating, mirror_pd, parse_knot,
@@ -413,7 +413,7 @@ def test_named_sequences_agree_with_bracket_at_color_3():
     # every bundled degree file against the state sum of the bundled
     # diagram at color 3; 9_49's 11-crossing diagram takes most of it
     table = bundled_knot_table()
-    names = sorted(k for k in table if bundled_degrees_available(k))
+    names = sorted({f.split(".")[0] for f in os.listdir(engine._SEQ_DIR)})
     assert len(names) == 11
     for key in names:
         j = bracket_colored_jones(table[key], 3)
@@ -430,8 +430,11 @@ def test_bracket_matches_morton_on_8_19_color_4():
     assert bracket_colored_jones(pd, 4) in (want, want.mirror())
 
 
-def test_bundled_degrees_available():
-    assert bundled_degrees_available("8_19")
-    assert bundled_degrees_available("9_49")
-    assert not bundled_degrees_available("3_1")
-    assert not bundled_degrees_available("no_such_knot")
+def test_bundled_degree_files_cover_every_non_adequate_diagram():
+    # Named takes a side that is not adequate from the bundled .seq
+    # files, without a fallback, so every such knot needs both of them
+    files = set(os.listdir(engine._SEQ_DIR))
+    needed = [k for k in bundled_knot_table() if not all(Named(k)._adequate)]
+    assert len(needed) == 11
+    for key in needed:
+        assert {key + ".max.seq", key + ".min.seq"} <= files, key

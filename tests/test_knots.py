@@ -225,6 +225,14 @@ def test_validate_pd():
     # a non-integral label is refused, not truncated to the trefoil
     with pytest.raises(ValueError, match="PD label 1.9 is not an integer"):
         validate_pd([(1.9, 2, 3, 4), (2, 5, 6, 3), (5, 1.2, 4, 6)])
+    # the trefoil with its first crossing read from the outgoing under-arc
+    with pytest.raises(ValueError, match="crossing 1 is entered at the "
+                       "outgoing under slot; arc direction violates the "
+                       "PD convention"):
+        validate_pd(((3, 4, 1, 2),) + TREFOIL_PD[1:])
+    with pytest.raises(ValueError,
+                       match="diagram is not planar: V-E\\+F = -2"):
+        validate_pd([(1, 4, 2, 5), (2, 6, 3, 1), (3, 5, 4, 6)])
 
 
 def test_mirror_pd_involution():

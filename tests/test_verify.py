@@ -184,6 +184,27 @@ def test_alternating_theorems_mirror_data():
     assert out["report"].js_star == [-3]
 
 
+def test_alternating_theorems_fail_on_another_knots_report():
+    # the trefoil's counts against the report of 8_19, the torus knot
+    # T(3,4): every prediction fails, and js* only against the mirror
+    report = analyze(Named("8_19"), 12)
+    out = check_alternating_theorems(AlternatingData(3, 0, 2, 3), report)
+    assert not out["holds"]
+    assert out["problems"] == [
+        "period 2 instead of 1",
+        "js [Fraction(6, 1)] instead of {c+} = {3}",
+        "degree sum/span identities fail at n=1",
+        "checkerboard slopes (6, 0) do not match doubled fitted slopes "
+        "(Fraction(12, 1), Fraction(0, 1))",
+        "jones diameter 6 differs from crossing number 3"]
+    out = check_alternating_theorems(
+        AlternatingData(3, 0, 2, 3, mirror=True), report)
+    assert out["problems"][1:3] == [
+        "js [Fraction(6, 1)] instead of {c+} = {0}",
+        "js* [Fraction(0, 1)] instead of {-c-} = {-3}"]
+    assert out["report"] is report
+
+
 def test_alternating_theorems_bundled():
     for c_plus, c_minus, a, b in ((4, 4, 5, 5), (7, 5, 10, 4),
                                   (15, 0, 4, 13)):
