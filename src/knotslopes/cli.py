@@ -6,6 +6,14 @@ slopes (both fitted slope sets), verify (Slope Conjecture check, single
 knot or the whole bundled table), report (verify plus the crossing-bound
 and alternating checks).
 
+The parser is one loop over two tables: ``_COMMANDS`` gives each
+subcommand its handler, help line and options, and ``_OPTIONS`` gives
+each option its argparse keywords.  Every subcommand takes a knot spec
+first and ``--json`` and ``--limit-mb`` last.  A handler returns
+``(exit code, output)``, the output being the JSON document under
+``--json`` and the text otherwise; ``main`` is the one place that prints
+it, so an error while writing exits like any other error.
+
 Exit codes: 0 success, 1 a conjecture check came back refuted-in-window,
 2 usage or data error, 3 resource limit hit.
 """
@@ -13,6 +21,7 @@ Exit codes: 0 success, 1 a conjecture check came back refuted-in-window,
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import quasifit
 from . import verify as slopecheck
@@ -26,7 +35,7 @@ EXIT_LIMIT = 3
 
 
 def _knot_spec(args):
-    texts = [t for t in (getattr(args, "knot_pos", None), args.knot) if t]
+    texts = [t for t in (args.knot_pos, args.knot) if t]
     if not texts:
         raise ValueError("no knot given; pass a spec like torus:2,3 or "
                          "use --knot")
@@ -40,26 +49,30 @@ def _colors(args, spec):
     return args.max_n if args.max_n is not None else spec.default_colors()
 
 
-def _print_fit(q, out):
-    out.write("period: %d\n" % q.period)
-    out.write("transient: %d\n" % q.transient)
-    out.write("slopes: %s\n"
-              % ", ".join(str(s) for s in quasifit.slopes(q)))
-    out.write(q.describe() + "\n")
-    gf = q.gf
-    if gf is not None:
-        out.write("generating function: %s\n" % gf)
+def _join(values):
+    return ", ".join(str(v) for v in values)
+
+
+def _verify_one(args, spec, db):
+    return slopecheck.analyze(spec, _colors(args, spec),
+                              max_period=args.max_period,
+                              max_transient=args.max_transient,
+                              limit_mb=args.limit_mb, db=db)
+
+
+def _exit(reports):
+    refuted = any(rep.conjecture_verdict == "refuted-in-window"
+                  for rep in reports)
+    return EXIT_REFUTED if refuted else EXIT_OK
 
 
 def cmd_compute(args):
     spec = _knot_spec(args)
     j = spec.polynomial(args.n, args.limit_mb)
     if args.json:
-        print(json.dumps({"knot": spec.render(), "n": args.n,
-                          "polynomial": str(j)}))
-    else:
-        print(j)
-    return EXIT_OK
+        return EXIT_OK, {"knot": spec.render(), "n": args.n,
+                         "polynomial": str(j)}
+    return EXIT_OK, str(j)
 
 
 def cmd_degrees(args):
@@ -67,19 +80,16 @@ def cmd_degrees(args):
     n_max = _colors(args, spec)
     vals = degree_sequence(spec, args.kind, n_max, limit_mb=args.limit_mb)
     if args.json:
-        print(json.dumps({"knot": spec.render(), "kind": args.kind,
-                          "values": [str(v) for v in vals]}))
-    else:
-        print("# %s degrees of %s, colors 0..%d"
-              % (args.kind, spec.render(), n_max))
-        for v in vals:
-            print(v)
-    return EXIT_OK
+        return EXIT_OK, {"knot": spec.render(), "kind": args.kind,
+                         "values": [str(v) for v in vals]}
+    head = "# %s degrees of %s, colors 0..%d" % (args.kind, spec.render(),
+                                                 n_max)
+    return EXIT_OK, "\n".join([head] + [str(v) for v in vals])
 
 
 def cmd_fit(args):
     if args.input:
-        if args.knot or getattr(args, "knot_pos", None):
+        if args.knot or args.knot_pos:
             raise ValueError("pass either --input or a knot spec, not both")
         seq = quasifit.load_sequence(args.input)
         source = args.input
@@ -96,67 +106,52 @@ def cmd_fit(args):
         doc["source"] = source
         doc["samples"] = len(seq)
         doc["integrality"] = [[str(s), str(w)] for s, w in witnesses]
-        print(json.dumps(doc))
-    else:
-        print("# fit of %s (%d samples)" % (source, len(seq)))
-        _print_fit(q, sys.stdout)
-    return EXIT_OK
+        return EXIT_OK, doc
+    lines = ["# fit of %s (%d samples)" % (source, len(seq)),
+             "period: %d" % q.period, "transient: %d" % q.transient,
+             "slopes: %s" % _join(quasifit.slopes(q)), q.describe()]
+    gf = q.gf
+    if gf is not None:
+        lines.append("generating function: %s" % gf)
+    return EXIT_OK, "\n".join(lines)
 
 
 def cmd_slopes(args):
-    spec = _knot_spec(args)
-    report = _verify_one(args, spec, None)
+    rep = _verify_one(args, _knot_spec(args), None)
     if args.json:
-        doc = report.to_dict()
-        print(json.dumps({key: doc[key] for key in (
+        doc = rep.to_dict()
+        return EXIT_OK, {key: doc[key] for key in (
             "knot", "period", "delta_period", "js", "js_star",
-            "jones_diameter")}))
-    else:
-        print("period: %d" % report.period)
-        print("js: %s" % ", ".join(str(s) for s in report.js))
-        print("js*: %s" % ", ".join(str(s) for s in report.js_star))
-        print("jones diameter: %s" % report.jones_diameter)
-    return EXIT_OK
-
-
-def _verify_one(args, spec, db):
-    return slopecheck.analyze(spec, _colors(args, spec),
-                              max_period=args.max_period,
-                              max_transient=args.max_transient,
-                              limit_mb=args.limit_mb, db=db)
+            "jones_diameter")}
+    return EXIT_OK, "\n".join([
+        "period: %d" % rep.period, "js: %s" % _join(rep.js),
+        "js*: %s" % _join(rep.js_star),
+        "jones diameter: %s" % rep.jones_diameter])
 
 
 def cmd_verify(args):
     if args.all and (args.knot or args.knot_pos):
         raise ValueError("pass either --all or a knot spec, not both")
     db = load_slope_db(args.slope_db) if args.slope_db else None
-    if args.all:
-        reports = [(key, _verify_one(args, Named(key), db))
-                   for key in sorted(bundled_knot_table())]
-        if args.json:
-            print(json.dumps([rep.to_dict() for _, rep in reports]))
-        else:
-            counts = {"verified": 0, "refuted-in-window": 0, "no-data": 0}
-            for key, rep in reports:
-                counts[rep.conjecture_verdict] += 1
-                print("%s: %s (period %d, js %s, js* %s)"
-                      % (key, rep.conjecture_verdict, rep.period,
-                         ", ".join(str(s) for s in rep.js),
-                         ", ".join(str(s) for s in rep.js_star)))
-            print("%d verified, %d refuted-in-window, %d no-data"
-                  % (counts["verified"], counts["refuted-in-window"],
-                     counts["no-data"]))
-        refuted = any(rep.conjecture_verdict == "refuted-in-window"
-                      for _, rep in reports)
-        return EXIT_REFUTED if refuted else EXIT_OK
-    spec = _knot_spec(args)
-    rep = _verify_one(args, spec, db)
+    if not args.all:
+        rep = _verify_one(args, _knot_spec(args), db)
+        return _exit([rep]), (rep.to_dict() if args.json else rep.render())
+    keys = sorted(bundled_knot_table())
+    reports = [_verify_one(args, Named(key), db) for key in keys]
     if args.json:
-        print(json.dumps(rep.to_dict()))
-    else:
-        print(rep.render())
-    return (EXIT_REFUTED if rep.conjecture_verdict == "refuted-in-window"
-            else EXIT_OK)
+        return _exit(reports), [rep.to_dict() for rep in reports]
+    lines = ["%s: %s (period %d, js %s, js* %s)"
+             % (key, rep.conjecture_verdict, rep.period, _join(rep.js),
+                _join(rep.js_star)) for key, rep in zip(keys, reports)]
+    counts = Counter(rep.conjecture_verdict for rep in reports)
+    lines.append("%d verified, %d refuted-in-window, %d no-data"
+                 % (counts["verified"], counts["refuted-in-window"],
+                    counts["no-data"]))
+    return _exit(reports), "\n".join(lines)
+
+
+def _bound(slope, bound, ok):
+    return [str(slope), str(bound), ok]
 
 
 def cmd_report(args):
@@ -170,17 +165,14 @@ def cmd_report(args):
     failed = (rep.conjecture_verdict == "refuted-in-window"
               or not bounds["holds"]
               or (alt is not None and not alt["holds"]))
+    code = EXIT_REFUTED if failed else EXIT_OK
     if args.json:
         doc = rep.to_dict()
         doc["crossing_bounds"] = {
             "holds": bounds["holds"],
-            "max_side": [[str(s), str(b), ok]
-                         for s, b, ok in bounds["max_side"]],
-            "min_side": [[str(s), str(b), ok]
-                         for s, b, ok in bounds["min_side"]],
-            "diameter": [str(bounds["diameter"][0]),
-                         str(bounds["diameter"][1]),
-                         bounds["diameter"][2]],
+            "max_side": [_bound(*row) for row in bounds["max_side"]],
+            "min_side": [_bound(*row) for row in bounds["min_side"]],
+            "diameter": _bound(*bounds["diameter"]),
         }
         if alt is not None:
             doc["alternating_checks"] = {
@@ -189,25 +181,20 @@ def cmd_report(args):
                 "checkerboard_slopes": [str(s) for s in
                                         alt["checkerboard_slopes"]],
             }
-        print(json.dumps(doc))
-    else:
-        print(rep.render())
-        print("crossing bounds: %s"
-              % ("hold" if bounds["holds"] else "VIOLATED"))
-        for s, b, okk in bounds["max_side"]:
-            print("  slope %s <= c+ = %s: %s" % (s, b, okk))
-        for s, b, okk in bounds["min_side"]:
-            print("  slope %s >= -c- = %s: %s" % (s, b, okk))
-        d, c, okk = bounds["diameter"]
-        print("  diameter %s <= c = %s: %s" % (d, c, okk))
-        if alt is not None:
-            print("alternating checks: %s"
-                  % ("hold" if alt["holds"] else "FAILED"))
-            for prob in alt["problems"]:
-                print("  " + prob)
-            print("  checkerboard slopes: %s, %s"
-                  % alt["checkerboard_slopes"])
-    return EXIT_REFUTED if failed else EXIT_OK
+        return code, doc
+    lines = [rep.render(), "crossing bounds: %s"
+             % ("hold" if bounds["holds"] else "VIOLATED")]
+    lines += ["  slope %s <= c+ = %s: %s" % row for row in bounds["max_side"]]
+    lines += ["  slope %s >= -c- = %s: %s" % row
+              for row in bounds["min_side"]]
+    lines.append("  diameter %s <= c = %s: %s" % bounds["diameter"])
+    if alt is not None:
+        lines.append("alternating checks: %s"
+                     % ("hold" if alt["holds"] else "FAILED"))
+        lines += ["  " + prob for prob in alt["problems"]]
+        lines.append("  checkerboard slopes: %s, %s"
+                     % alt["checkerboard_slopes"])
+    return code, "\n".join(lines)
 
 
 def _integer_option(text):
@@ -218,18 +205,45 @@ def _integer_option(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_knot_args(p):
-    p.add_argument("knot_pos", nargs="?", metavar="KNOT",
-                   help="knot spec: torus:a,b | pretzel:-2,3,p | "
-                        "alt:c+,c-,|A|,|B| | pd:[(a,b,c,d),...] | "
-                        "name:KEY, with optional mirror: prefix")
-    p.add_argument("--knot", help="knot spec (alternative to the "
-                                  "positional argument)")
+_OPTIONS = {
+    "knot_pos": dict(nargs="?", metavar="KNOT",
+                     help="knot spec: torus:a,b | pretzel:-2,3,p | "
+                          "alt:c+,c-,|A|,|B| | pd:[(a,b,c,d),...] | "
+                          "name:KEY, with optional mirror: prefix"),
+    "--knot": dict(help="knot spec (alternative to the positional argument)"),
+    "--n": dict(type=_integer_option, default=1, help="color (default 1)"),
+    "--input": dict(help="sequence file (one value per line, # comments) "
+                         "instead of a knot"),
+    "--all": dict(action="store_true",
+                  help="run over every knot in the bundled table"),
+    "--slope-db": dict(help="boundary-slope table overriding the bundled one"),
+    "--max-n": dict(type=_integer_option),
+    "--kind": dict(choices=["max", "min", "span", "sum"], default="max"),
+    "--max-period": dict(type=_integer_option, default=16),
+    "--max-transient": dict(type=_integer_option, default=8),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--limit-mb": dict(type=_integer_option,
+                       help="memory budget of the cabled state sum in MiB "
+                       "(default 512): each stored frontier state is "
+                       "charged a fixed overhead plus the bytes of its "
+                       "packed polynomial, for the frontier a step reads "
+                       "and the one it writes; checked every 4096 new "
+                       "states, exit code 3 when exceeded"),
+}
 
-
-def _add_fit_args(p):
-    p.add_argument("--max-period", type=_integer_option, default=16)
-    p.add_argument("--max-transient", type=_integer_option, default=8)
+_WINDOW = ("--max-period", "--max-transient")
+_COMMANDS = {
+    "compute": (cmd_compute, "print one colored Jones polynomial", ("--n",)),
+    "degrees": (cmd_degrees, "print a degree sequence", ("--max-n", "--kind")),
+    "fit": (cmd_fit, "fit a quadratic quasi-polynomial",
+            ("--input", "--max-n", "--kind") + _WINDOW),
+    "slopes": (cmd_slopes, "fitted Jones slopes and period",
+               ("--max-n",) + _WINDOW),
+    "verify": (cmd_verify, "check the Slope Conjecture",
+               ("--all", "--slope-db", "--max-n") + _WINDOW),
+    "report": (cmd_report, "verify plus crossing-bound and alternating "
+                           "checks", ("--slope-db", "--max-n") + _WINDOW),
+}
 
 
 def _build_parser():
@@ -238,69 +252,11 @@ def _build_parser():
         description="Colored Jones degrees, quasi-polynomial fits, and "
                     "Slope Conjecture checks.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="print one colored Jones polynomial")
-    _add_knot_args(p)
-    p.add_argument("--n", type=_integer_option, default=1,
-                   help="color (default 1)")
-
-    q = sub.add_parser("degrees", help="print a degree sequence")
-    _add_knot_args(q)
-    q.add_argument("--max-n", type=_integer_option, default=None)
-    q.add_argument("--kind", choices=["max", "min", "span", "sum"],
-                   default="max")
-
-    f = sub.add_parser("fit", help="fit a quadratic quasi-polynomial")
-    _add_knot_args(f)
-    f.add_argument("--input", help="sequence file (one value per line, "
-                                   "# comments) instead of a knot")
-    f.add_argument("--max-n", type=_integer_option, default=None)
-    f.add_argument("--kind", choices=["max", "min", "span", "sum"],
-                   default="max")
-    _add_fit_args(f)
-
-    s = sub.add_parser("slopes", help="fitted Jones slopes and period")
-    _add_knot_args(s)
-    s.add_argument("--max-n", type=_integer_option, default=None)
-    _add_fit_args(s)
-
-    v = sub.add_parser("verify", help="check the Slope Conjecture")
-    _add_knot_args(v)
-    v.add_argument("--all", action="store_true",
-                   help="run over every knot in the bundled table")
-    v.add_argument("--slope-db", help="boundary-slope table overriding "
-                                      "the bundled one")
-    v.add_argument("--max-n", type=_integer_option, default=None)
-    _add_fit_args(v)
-
-    r = sub.add_parser("report", help="verify plus crossing-bound and "
-                                      "alternating checks")
-    _add_knot_args(r)
-    r.add_argument("--slope-db")
-    r.add_argument("--max-n", type=_integer_option, default=None)
-    _add_fit_args(r)
-
-    for p_ in (p, q, f, s, v, r):
-        p_.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-        p_.add_argument("--limit-mb", type=_integer_option, default=None,
-                        help="memory budget of the cabled state sum in "
-                        "MiB (default 512): each stored frontier state is "
-                        "charged a fixed overhead plus the bytes of its "
-                        "packed polynomial, for the frontier a step reads "
-                        "and the one it writes; checked every 4096 new "
-                        "states, exit code 3 when exceeded")
+    for name, (_, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option in ("knot_pos", "--knot", *options, "--json", "--limit-mb"):
+            p.add_argument(option, **_OPTIONS[option])
     return ap
-
-
-_DISPATCH = {
-    "compute": cmd_compute,
-    "degrees": cmd_degrees,
-    "fit": cmd_fit,
-    "slopes": cmd_slopes,
-    "verify": cmd_verify,
-    "report": cmd_report,
-}
 
 
 def main(argv=None):
@@ -309,7 +265,9 @@ def main(argv=None):
         if args.limit_mb is not None and args.limit_mb < 0:
             raise ValueError("--limit-mb must be nonnegative, got %d"
                              % args.limit_mb)
-        return _DISPATCH[args.command](args)
+        code, output = _COMMANDS[args.command][0](args)
+        print(json.dumps(output) if args.json else output)
+        return code
     except EngineLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_LIMIT

@@ -248,16 +248,16 @@ class _DiagramSpec(_Spec):
     bracket."""
 
     def default_colors(self):
-        if self.alternating_data() is not None:
-            return 20
         if not self.pd:
             return 6
+        if all(self._adequate):
+            return 20
         from . import engine
         raise engine.EngineLimitError(
-            "a non-alternating diagram without bundled degrees has no "
-            "default color depth: every color is a cabled state sum that "
-            "costs about a hundred times the one before (8_19: 0.7 s at "
-            "color 3, 71 s at color 4); pass --max-n")
+            "a diagram that is not adequate on both sides has no default "
+            "color depth without bundled degrees: every color is a cabled "
+            "state sum that costs about a hundred times the one before "
+            "(8_19: 0.7 s at color 3, 71 s at color 4); pass --max-n")
 
     def alternating_data(self):
         """Counts of an alternating diagram adequate on both sides."""
@@ -529,13 +529,13 @@ def canonical_pd(pd):
         return pd
     entries = _component_walk(pd, _arc_endpoints(pd))
     fixed = []
+    # the walk enters each of the 2n strands once, so an under-strand it
+    # does not enter at slot 0 it enters at slot 2
     for ci, cr in enumerate(pd):
         if (ci, 0) in entries:
             fixed.append(cr)
-        elif (ci, 2) in entries:
-            fixed.append((cr[2], cr[3], cr[0], cr[1]))
         else:
-            raise ValueError("walk never entered the under-strand of crossing %d" % ci)
+            fixed.append((cr[2], cr[3], cr[0], cr[1]))
     return validate_pd(tuple(fixed))
 
 

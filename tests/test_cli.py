@@ -1,5 +1,7 @@
 """Tests for the command line front end."""
 
+import argparse
+import io
 import json
 import os
 import re
@@ -8,9 +10,10 @@ import sys
 
 import pytest
 
-from knotslopes import engine, knots, quasifit
+from knotslopes import cli, engine, knots, quasifit, verify
 from knotslopes.cli import main
-from knotslopes.knots import AlternatingData, Diagram, bundled_knot_table
+from knotslopes.knots import (AlternatingData, Diagram, bundled_knot_table,
+                              pretzel_pd, two_bridge_pd)
 
 
 def run(capsys, *argv):
@@ -290,6 +293,40 @@ def test_nonalternating_diagram_needs_max_n(capsys, monkeypatch):
     assert out.splitlines()[1:] == ["0", "8", "23"]
 
 
+def test_adequate_nonalternating_diagram_has_default_colors(capsys,
+                                                           monkeypatch):
+    # an 11-crossing diagram adequate on both sides: both degree lists
+    # are closed forms at the default depth, and no state sum runs
+    pd = Diagram(pretzel_pd([2, 3, -3, -3]))
+    assert not knots.is_alternating(pd.pd)
+
+    def no_state_sum(*args):
+        raise AssertionError("a state sum ran")
+    monkeypatch.setattr(engine, "_bracket_raw", no_state_sum)
+    code, out, err = run(capsys, "degrees", pd.render())
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith("colors 0..20")
+
+
+def test_inadequate_alternating_diagram_needs_max_n(capsys):
+    pd = Diagram(two_bridge_pd([1, 2]))
+    assert knots.is_alternating(pd.pd)
+    code, out, err = run(capsys, "degrees", pd.render())
+    assert (code, out) == (3, "")
+    assert "a diagram that is not adequate on both sides" in err
+    assert "pass --max-n" in err
+
+
+def test_write_error_exits_with_usage_code(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["compute", "torus:2,3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_report_trefoil(capsys):
     code, out, _ = run(capsys, "report", "name:3_1")
     assert code == 0
@@ -344,6 +381,17 @@ def test_report_classifies_the_diagram_once(capsys, monkeypatch, spec):
     assert knots._classify.cache_info().misses == 1
 
 
+def test_report_prints_failed_alternating_checks(capsys, monkeypatch):
+    def failed(alt_data, report):
+        return {"holds": False, "problems": ["first problem", "second one"],
+                "checkerboard_slopes": (6, 0)}
+    monkeypatch.setattr(verify, "check_alternating_theorems", failed)
+    code, out, _ = run(capsys, "report", "name:3_1")
+    assert code == 1
+    assert out.endswith("alternating checks: FAILED\n  first problem\n"
+                        "  second one\n  checkerboard slopes: 6, 0\n")
+
+
 def test_report_refuted_exit(tmp_path, capsys):
     db = tmp_path / "slopes.tsv"
     db.write_text("8_19\t0,4\n")
@@ -385,3 +433,41 @@ def test_unparseable_slope_names_file_and_line(capsys, tmp_path, row, token):
     assert code == 2
     assert out == ""
     assert err == "error: %s:3: unparseable slope %r\n" % (path, token)
+
+
+# every action of every subcommand, in parser order: option strings, dest,
+# default, choices, nargs and the name of the type function
+_INT = "_integer_option"
+_HEAD = [(["-h", "--help"], "help", argparse.SUPPRESS, None, 0, None),
+         ([], "knot_pos", None, None, "?", None),
+         (["--knot"], "knot", None, None, None, None)]
+_MAX_N = [(["--max-n"], "max_n", None, None, None, _INT)]
+_KIND = [(["--kind"], "kind", "max", ["max", "min", "span", "sum"], None,
+          None)]
+_WINDOW = [(["--max-period"], "max_period", 16, None, None, _INT),
+           (["--max-transient"], "max_transient", 8, None, None, _INT)]
+_SLOPE_DB = [(["--slope-db"], "slope_db", None, None, None, None)]
+_TAIL = [(["--json"], "json", False, None, 0, None),
+         (["--limit-mb"], "limit_mb", None, None, None, _INT)]
+PARSER = {
+    "compute": _HEAD + [(["--n"], "n", 1, None, None, _INT)] + _TAIL,
+    "degrees": _HEAD + _MAX_N + _KIND + _TAIL,
+    "fit": (_HEAD + [(["--input"], "input", None, None, None, None)]
+            + _MAX_N + _KIND + _WINDOW + _TAIL),
+    "slopes": _HEAD + _MAX_N + _WINDOW + _TAIL,
+    "verify": (_HEAD + [(["--all"], "all", False, None, 0, None)]
+               + _SLOPE_DB + _MAX_N + _WINDOW + _TAIL),
+    "report": _HEAD + _SLOPE_DB + _MAX_N + _WINDOW + _TAIL,
+}
+
+
+def test_parser_options_are_pinned():
+    ap = cli._build_parser()
+    assert [(a.option_strings, a.dest, a.required) for a in ap._actions] \
+        == [(["-h", "--help"], "help", False), ([], "command", True)]
+    subs = ap._actions[1].choices
+    got = {name: [(a.option_strings, a.dest, a.default, a.choices, a.nargs,
+                   getattr(a.type, "__name__", None)) for a in p._actions]
+           for name, p in subs.items()}
+    assert list(got) == list(PARSER)
+    assert got == PARSER

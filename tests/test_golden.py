@@ -64,6 +64,9 @@ REPORT_SPECS = [["torus:3,4"], ["mirror:torus:2,5"], ["pretzel:-2,3,7"],
                 [PD_8_19, "--max-n", "2"]]
 # a negative depth is refused with one message on every route
 NEGATIVE_SPECS = ["torus:2,3", "pretzel:-2,3,7", "name:8_19", "alt:3,0,2,3"]
+# one knot's verify report as JSON, and slopes as text
+VERIFY_SPECS = ["name:8_19", "mirror:pretzel:-2,3,7", "torus:3,4"]
+SLOPES_TEXT_SPECS = ["name:8_20", "mirror:pretzel:-2,3,7"]
 
 
 def _sequence_dir():
@@ -95,7 +98,9 @@ def corpus():
                        "--max-n", "4", "--json"]]
                    + [["report"] + argv for argv in REPORT_SPECS]
                    + [[cmd, spec, "--max-n", "-1"] for spec in NEGATIVE_SPECS
-                      for cmd in ("slopes", "verify", "report", "fit")]),
+                      for cmd in ("slopes", "verify", "report", "fit")]
+                   + [["verify", spec, "--json"] for spec in VERIFY_SPECS]
+                   + [["slopes", spec] for spec in SLOPES_TEXT_SPECS]),
     }
 
 
