@@ -41,6 +41,17 @@ outward end.  ``_pattern_rule`` works out the smoothings of each
 pattern once per process; a step's rule for a tuple of partners only
 maps the pattern's outward slots to new positions.  Only the
 polynomial side runs per state.
+
+The contraction order is searched.  A greedy pass from a starting
+crossing takes next the crossing sharing the most open arcs, from a
+candidate set that it updates as arcs open, and its estimate is the sum
+over steps of Catalan(open arcs / 2), which bounds the planar matchings
+of each frontier.  ``_pick_order`` runs passes from crossings 0, 1, 2,
+... and keeps the cheapest, and stops before the passes, at about
+``_PASS_COST`` states per crossing each, would cost as much as the
+cheapest estimate so far.  So the 1-cables of the bundled diagrams run
+one or two passes, their 2-cables at most 19, and their 4-cables every
+start.
 """
 
 import functools
@@ -149,23 +160,64 @@ def _cable(pd, m):
 # frontier dynamic program for the bracket
 
 
+# a greedy pass costs about as much as this many frontier states per
+# crossing of the cable
+_PASS_COST = 4
+
+
 def _pick_order(crossings):
-    """Greedy elimination order: prefer crossings sharing the most arcs
-    with the ones already processed, to keep the frontier narrow."""
-    remaining = set(range(len(crossings)))
-    order = []
-    open_arcs = set()
-    while remaining:
-        best = min(remaining, key=lambda idx: (
-            -sum(1 for a in crossings[idx] if a in open_arcs), idx))
-        order.append(best)
-        remaining.discard(best)
-        for a in crossings[best]:
-            if a in open_arcs:
-                open_arcs.discard(a)
-            else:
-                open_arcs.add(a)
+    """Contraction order of the state sum: of the greedy passes from
+    crossings 0, 1, 2, ..., the one with the fewest estimated states,
+    the earliest on a tie.  No further start is tried once the passes
+    run so far, at ``_PASS_COST`` states per crossing each, cost as much
+    as the cheapest estimate."""
+    ends = {}
+    for idx, arcs in enumerate(crossings):
+        for a in arcs:
+            ends.setdefault(a, []).append(idx)
+    order, best = [], None
+    for start in range(len(crossings)):
+        if best is not None and start * len(crossings) * _PASS_COST >= best:
+            break
+        found, estimate = _greedy_order(crossings, ends, start)
+        if best is None or estimate < best:
+            order, best = found, estimate
     return order
+
+
+def _greedy_order(crossings, ends, start):
+    """One greedy pass from crossing ``start``, with ``ends[a]`` the
+    crossings of arc a: each next crossing is the candidate sharing the
+    most open arcs, ties broken by index, and a crossing sharing none
+    is taken, lowest index first, only when no candidate is left.
+    Returns the order and its estimated states, the sum over steps of
+    Catalan(open arcs / 2), which bounds the frontier's planar
+    matchings."""
+    done = [False] * len(crossings)
+    shared = {}                 # candidate -> open arcs it shares
+    order, width, estimate = [], 0, 0
+    idx = start
+    while True:
+        done[idx] = True
+        order.append(idx)
+        for a in crossings[idx]:
+            u, v = ends[a]
+            other = v if u == idx else u
+            if other == idx:
+                continue        # a self-arc never opens
+            if done[other]:
+                width -= 1
+            else:
+                width += 1
+                shared[other] = shared.get(other, 0) + 1
+        estimate += comb(width, width // 2) // (width // 2 + 1)
+        if shared:
+            idx = max(shared, key=lambda c: (shared[c], -c))
+            del shared[idx]
+        elif len(order) < len(crossings):
+            idx = done.index(False)
+        else:
+            return order, estimate
 
 
 def _apply_smoothing(pattern, pairing):
@@ -201,10 +253,12 @@ def _apply_smoothing(pattern, pairing):
 
 # bytes charged per stored frontier state besides its packed int's bits/8:
 # its key tuple, its (lo, packed) pair, the int lo, the int's header and
-# a dict slot.  Fitted so that the peak charge meets ru_maxrss above the
-# 16 MB interpreter floor, it is 356 on 8_19's 3-cable (5.5 MB), 359 on
-# 9_42's (4.8 MB), 314 on 9_49's (133 MB) and 206 on 8_19's 4-cable
-# (422 MB, where read and written states share many packed ints)
+# a dict slot.  Fitted so that the peak charge meets the growth of
+# ru_maxrss above the 16 MB interpreter floor, it is 352 on 8_19's
+# 3-cable (5.3 MB charged, 5.2 MB grown), 232 on 9_42's (5.3, 4.2), 471
+# on 9_49's (8.8, 9.9) and 194 on 8_19's 4-cable (444, 376); 9_42's
+# 4-cable grows less than its packed ints' bytes (495, 345), as read and
+# written states share many packed ints
 _STATE_BYTES = 360
 
 # new states of a step between two checks of the running stored bytes
@@ -465,8 +519,8 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     the step that overflows, when the stored bytes of the state sum
     exceed ``limit_mb`` MiB (default 512): each stored state is charged
     a calibrated overhead plus its packed int's bytes, for the frontier
-    a step reads and the one it writes.  8_19 at color 4 peaks at about
-    483 MiB.
+    a step reads and the one it writes.  At color 4, 8_19 peaks at about
+    423 MiB and 9_42 at about 472 MiB.
     """
     if n < 0:
         raise ValueError("color must be nonnegative")

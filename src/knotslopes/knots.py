@@ -257,7 +257,7 @@ class _DiagramSpec(_Spec):
             "a diagram that is not adequate on both sides has no default "
             "color depth without bundled degrees: every color is a cabled "
             "state sum that costs about a hundred times the one before "
-            "(8_19: 0.7 s at color 3, 71 s at color 4); pass --max-n")
+            "(8_19: 0.35 s at color 3, 36 s at color 4); pass --max-n")
 
     def alternating_data(self):
         """Counts of an alternating diagram adequate on both sides."""

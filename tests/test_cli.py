@@ -257,6 +257,41 @@ def test_negative_limit_is_refused_before_any_work(capsys, monkeypatch,
     assert "--limit-mb must be nonnegative" in err
 
 
+# runs the command line in a fresh interpreter and reports its peak
+# resident set (VmHWM) after the package import and after the command
+HWM_PROBE = """
+import sys
+from knotslopes.cli import main
+
+def hwm():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f
+                    if line.startswith("VmHWM:"))
+floor = hwm()
+code = main(sys.argv[1:])
+sys.stderr.write("VmHWM %d %d\\n" % (floor, hwm()))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from /proc/self/status")
+@pytest.mark.parametrize("limit_mb, exit_code", [(4, 3), (64, 0)])
+def test_limit_bounds_the_resident_set(limit_mb, exit_code):
+    # 9_49's 3-cable peaks at 8,799,940 stored bytes, so a 4 MiB budget
+    # must stop its state sum and a 64 MiB one must not; either way the
+    # process stays under the budget above its state after the import
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", HWM_PROBE, "compute", "name:9_49", "--n", "3",
+         "--limit-mb", str(limit_mb)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    floor, peak = map(int, proc.stderr.rsplit("VmHWM", 1)[1].split())
+    assert peak - floor < limit_mb << 10
+
+
 def test_limit_holds_for_cached_bracket(capsys):
     code, _, _ = run(capsys, "compute", "name:8_19", "--n", "2")
     assert code == 0

@@ -74,15 +74,19 @@ def test_bracket_matches_morton_on_8_19_color_3():
     assert bracket_colored_jones(pd, 3) == morton_colored_jones(3, 4, 3)
 
 
+# peak stored bytes of the state sum of 8_19's 3-cable
+PEAK_8_19_3 = 5256050
+
+
 def test_state_sum_peak_bytes_on_8_19():
     # --limit-mb is a bound on these peaks, so they must not drift
     pd = bundled_knot_table()["8_19"]
-    for m, peak in ((1, 3624), (2, 103402), (3, 5803054)):
+    for m, peak in ((1, 3624), (2, 97581), (3, PEAK_8_19_3)):
         crossings, circles = engine._cable(pd, m)
         assert engine._bracket_raw(crossings, circles, peak)[1] == peak
     crossings, circles = engine._cable(pd, 2)
-    with pytest.raises(EngineLimitError, match="103402 stored bytes"):
-        engine._bracket_raw(crossings, circles, 103401)
+    with pytest.raises(EngineLimitError, match="97581 stored bytes"):
+        engine._bracket_raw(crossings, circles, 97580)
 
 
 def test_budget_checked_inside_a_step(monkeypatch):
@@ -121,23 +125,23 @@ ARC_LEVEL_BRACKETS = {
     "12a_669": ((2900, "3e4e9e7bf613e91a"), (95300, "8cb89d50f411f340")),
     "3_1": ((1441, "434ab89ac4509a3c"), (8428, "549df223d945ee12")),
     "8_17": ((3622, "b9e4ac8b00c5459a"), (116732, "218919dc1019e4b7")),
-    "8_19": ((3624, "8cc13052445b9c80"), (103402, "fdea10242b292191")),
-    "8_20": ((2894, "7575f7d0ac9f6963"), (99830, "c6f98078f2ec8056")),
+    "8_19": ((3624, "8cc13052445b9c80"), (97581, "fdea10242b292191")),
+    "8_20": ((2894, "7575f7d0ac9f6963"), (80692, "c6f98078f2ec8056")),
     "8_21": ((2916, "56d902eef6d2dfe8"), (110278, "91499ff5fccd759b")),
     "9_42": ((2896, "fc540d1376e320e1"), (85277, "d0bc3a38a7d8595e")),
-    "9_43": ((2896, "c4f9a3061abc692b"), (92099, "04e63fb2182c92ba")),
+    "9_43": ((2896, "c4f9a3061abc692b"), (80296, "04e63fb2182c92ba")),
     "9_44": ((2896, "723298f4689a726d"), (92161, "8e7f307edb29925c")),
-    "9_45": ((2896, "894bdf1c2acace2f"), (85276, "9f66463a67dc3552")),
+    "9_45": ((2896, "894bdf1c2acace2f"), (81269, "9f66463a67dc3552")),
     "9_46": ((2906, "ed3ebee6716671f2"), (105491, "0e45d8ab320244f6")),
     "9_47": ((3666, "d57675bea939041e"), (113758, "c3a36ce182c36884")),
     "9_48": ((2906, "989909ad0f8b491a"), (96090, "98f53b00bfcdb005")),
-    "9_49": ((5435, "74cd480ee15a1fb3"), (561288, "e25ca0ba3845b28a")),
+    "9_49": ((5435, "74cd480ee15a1fb3"), (120514, "e25ca0ba3845b28a")),
     "pretzel_2_3_5_5": ((3020, "482fc45961396729"),
                         (157789, "7e622b44d8f9627a")),
     "pretzel_2_5_3_5": ((3053, "482fc45961396729"),
                         (166061, "7e622b44d8f9627a")),
     -15: ((2912, "cad022921a2d3c12"), (116634, "f46d619ad24a0944")),
-    -3: ((2894, "2d5522072f541112"), (102438, "e17b2350ca921c02")),
+    -3: ((2894, "2d5522072f541112"), (53451, "e17b2350ca921c02")),
     7: ((2900, "11f7bd0bd51f46a5"), (106944, "4a46b7c2da3ba6ac")),
     19: ((2918, "00150042ab7f0e9b"), (120924, "d3151e95db311117")),
 }
@@ -158,6 +162,77 @@ def test_three_cable_brackets_unchanged():
     for name, digest in THREE_CABLE_DIGESTS.items():
         poly, _ = engine._bracket_raw(*engine._cable(table[name], 3), 10 ** 9)
         assert _terms_digest(poly) == digest, name
+
+
+def _recorded_passes(monkeypatch, crossings):
+    """The order ``_pick_order`` returns, and (start, estimate, order)
+    of each greedy pass it ran."""
+    passes = []
+    greedy_order = engine._greedy_order
+
+    def recorded(crossings, ends, start):
+        order, estimate = greedy_order(crossings, ends, start)
+        passes.append((start, estimate, order))
+        return order, estimate
+    monkeypatch.setattr(engine, "_greedy_order", recorded)
+    order = engine._pick_order(crossings)
+    monkeypatch.undo()
+    return order, passes
+
+
+def test_picked_order_is_the_cheapest_pass_tried(monkeypatch):
+    table = bundled_knot_table()
+    for name, m in (("8_19", 3), ("9_49", 2), ("3_1", 1)):
+        crossings, _ = engine._cable(table[name], m)
+        order, passes = _recorded_passes(monkeypatch, crossings)
+        assert sorted(order) == list(range(len(crossings))), name
+        assert passes[0][0] == 0
+        # the first pass of the fewest estimated states, so no dearer
+        # than the pass from crossing 0
+        assert order == min(passes, key=lambda p: p[1])[2], name
+
+
+def test_search_stops_once_it_costs_more_than_it_can_save(monkeypatch):
+    # a pass costs about _PASS_COST states per crossing; the (-2,3,19)
+    # 2-cable's 96 crossings run 6 of a possible 96 passes
+    crossings, _ = engine._cable(pretzel_pd([-2, 3, 19]), 2)
+    _, passes = _recorded_passes(monkeypatch, crossings)
+    assert [start for start, _, _ in passes] == list(range(6))
+    best = min(estimate for _, estimate, _ in passes)
+    cost = len(crossings) * engine._PASS_COST
+    assert (len(passes) - 1) * cost < best <= len(passes) * cost
+
+
+def test_searched_order_reads_fewer_states_on_8_19(monkeypatch):
+    # the frontier states written over all steps of 8_19's 3-cable, read
+    # at each step's end: 92,176 along the greedy pass from crossing 0
+    crossings, circles = engine._cable(bundled_knot_table()["8_19"], 3)
+    written = {}
+    check_budget = engine._check_budget
+
+    def recorded(byte_limit, step, read, new, bits):
+        written[step] = new
+        return check_budget(byte_limit, step, read, new, bits)
+    monkeypatch.setattr(engine, "_check_budget", recorded)
+    engine._bracket_raw(crossings, circles, 10 ** 9)
+    assert sum(written.values()) == 68042
+
+
+def test_bracket_does_not_depend_on_the_start(monkeypatch):
+    # every pass of the search starts from one crossing, so the order is
+    # the greedy pass from there; on the 2-cables, as a bad start costs
+    # the 3-cables seconds each
+    greedy_order = engine._greedy_order
+    table = bundled_knot_table()
+    for name in ("8_19", "9_42"):
+        digest = ARC_LEVEL_BRACKETS[name][1][1]
+        crossings, circles = engine._cable(table[name], 2)
+        for start in (1, len(crossings) // 2, len(crossings) - 1):
+            monkeypatch.setattr(engine, "_greedy_order", (
+                lambda crossings, ends, _: greedy_order(crossings, ends,
+                                                        start)))
+            poly, _ = engine._bracket_raw(crossings, circles, 10 ** 9)
+            assert _terms_digest(poly) == digest, (name, start)
 
 
 @st.composite
@@ -325,12 +400,14 @@ def test_bracket_le_degree_bounds():
 
 
 def test_budget_charges_bytes_per_stored_state():
-    # 8_19's 3-cable peaks at 5,803,054 stored bytes: more than the
-    # 5,242,880 of 5 MiB, less than the 6,291,456 of 6 MiB
+    # the whole MiB below 8_19's 3-cable peak of 5,256,050 stored bytes
+    # (5 MiB, 5,242,880) stops color 3, and the one above it (6 MiB) does
+    # not
     pd = bundled_knot_table()["8_19"]
+    below = PEAK_8_19_3 >> 20
     with pytest.raises(EngineLimitError, match="stored bytes"):
-        bracket_colored_jones(pd, 3, limit_mb=5)
-    assert bracket_colored_jones(pd, 3, limit_mb=6) == \
+        bracket_colored_jones(pd, 3, limit_mb=below)
+    assert bracket_colored_jones(pd, 3, limit_mb=below + 1) == \
         morton_colored_jones(3, 4, 3)
 
 
@@ -408,10 +485,19 @@ def test_named_sequences_agree_with_bracket():
             assert j.mindeg() == vals_min[n]
 
 
+def test_bracket_of_9_49_at_color_3_matches_its_degree_files():
+    # 9_49's diagram is adequate on neither side; its 3-cable took about
+    # 17 s along the greedy pass from crossing 0 and 1.5 s along the
+    # searched order
+    j = bracket_colored_jones(bundled_knot_table()["9_49"], 3)
+    dmax, dmin = engine.bundled_degrees("9_49", 3)
+    assert (j.deg(), j.mindeg()) == (dmax[3], dmin[3]) == (50, 6)
+
+
 @pytest.mark.slow
 def test_named_sequences_agree_with_bracket_at_color_3():
     # every bundled degree file against the state sum of the bundled
-    # diagram at color 3; 9_49's 11-crossing diagram takes most of it
+    # diagram at color 3
     table = bundled_knot_table()
     names = sorted({f.split(".")[0] for f in os.listdir(engine._SEQ_DIR)})
     assert len(names) == 11
@@ -423,11 +509,21 @@ def test_named_sequences_agree_with_bracket_at_color_3():
 
 @pytest.mark.slow
 def test_bracket_matches_morton_on_8_19_color_4():
-    # the 4-cable's 128 crossings peak at 506,279,170 stored bytes, under
-    # the default budget of 512 MiB: about 70 s and 435 MB of RSS
+    # the 4-cable's 128 crossings peak at 443,741,328 stored bytes, under
+    # the default budget of 512 MiB: about 36 s and 374 MB of RSS
     pd = bundled_knot_table()["8_19"]
     want = morton_colored_jones(3, 4, 4)
     assert bracket_colored_jones(pd, 4) in (want, want.mirror())
+
+
+@pytest.mark.slow
+def test_bracket_matches_degree_files_on_9_42_color_4():
+    # the first .seq value beyond color 3 computed in-process: the
+    # 4-cable's 144 crossings peak at 494,525,689 stored bytes, under the
+    # default budget, in about 20 s and 345 MB of RSS
+    j = bracket_colored_jones(bundled_knot_table()["9_42"], 4)
+    dmax, dmin = engine.bundled_degrees("9_42", 4)
+    assert (j.deg(), j.mindeg()) == (dmax[4], dmin[4]) == (32, -36)
 
 
 def test_bundled_degree_files_cover_every_non_adequate_diagram():
