@@ -223,12 +223,12 @@ _OPTIONS = {
     "--max-transient": dict(type=_integer_option, default=8),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--limit-mb": dict(type=_integer_option,
-                       help="memory budget of the cabled state sum in MiB "
-                       "(default 512): each stored frontier state is "
-                       "charged a fixed overhead plus the bytes of its "
-                       "packed polynomial, for the frontier a step reads "
-                       "and the one it writes; checked every 4096 new "
-                       "states, exit code 3 when exceeded"),
+                       help="memory budget of the vertex model's state "
+                       "sum in MiB (default 512): each stored frontier "
+                       "state is charged a fixed overhead plus the bytes "
+                       "of its packed polynomial, for the frontier a step "
+                       "reads and the one it writes; checked every 1024 "
+                       "new states, exit code 3 when exceeded"),
 }
 
 _WINDOW = ("--max-period", "--max-transient")

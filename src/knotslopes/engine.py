@@ -1,57 +1,62 @@
 """Exact colored Jones polynomials.
 
-Two independent evaluators live here.  ``morton_colored_jones`` computes
-torus knots through the closed-form state sum; ``bracket_colored_jones``
-works on any planar diagram by cabling it, expanding the Kauffman
-bracket of the cables with a frontier dynamic program, and normalizing.
-Both return Laurent polynomials in q, indexed so that color 0 is the
+Two independent evaluators are public here.  ``morton_colored_jones``
+computes torus knots through the closed-form state sum;
+``bracket_colored_jones`` works on any planar diagram by the colored
+R-matrix vertex model, run on the diagram itself, and normalizes.  A
+third route, the cabled Kauffman bracket (``_cabled_colored_jones``),
+is on no user path: the tests cross-check the vertex model with it.
+All return Laurent polynomials in q, indexed so that color 0 is the
 unknot normalization (constant 1) and color 1 is the Jones polynomial.
 
-``LaurentPoly`` is the only polynomial type: both evaluators divide by
+``LaurentPoly`` is the only polynomial type: every evaluator divides by
 q**((n+1)/2) - q**(-(n+1)/2) through ``LaurentPoly.exact_div``.  That
 divisor is a binomial with coefficients +-1 of opposite signs, so the
 division takes ``exact_div``'s residue-class route, linear in the
-quotient, and not the long division that other divisors need.  Both
-evaluators apply their framing shift to the dividend, so no pass over
-the quotient follows the division.  The bracket state sum runs in A with
-q = A**-4.  Every closed circle, the last one included, is a factor
--A**2 - A**-2; the empty diagram has bracket 1.
+quotient, and not the long division that other divisors need.
 
-Each frontier state's polynomial is packed into one Python int
-(Kronecker substitution).  All its A-exponents agree mod 4, so it is a
-pair (lo, packed): its lowest A-exponent and the polynomial in X = A**4
-above it, evaluated at X = 2**bits.  A merge of two states is one shift
-and add, a circle factor is lo - 2 and a multiply by -(1 + 2**bits), and
-the bracket is decoded once, from signed base-2**bits digits straight
-into mirrored q quarter-keys.  ``bits`` = 2N + 3 for an N-crossing cable
-is a proven bound on every coefficient; ``_bracket_raw`` gives the
-argument and the mod-4 one.  The memory budget charges each stored state
-a calibrated overhead plus its packed int's bytes, over the frontier a
-step reads and the one it writes, and is checked every 4096 new states
-as well as after each step.
+One frontier core, ``_frontier``, contracts a diagram crossing by
+crossing and takes a local algebra.  Which arcs are open after each
+step of the contraction order does not depend on the state, so each
+step's bookkeeping (consumed positions, kept positions, opened arcs) is
+worked out once (``_steps``), and a state is a tuple of values on the
+open arcs.  A step maps a state through the rule of its consumed
+values, from a per-step memo: writes into the new positions, an
+exponent shift and a packed factor.  The two local algebras are
 
-The frontier is precompiled.  Which arcs are open after each step of
-the contraction order does not depend on the state, so each step's
-bookkeeping (consumed positions, kept positions, opened arcs) is worked
-out once, and a state is a tuple of integer partner positions.  The
-local algebra sees only a 4-slot pattern: entry s is the slot that slot
-s reaches outside the crossing, through a self-arc or through a
-frontier path that comes back into the crossing, or None for an
-outward end.  ``_pattern_rule`` works out the smoothings of each
-pattern once per process; a step's rule for a tuple of partners only
-maps the pattern's outward slots to new positions.  Only the
-polynomial side runs per state.
+- weight labels on arcs (``_Weights``), the vertex model of
+  Reshetikhin-Turaev and Kirby-Melvin: a value is the label of a basis
+  vector of V_n, a crossing acts by the R-matrix or its inverse, tabled
+  once per color (``_r_tables``), and each arc carries a power of q
+  from its turning number (``_turning_numbers``);
+- Temperley-Lieb matchings (``_Matchings``) for the cabled bracket: a
+  value is the position of the open arc that the strand comes back
+  by, and ``_pattern_rule`` works out the smoothings of each 4-slot
+  pattern once per process.  The bracket runs in A with q = A**-4;
+  every closed circle, the last one included, is a factor
+  -A**2 - A**-2, and the empty diagram has bracket 1.
+
+Each state's polynomial is packed into one Python int (Kronecker
+substitution): its lowest exponent, and the polynomial above it at a
+fixed stride (2 in quarter-keys for weights, 4 in A-exponents for
+matchings) evaluated at 2**bits.  A merge of two states is one shift
+and add, and the sum is decoded once, from signed base-2**bits digits.
+``bits`` is a proven bound on every coefficient in either algebra; the
+docstrings of ``_Weights`` and ``_bracket_raw`` give the arguments.  The
+memory budget charges each stored state a calibrated overhead plus its
+packed int's bytes, over the frontier a step reads and the one it
+writes, and is checked every ``_CHECK_EVERY`` new states as well as
+after each step.
 
 The contraction order is searched.  A greedy pass from a starting
 crossing takes next the crossing sharing the most open arcs, from a
 candidate set that it updates as arcs open, and its estimate is the sum
-over steps of Catalan(open arcs / 2), which bounds the planar matchings
-of each frontier.  ``_pick_order`` runs passes from crossings 0, 1, 2,
+over steps of Catalan(open arcs / 2), which bounds the frontier's planar
+matchings.  ``_pick_order`` runs passes from crossings 0, 1, 2,
 ... and keeps the cheapest, and stops before the passes, at about
 ``_PASS_COST`` states per crossing each, would cost as much as the
-cheapest estimate so far.  So the 1-cables of the bundled diagrams run
-one or two passes, their 2-cables at most 19, and their 4-cables every
-start.
+cheapest estimate so far.  So the bundled diagrams run one or two
+passes, their 2-cables at most 19, and their 4-cables every start.
 """
 
 import functools
@@ -59,7 +64,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .laurent import LaurentPoly, _wrap
-from .knots import _A_PAIRING, _B_PAIRING, _classify, validate_pd
+from .knots import (_A_PAIRING, _B_PAIRING, _arc_endpoints, _classify,
+                    _component_walk, validate_pd)
 from .quasifit import load_sequence
 import os
 
@@ -121,43 +127,7 @@ _DELTA = LaurentPoly({2: -1, -2: -1})
 
 
 # ---------------------------------------------------------------------------
-# cabling: replace each crossing by an m x m grid of small crossings
-
-
-def _cable(pd, m):
-    """The m-parallel of a diagram, as a raw list of crossings over
-    hashable sub-arc tokens, plus a count of crossing-free circles."""
-    if m == 0:
-        return [], 0
-    if not pd:
-        return [], m
-    first = {}
-    for ci, cr in enumerate(pd):
-        for slot, arc in enumerate(cr):
-            if arc not in first:
-                first[arc] = (ci, slot)
-
-    def port(ci, slot, p):
-        # sub-arc token for CCW port p of this crossing side
-        arc = pd[ci][slot]
-        if first[arc] == (ci, slot):
-            return ("a", arc, p)
-        return ("a", arc, m - 1 - p)
-
-    crossings = []
-    for ci, cr in enumerate(pd):
-        for i in range(m):          # column, west to east
-            for j in range(m):      # row, south to north
-                s = port(ci, 0, i) if j == 0 else ("v", ci, i, j)
-                n_ = port(ci, 2, m - 1 - i) if j == m - 1 else ("v", ci, i, j + 1)
-                w = port(ci, 3, m - 1 - j) if i == 0 else ("h", ci, i, j)
-                e = port(ci, 1, j) if i == m - 1 else ("h", ci, i + 1, j)
-                crossings.append((s, e, n_, w))
-    return crossings, 0
-
-
-# ---------------------------------------------------------------------------
-# frontier dynamic program for the bracket
+# the frontier core: contraction order, step bookkeeping, packed states
 
 
 # a greedy pass costs about as much as this many frontier states per
@@ -220,6 +190,485 @@ def _greedy_order(crossings, ends, start):
             return order, estimate
 
 
+# new states of a step between two checks of the running stored bytes
+_CHECK_EVERY = 1024
+
+
+def _pack(coeffs, bits):
+    """The polynomial sum(c_i * X**i) at X = 2**bits, as one int."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = (packed << bits) + c
+    return packed
+
+
+def _unpack(packed, bits):
+    """The coefficients c_0, c_1, ... of a packed polynomial, lowest
+    first and without trailing zeros: the signed base-2**bits digits of
+    ``packed``, which are the coefficients when every
+    |c_i| < 2**(bits - 1)."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs = []
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << bits
+        coeffs.append(c)
+        packed = (packed - c) >> bits
+    return coeffs
+
+
+def _check_budget(byte_limit, step, read, written, bits, charge):
+    """The stored bytes of a step that has read a frontier of ``read``
+    states and written ``written`` so far, whose packed ints hold
+    ``bits`` bits in all, as the local algebra's ``charge`` counts
+    them.  Raises EngineLimitError above ``byte_limit``."""
+    stored = charge(read + written, bits)
+    if stored > byte_limit:
+        raise EngineLimitError(
+            "state sum exceeded the memory budget in step %d, at %d new "
+            "frontier states on %d read (%d stored bytes); raise the "
+            "limit to continue" % (step, written, read, stored))
+    return stored
+
+
+def _steps(crossings, order):
+    """The bookkeeping of each step of ``order``, which does not depend
+    on the state.  The open arcs after each step sit in one list, and a
+    state holds one value per open arc, by position.  A step's crossing
+    slot is a self-arc, linked to the other slot of its arc
+    (``links``); an open arc the step consumes, at position
+    ``consumed[j]`` and slot ``at[j]``; or an arc it opens, at new
+    position ``opens[slot]``.  The kept positions move to
+    ``remap[old]`` (-1 for a consumed one).  Returns one tuple
+    (crossing, consumed, at, kept, remap, links, opens) per step."""
+    steps, open_arcs = [], []
+    for k, idx in enumerate(order):
+        if k and not open_arcs:
+            raise AssertionError("the crossings do not form a connected "
+                                 "diagram")
+        arcs = crossings[idx]
+        where = {a: i for i, a in enumerate(open_arcs)}
+        consumed = [where[a] for a in arcs if a in where]
+        at = [s for s, a in enumerate(arcs) if a in where]
+        kept = [i for i in range(len(open_arcs)) if i not in consumed]
+        remap = [-1] * len(open_arcs)
+        for new, old in enumerate(kept):
+            remap[old] = new
+        open_arcs = [open_arcs[i] for i in kept]
+        links, opens = [None] * 4, [None] * 4
+        for s, a in enumerate(arcs):
+            if a not in where:
+                other = [t for t in range(4) if t != s and arcs[t] == a]
+                if other:
+                    links[s] = other[0]
+                else:
+                    opens[s] = len(open_arcs)
+                    open_arcs.append(a)
+        steps.append((idx, consumed, at, kept, remap, links, opens))
+    return steps
+
+
+def _frontier(steps, algebra, byte_limit):
+    """The frontier state sum along precompiled ``steps``, with the
+    local algebra ``algebra``; returns (lo, packed, peak stored bytes).
+
+    A state is a tuple of values on the open arcs, and its polynomial a
+    triple (lo, packed, own): its lowest exponent lo, the polynomial in
+    X = q**(stride/4) above it evaluated at X = 2**bits, and whether
+    the packed int is its own rather than the read state's.  A step
+    maps a state through the rule of its consumed values, which the
+    algebra's per-step memo holds or compiles on a miss: for each
+    outcome, the (position, value) writes into the kept values and the
+    opened arcs, an exponent shift, and a packed factor, None for 1.
+    With ``algebra.partners`` a value is a position, as in a matching,
+    and moves with ``remap``.  Every exponent of a state agrees modulo
+    the stride, so a merge is one shift and add, and a misaligned merge
+    raises.
+
+    The budget charges the states and the packed ints' bits of the
+    frontier a step reads and the one it writes, which are alive
+    together, as ``algebra.charge`` prices them.  With
+    ``algebra.shares`` an int written unchanged from the read state is
+    charged once, and the written frontier's ints count once each as
+    the next step's read frontier.  The budget is checked after every
+    ``_CHECK_EVERY`` new states and at the end of each step, and the
+    largest charge seen is the peak.
+    """
+    bits, sh = algebra.bits, algebra.shift
+    low, stride = (1 << bits) - 1, 1 << sh
+    partners, shares = algebra.partners, algebra.shares
+    charge = algebra.charge
+    peak = held_bits = 0
+    dp = {(): (0, 1, True)}
+    for step, info in enumerate(steps, 1):
+        _, consumed, _, kept, remap, _, opens = info
+        rules, compile_rule = algebra.rules(step - 1, info)
+        opened = [-1] * (4 - opens.count(None))
+        ndp = {}
+        new_bits = 0
+        for state, (lo, packed, _) in dp.items():
+            local = tuple([state[i] for i in consumed])
+            rule = rules.get(local)
+            if rule is None:
+                rule = rules[local] = compile_rule(local)
+            # opened arcs, and in a matching each kept position whose
+            # partner was consumed, hold -1 until the rule's writes
+            if partners:
+                base = [remap[state[i]] for i in kept] + opened
+            else:
+                base = [state[i] for i in kept] + opened
+            src = packed if shares else None
+            for writes, shift, factor in rule:
+                nt = base[:]
+                for u, v in writes:
+                    nt[u] = v
+                key = tuple(nt)
+                e = lo + shift
+                p = packed if factor is None else packed * factor
+                dst = ndp.get(key)
+                if dst is None:
+                    own = p is not src
+                    ndp[key] = e, p, own
+                    if own:
+                        new_bits += p.bit_length()
+                    if not len(ndp) % _CHECK_EVERY:
+                        peak = max(peak, _check_budget(
+                            byte_limit, step, len(dp), len(ndp),
+                            held_bits + new_bits, charge))
+                    continue
+                lo0, p0, own = dst
+                d = e - lo0
+                if d & (stride - 1):
+                    raise AssertionError("misaligned merge of exponents "
+                                         "%d and %d" % (lo0, e))
+                # align on the lower exponent by shifting the other
+                # polynomial up, add, and normalise a zero lowest slot,
+                # which only equal exponents can leave
+                if own:
+                    new_bits -= p0.bit_length()
+                if d > 0:
+                    p <<= (d >> sh) * bits
+                    e = lo0
+                elif d:
+                    p0 <<= (-d >> sh) * bits
+                p += p0
+                if not (d or p & low):
+                    if not p:
+                        del ndp[key]
+                        continue
+                    z = ((p & -p).bit_length() - 1) // bits
+                    p >>= z * bits
+                    e += stride * z
+                new_bits += p.bit_length()
+                ndp[key] = e, p, True
+        peak = max(peak, _check_budget(byte_limit, step, len(dp), len(ndp),
+                                       held_bits + new_bits, charge))
+        # the ints the written frontier shares with the read one, each
+        # counted once, as several written states may share one
+        shared = {id(v[1]): v[1] for v in ndp.values() if not v[2]}
+        dp, held_bits = ndp, new_bits + sum(
+            p.bit_length() for p in shared.values())
+    if list(dp) != [()]:
+        raise AssertionError("frontier did not close up")
+    lo, packed, _ = dp[()]
+    return lo, packed, peak
+
+
+# ---------------------------------------------------------------------------
+# weight labels on arcs: the colored R-matrix vertex model
+
+
+# bytes charged per stored frontier state besides its packed int's
+# digits: its key tuple, its (lo, packed, own) triple, the int lo, the
+# packed int's header and a dict slot.  By sys.getsizeof these come to
+# 239-274 bytes at the largest step of 8_19 at colors 5 and 7 and of
+# 9_49 at colors 4 and 5.  The running peak charge stays at or above the
+# growth of VmHWM past 2 MiB from 120 bytes on 8_19 at color 5, 267 at
+# 6 and 354 at 7, 264 and 286 on 9_49 at 4 and 5, 155 on 9_42 at 6, and
+# 147 and 214 on 8_20 at 6 and 7
+_WEIGHT_STATE_BYTES = 360
+
+
+@functools.cache
+def _r_tables(n):
+    """The entries of R and R**-1 on V_n (x) V_n, keyed by crossing sign,
+    True for R at a positive crossing: tuples (a, b, nw, ne, terms,
+    norm), one per term e_nw (x) e_ne of the image of e_a (x) e_b, with
+    ``terms`` its coefficient in quarter-keys and ``norm`` the sum of
+    the absolute values of its coefficients.  In the basis e_i of
+    weight n - 2i,
+
+        R(e_a (x) e_b) = sum_k q**(k(k-1)/4) [n-a+k choose k]
+            prod_{j=1..k} (q**((b+j)/2) - q**(-(b+j)/2))
+            q**(w(a-k) w(b+k)/4) e_{b+k} (x) e_{a-k},
+        R**-1(e_a (x) e_b) = sum_k (-1)**k q**(-k(k-1)/4) [n-b+k choose k]
+            prod_{j=1..k} (q**((a+j)/2) - q**(-(a+j)/2))
+            q**(-w(a) w(b)/4) e_{b-k} (x) e_{a+k},
+
+    with w(i) = n - 2i and symmetric quantum binomials.  Cached per
+    color, as the pretzel seeds ask for colors 1 and 2 once per knot."""
+    def q(key, c=1):
+        return LaurentPoly({key: c})
+    # [m choose k] = q**(-(m-k)/2) [m-1 choose k-1] + q**(k/2) [m-1 choose k]
+    binom = [[LaurentPoly.one()]]
+    for m in range(1, n + 1):
+        row = binom[-1] + [LaurentPoly()]
+        binom.append([row[0]] + [q(-2 * (m - k)) * row[k - 1]
+                                 + q(2 * k) * row[k] for k in range(1, m + 1)])
+    w = [n - 2 * i for i in range(n + 1)]
+    tables = {True: [], False: []}
+    for a in range(n + 1):
+        for b in range(n + 1):
+            for k in range(n + 1):
+                if k <= a and b + k <= n:
+                    c = q(k * (k - 1) + w[a - k] * w[b + k]) \
+                        * binom[n - a + k][k]
+                    for j in range(b, b + k):
+                        c = c * _binomial(j)
+                    tables[True].append((a, b, b + k, a - k, c.terms))
+                if k <= b and a + k <= n:
+                    c = q(-k * (k - 1) - w[a] * w[b], (-1) ** k) \
+                        * binom[n - b + k][k]
+                    for j in range(a, a + k):
+                        c = c * _binomial(j)
+                    tables[False].append((a, b, b - k, a + k, c.terms))
+    return {sign: tuple(entry + (sum(map(abs, entry[4].values())),)
+                        for entry in entries)
+            for sign, entries in tables.items()}
+
+
+def _turning_numbers(pd, ends, into):
+    """The integer turning number of each arc of a diagram whose
+    crossings stand upright, their in-slots (``into[crossing, slot]``)
+    at the bottom.  Each face is walked with the face on the left: after
+    arriving at slot s, the walk leaves by slot s + 3 (mod 4).  A corner
+    between two in-slots or two out-slots is a cusp, which turns by 1/2,
+    and an arc turns by its number, with the sign of the walk's
+    direction along it.  A bounded face turns by +1 in all and the outer
+    one, the face of the first arrival at crossing 0's slot 0, by -1.
+    Solved on a breadth-first tree of the dual graph rooted at the outer
+    face, with 0 on the arcs off the tree; Euler's formula makes the
+    demands consistent, which is checked on the outer face."""
+    face_of, faces = {}, []     # (cusps, [(arc, +-1), ...]) per face
+    for dart in ((ci, s) for ci in range(len(pd)) for s in range(4)):
+        cusps, walked = 0, []
+        ci, s = dart
+        while (ci, s) not in face_of:
+            face_of[ci, s] = len(faces)
+            out = (s + 3) % 4
+            cusps += into[ci, s] == into[ci, out]
+            walked.append((pd[ci][s], 1 if into[ci, s] else -1))
+            arc_ends = ends[pd[ci][out]]
+            ci, s = arc_ends[arc_ends[0] == (ci, out)]
+        if walked:
+            faces.append((cusps, walked))
+    turning = dict.fromkeys(ends, 0)
+    parent, queue = {0: None}, [0]
+    for f in queue:
+        for arc, _ in faces[f][1]:
+            for g in (face_of[e] for e in ends[arc]):
+                if g not in parent:
+                    parent[g] = arc
+                    queue.append(g)
+    # 2 (sum of signed turning numbers) + cusps = 2 on a bounded face
+    for f in reversed(queue[1:]):
+        cusps, walked = faces[f]
+        arc = parent[f]
+        rest = sum(sign * turning[a] for a, sign in walked if a != arc)
+        sign = next(sign for a, sign in walked if a == arc)
+        turning[arc] = sign * (1 - cusps // 2 - rest)
+    cusps, walked = faces[0]
+    if 2 * sum(sign * turning[a] for a, sign in walked) + cusps != -2 or \
+            any(c % 2 for c, _ in faces):
+        raise AssertionError("turning numbers do not close up")
+    return turning
+
+
+class _Weights:
+    """The local algebra of weight labels on arcs: the colored R-matrix
+    vertex model of the diagram ``pd`` at color n, along ``steps``.
+
+    Each crossing stands upright with its in-slots at the bottom: as
+    (SW, SE, NE, NW), a positive crossing, which the strand walk enters
+    at slot 3, has PD slots (3, 0, 1, 2), and a negative one (0, 1, 2,
+    3).  A state value is the label i in 0..n of an open arc, and a
+    crossing maps the labels (a, b) of (SW, SE) to those of (NW, NE) by
+    R at a positive crossing and R**-1 at a negative one
+    (``_r_tables``).  An arc of label i and turning number t
+    (``_turning_numbers``) carries q**(-(n - 2i) t / 2), charged at the
+    step that opens it, or, for a self-arc, at its crossing.  A step's
+    rules are worked out for every consumed-label tuple before the sum
+    runs.
+
+    Exponents are quarter-keys at stride 2.  Every entry's exponents
+    share the parity of n**2: k(k-1), the quantum binomials' and the
+    binomial factors' exponents are even, and w(a) w(b) has the parity
+    of n**2; so does every arc factor's, which is even.  So after s
+    steps every exponent of every state has the parity of s n**2.
+
+    ``bits`` is a proven bound.  Let h be, for a step, the largest sum
+    of ``norm`` over the entries with one tuple of opened labels, whose
+    summed labels are those of the consumed arcs and self-arcs.  A new
+    state's polynomial is a sum over such entries, each times the one
+    read state it continues, whose kept and consumed labels it fixes;
+    arc factors are monomials.  So the sum of the absolute values of a
+    state's coefficients after a step is at most h times its largest
+    value before it, and every coefficient is at most the product H of
+    the steps' h (``bound``).  ``bits`` = H.bit_length() + 1 gives
+    |c| < 2**(bits - 1), which ``_unpack`` reads back exactly; the
+    decoded sum is checked against H.
+    """
+
+    shift, partners, shares = 1, False, True
+
+    @staticmethod
+    def charge(states, bits):
+        # CPython keeps an int in 30-bit digits of 4 bytes each
+        return states * _WEIGHT_STATE_BYTES + bits * 2 // 15
+
+    def __init__(self, pd, n, steps):
+        ends = _arc_endpoints(pd)
+        signs = [None] * len(pd)
+        for ci, slot in _component_walk(pd, ends):
+            if slot % 2:
+                signs[ci] = slot == 3
+        self.writhe = 2 * signs.count(True) - len(pd)
+        frames = [(3, 0, 1, 2) if sign else (0, 1, 2, 3) for sign in signs]
+        into = {(ci, s): i < 2 for ci, frame in enumerate(frames)
+                for i, s in enumerate(frame)}
+        turning = _turning_numbers(pd, ends, into)
+        tables = _r_tables(n)
+        grouped, bound = [], 1
+        for idx, _, at, _, _, links, opens in steps:
+            sw, se, ne, nw = frames[idx]
+            out = [s for s in range(4) if opens[s] is not None]
+            linked = [(s, t) for s, t in enumerate(links) if t is not None]
+            # the slots whose arc factor the step charges, with twice
+            # their arc's turning number
+            turns = [(s, 2 * turning[pd[idx][s]])
+                     for s in out + [s for s, t in linked if t > s]]
+            rules, norms = {}, {}
+            for a, b, to_nw, to_ne, terms, norm in tables[signs[idx]]:
+                label = [0] * 4
+                label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
+                if linked and any(label[s] != label[t] for s, t in linked):
+                    continue
+                writes = tuple((opens[s], label[s]) for s in out)
+                norms[writes] = norms.get(writes, 0) + norm
+                shift = sum((2 * label[s] - n) * t for s, t in turns)
+                poly = rules.setdefault(tuple([label[s] for s in at]), {}) \
+                    .setdefault(writes, {})
+                for key, c in terms.items():
+                    poly[key + shift] = poly.get(key + shift, 0) + c
+            grouped.append(rules)
+            bound *= max(norms.values())
+        self.bound, self.bits = bound, bound.bit_length() + 1
+        self.tables = []
+        for rules in grouped:
+            table = {}
+            for local, outs in rules.items():
+                packed = (_packed_rule(writes, poly, self.bits)
+                          for writes, poly in outs.items())
+                table[local] = tuple(rule for rule in packed if rule)
+            self.tables.append(table)
+
+    def rules(self, k, step):
+        # a consumed-label tuple without a rule has no outcome
+        return self.tables[k], lambda local: ()
+
+
+def _packed_rule(writes, poly, bits):
+    """The rule (writes, shift, packed factor) of a quarter-key
+    polynomial at stride 2, with factor None for 1, or None for 0."""
+    poly = {key: c for key, c in poly.items() if c}
+    if not poly:
+        return None
+    lo = min(poly)
+    if poly == {lo: 1}:
+        return writes, lo, None
+    coeffs = [0] * ((max(poly) - lo) // 2 + 1)
+    for key, c in poly.items():
+        if (key - lo) & 1:
+            raise AssertionError("entry exponents of mixed parity")
+        coeffs[(key - lo) >> 1] = c
+    return writes, lo, _pack(coeffs, bits)
+
+
+def bracket_colored_jones(pd, n, limit_mb=None):
+    """Colored Jones polynomial at color n from a planar diagram.
+
+    Runs the colored R-matrix vertex model on the diagram itself
+    (``_Weights``): the sum Z over the weight labellings of its arcs of
+    the products of R and R**-1 entries and arc factors, contracted
+    along the frontier core.  With w the writhe,
+    J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with [n+1] =
+    (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
+    state's polynomial is packed into one int at stride 2 in
+    quarter-keys, at a proven bound of bits a coefficient (see
+    ``_Weights``).  Raises EngineLimitError, in the step that
+    overflows, when the stored bytes of the state sum exceed
+    ``limit_mb`` MiB (default 512): each stored state is charged a
+    calibrated overhead plus its packed int's bytes, for the frontier a
+    step reads and the one it writes, and an int the two share once.
+    """
+    if n < 0:
+        raise ValueError("color must be nonnegative")
+    pd = validate_pd(pd)
+    if n == 0 or not pd:
+        return LaurentPoly.one()
+    byte_limit = (512 if limit_mb is None else limit_mb) << 20
+    steps = _steps(pd, _pick_order(pd))
+    algebra = _Weights(pd, n, steps)
+    lo, packed, _ = _frontier(steps, algebra, byte_limit)
+    coeffs = _unpack(packed, algebra.bits)
+    if sum(map(abs, coeffs)) > algebra.bound:
+        raise AssertionError("the state sum exceeds its coefficient bound")
+    lo -= algebra.writhe * (n * n + 2 * n)
+    z = _wrap({lo + 2 * i: c for i, c in enumerate(coeffs) if c})
+    poly = (z * _binomial(0)).exact_div(_binomial(n)).mirror()
+    if not poly.is_integral():
+        raise AssertionError("vertex model normalization left fractional "
+                             "powers")
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# Temperley-Lieb matchings: the cabled bracket, kept as a cross-check
+
+
+def _cable(pd, m):
+    """The m-parallel of a diagram, as a raw list of crossings over
+    hashable sub-arc tokens, plus a count of crossing-free circles."""
+    if m == 0:
+        return [], 0
+    if not pd:
+        return [], m
+    first = {}
+    for ci, cr in enumerate(pd):
+        for slot, arc in enumerate(cr):
+            if arc not in first:
+                first[arc] = (ci, slot)
+
+    def port(ci, slot, p):
+        # sub-arc token for CCW port p of this crossing side
+        arc = pd[ci][slot]
+        if first[arc] == (ci, slot):
+            return ("a", arc, p)
+        return ("a", arc, m - 1 - p)
+
+    crossings = []
+    for ci, cr in enumerate(pd):
+        for i in range(m):          # column, west to east
+            for j in range(m):      # row, south to north
+                s = port(ci, 0, i) if j == 0 else ("v", ci, i, j)
+                n_ = port(ci, 2, m - 1 - i) if j == m - 1 else ("v", ci, i, j + 1)
+                w = port(ci, 3, m - 1 - j) if i == 0 else ("h", ci, i, j)
+                e = port(ci, 1, j) if i == m - 1 else ("h", ci, i + 1, j)
+                crossings.append((s, e, n_, w))
+    return crossings, 0
+
+
 def _apply_smoothing(pattern, pairing):
     """One smoothing of a crossing whose local situation is ``pattern``.
 
@@ -261,76 +710,56 @@ def _apply_smoothing(pattern, pairing):
 # written states share many packed ints
 _STATE_BYTES = 360
 
-# new states of a step between two checks of the running stored bytes
-_CHECK_EVERY = 4096
 
+class _Matchings:
+    """The Temperley-Lieb local algebra of the cabled bracket, with
+    ``bits`` a coefficient: a state value is the position of the open
+    arc that the strand through this one comes back by, and the rules
+    are the A and B smoothings of ``_compile_rule``.  Its pinned peaks
+    charge an int shared by the read and written frontiers twice."""
 
-def _pack(coeffs, bits):
-    """The polynomial sum(c_i * X**i) at X = 2**bits, as one int."""
-    packed = 0
-    for c in reversed(coeffs):
-        packed = (packed << bits) + c
-    return packed
+    shift, partners, shares = 2, True, False
 
+    @staticmethod
+    def charge(states, bits):
+        return states * _STATE_BYTES + (bits >> 3)
 
-def _unpack(packed, bits):
-    """The coefficients c_0, c_1, ... of a packed polynomial, lowest
-    first and without trailing zeros: the signed base-2**bits digits of
-    ``packed``, which are the coefficients when every
-    |c_i| < 2**(bits - 1)."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    coeffs = []
-    while packed:
-        c = packed & mask
-        if c >= half:
-            c -= 1 << bits
-        coeffs.append(c)
-        packed = (packed - c) >> bits
-    return coeffs
+    def __init__(self, bits):
+        self.bits = bits
+        # a smoothing closes at most two circles, each through two slots
+        self.factors = (None,) + tuple(
+            _pack([(-1) ** c * comb(c, j) for j in range(c + 1)], bits)
+            for c in (1, 2))
 
-
-def _check_budget(byte_limit, step, read, written, bits):
-    """The stored bytes of a step that has read a frontier of ``read``
-    states and written ``written`` so far, whose packed ints hold
-    ``bits`` bits in all.  Raises EngineLimitError above ``byte_limit``.
-    """
-    stored = (read + written) * _STATE_BYTES + (bits >> 3)
-    if stored > byte_limit:
-        raise EngineLimitError(
-            "bracket state sum exceeded the memory budget in step %d, at "
-            "%d new frontier states on %d read (%d stored bytes); raise "
-            "the limit to continue" % (step, written, read, stored))
-    return stored
+    def rules(self, k, step):
+        _, consumed, at, _, remap, links, opens = step
+        return {}, lambda local: _compile_rule(
+            local, consumed, at, links, opens, remap, self.factors)
 
 
 def _bracket_raw(crossings, free_circles, byte_limit):
     """Kauffman bracket of a raw crossing list as a LaurentPoly in q,
     with the peak stored bytes of the state sum.
 
-    The open arcs after each step of the contraction order do not depend
-    on the state, so they sit in one list per step and a state is the
-    tuple of partner positions in that list: the strand that leaves
-    through open arc i comes back through open arc ``state[i]``.  Each
-    step works out its crossing's slots once: a slot's arc is a
-    self-arc, whose other slot is its link in every state; an open arc
-    the step consumes, at an index of ``consumed``; or an arc the step
-    opens, at a new position of its own.  A smoothing's outcome depends
-    on a state only through the partners of the consumed positions, so
-    that tuple keys a per-step memo of rules (new links, A-shift, packed
-    circle factor) that ``_compile_rule`` fills on a miss.
+    A state is the tuple of partner positions of the open arcs: the
+    strand that leaves through open arc i comes back through open arc
+    ``state[i]``.  A smoothing's outcome depends on a state only
+    through the partners of the consumed positions, so that tuple keys
+    a per-step memo of rules (new links, A-shift, packed circle factor)
+    that ``_compile_rule`` fills on a miss.
 
-    A state's polynomial is a pair (lo, packed): its lowest A-exponent
-    lo, and the polynomial in X = A**4 above it evaluated at X = 2**bits.
-    The lowest slot is never zero, as a merge whose lowest slots cancel
+    A state's polynomial is its lowest A-exponent lo and the polynomial
+    in X = A**4 above it evaluated at X = 2**bits (``_frontier``).  The
+    lowest slot is never zero, as a merge whose lowest slots cancel
     moves lo up.  All exponents of a state agree mod 4, and so do those
     of every partial smoothing with the same frontier matching: after k
     crossings with b B-smoothings and L closed loops an exponent is
     k - 2(b + L) mod 4, and completing two such partial smoothings alike
     gives full states whose b + circles have one parity, since one
     smoothing switch changes the circles of a planar diagram by +-1.
-    So a merge is one shift and add, and a misaligned merge raises.  The
-    circle factor delta**c = (-1)**c A**(-2c) (1 + X)**c moves lo by -2c
-    and multiplies by a packed constant.
+    So a merge is one shift and add.  The circle factor
+    delta**c = (-1)**c A**(-2c) (1 + X)**c moves lo by -2c and
+    multiplies by a packed constant.
 
     ``bits`` = 2N + 3 for N crossings is a proven bound.  A coefficient
     of a state is at most the sum of 2**L(s) over its partial smoothings
@@ -341,116 +770,22 @@ def _bracket_raw(crossings, free_circles, byte_limit):
     connected graph.  So every |c| <= 2**(2N + 1) < 2**(bits - 1), and
     ``_unpack`` reads the bracket back exactly.  The diagram is
     connected when no step but the first starts on an empty frontier,
-    which is checked.
-
-    The budget charges each stored state ``_STATE_BYTES`` plus its
-    packed int's bytes, for the frontier a step reads and the one it
-    writes, which are alive together.  It is checked after every
-    ``_CHECK_EVERY`` new states and at the end of each step, and the
-    largest charge seen is the peak.
+    which ``_steps`` checks.
     """
     result_scale = _DELTA ** free_circles
     if not crossings:
         return result_scale, 0
-    bits = 2 * len(crossings) + 3
-    low = (1 << bits) - 1
-    # a smoothing closes at most two circles, each through two slots
-    factors = (None,) + tuple(
-        _pack([(-1) ** c * comb(c, j) for j in range(c + 1)], bits)
-        for c in (1, 2))
-    peak = held_bits = 0
-    open_arcs = []
-    dp = {(): (0, 1)}
-    for step, idx in enumerate(_pick_order(crossings), 1):
-        if step > 1 and not open_arcs:
-            raise AssertionError("the crossings do not form a connected "
-                                 "diagram")
-        arcs = crossings[idx]
-        where = {a: i for i, a in enumerate(open_arcs)}
-        consumed = [where[a] for a in arcs if a in where]
-        at = [s for s, a in enumerate(arcs) if a in where]
-        kept = [i for i in range(len(open_arcs)) if i not in consumed]
-        remap = [-1] * len(open_arcs)
-        for new, old in enumerate(kept):
-            remap[old] = new
-        open_arcs = [open_arcs[i] for i in kept]
-        self_links, ends = [None] * 4, [None] * 4
-        for s, a in enumerate(arcs):
-            if a not in where:
-                other = [t for t in range(4) if t != s and arcs[t] == a]
-                if other:
-                    self_links[s] = other[0]
-                else:
-                    ends[s] = len(open_arcs)
-                    open_arcs.append(a)
-        opened = [-1] * (len(open_arcs) - len(kept))
-        rules = {}
-        ndp = {}
-        new_bits = 0
-        for state, (lo, packed) in dp.items():
-            local = tuple([state[i] for i in consumed])
-            rule = rules.get(local)
-            if rule is None:
-                rule = rules[local] = _compile_rule(
-                    local, consumed, at, self_links, ends, remap, factors)
-            # a kept position whose partner was consumed, and each
-            # opened arc, hold -1 until the rule's links fill them
-            base = [remap[state[i]] for i in kept] + opened
-            for links, shift, factor in rule:
-                nt = base[:]
-                for u, v in links:
-                    nt[u] = v
-                    nt[v] = u
-                key = tuple(nt)
-                e = lo + shift
-                p = packed if factor is None else packed * factor
-                dst = ndp.get(key)
-                if dst is None:
-                    ndp[key] = e, p
-                    new_bits += p.bit_length()
-                    if not len(ndp) % _CHECK_EVERY:
-                        peak = max(peak, _check_budget(
-                            byte_limit, step, len(dp), len(ndp),
-                            held_bits + new_bits))
-                    continue
-                lo0, p0 = dst
-                d = e - lo0
-                if d & 3:
-                    raise AssertionError("misaligned merge of A-exponents "
-                                         "%d and %d" % (lo0, e))
-                # align on the lower exponent by shifting the other
-                # polynomial up, add, and normalise a zero lowest slot,
-                # which only equal exponents can leave
-                old_bits = p0.bit_length()
-                if d > 0:
-                    p <<= (d >> 2) * bits
-                    e = lo0
-                elif d:
-                    p0 <<= (-d >> 2) * bits
-                p += p0
-                if not (d or p & low):
-                    if not p:
-                        new_bits -= old_bits
-                        del ndp[key]
-                        continue
-                    z = ((p & -p).bit_length() - 1) // bits
-                    p >>= z * bits
-                    e += 4 * z
-                new_bits += p.bit_length() - old_bits
-                ndp[key] = e, p
-        peak = max(peak, _check_budget(byte_limit, step, len(dp), len(ndp),
-                                       held_bits + new_bits))
-        dp, held_bits = ndp, new_bits
-    if list(dp) != [()]:
-        raise AssertionError("frontier did not close up")
-    lo, packed = dp[()]
-    terms = {-lo - 4 * i: c for i, c in enumerate(_unpack(packed, bits)) if c}
+    algebra = _Matchings(2 * len(crossings) + 3)
+    lo, packed, peak = _frontier(_steps(crossings, _pick_order(crossings)),
+                                 algebra, byte_limit)
+    terms = {-lo - 4 * i: c
+             for i, c in enumerate(_unpack(packed, algebra.bits)) if c}
     return _wrap(terms) * result_scale, peak
 
 
 def _compile_rule(local, consumed, at, self_links, ends, remap, factors):
     """The A and B outcomes of one step for the states whose consumed
-    positions have the partners ``local``: the links between new
+    positions have the partners ``local``: the writes that link new
     positions, the A-shift, and the packed circle factor
     ``factors[circles]``, None for no circle.  ``consumed[j]`` sits at
     slot ``at[j]``; a consumed partner links two slots as a self-arc
@@ -462,8 +797,9 @@ def _compile_rule(local, consumed, at, self_links, ends, remap, factors):
             pattern[s] = at[consumed.index(p)]
         else:
             ends[s] = remap[p]
-    return [(tuple((ends[s], ends[t]) for s, t in pairs), shift,
-             factors[circles])
+    return [(tuple(w for s, t in pairs
+                   for w in ((ends[s], ends[t]), (ends[t], ends[s]))),
+             shift, factors[circles])
             for pairs, shift, circles in _pattern_rule(tuple(pattern))]
 
 
@@ -507,20 +843,17 @@ def _cable_bracket(pd, m, byte_limit):
     return val
 
 
-def bracket_colored_jones(pd, n, limit_mb=None):
-    """Colored Jones polynomial at color n from a planar diagram.
+def _cabled_colored_jones(pd, n, limit_mb=None):
+    """The colored Jones polynomial at color n by the cabled bracket: the
+    cross-check of ``bracket_colored_jones``, on no user path.
 
     Cables the diagram, expands the bracket of the cables along the
     Chebyshev recursion, corrects for the writhe framing, and divides
     by the unknot value.  Each cable's bracket is a frontier state sum
-    whose states hold their polynomials packed into one int each, on the
-    stride-4 lattice of A-exponents, at 2N + 3 bits a coefficient for N
-    cable crossings (see ``_bracket_raw``).  Raises EngineLimitError, in
-    the step that overflows, when the stored bytes of the state sum
-    exceed ``limit_mb`` MiB (default 512): each stored state is charged
-    a calibrated overhead plus its packed int's bytes, for the frontier
-    a step reads and the one it writes.  At color 4, 8_19 peaks at about
-    423 MiB and 9_42 at about 472 MiB.
+    of matchings, at 2N + 3 bits a coefficient for N cable crossings
+    (see ``_bracket_raw``), under a budget of ``limit_mb`` MiB (default
+    512).  At color 4, 8_19 peaks at about 423 MiB and 9_42 at about
+    472 MiB.
     """
     if n < 0:
         raise ValueError("color must be nonnegative")
@@ -592,8 +925,8 @@ def degree_sequence(spec, kind, n_max, limit_mb=None):
     and any other side from the kind's source, checked against the
     closed form of an adequate side.  The sources are Morton's formula
     for torus knots, the bundled degree files for named knots, the
-    bracket at colors 0..2 extended by the family's generating
-    functions for pretzel knots, and the cabled bracket for ``pd:``
+    vertex model at colors 0..2 extended by the family's generating
+    functions for pretzel knots, and the vertex model for ``pd:``
     diagrams; an ``alt:`` spec is adequate on both sides.  Every spec
     computes its degrees for the unmirrored knot, and the one mirror
     rule of ``knots._Spec`` turns (dmax, dmin) into (-dmin, -dmax).

@@ -22,8 +22,8 @@ diagram's counts, and every other side comes from the kind's
 The ``pretzel:``, ``name:`` and ``pd:`` kinds read their counts and
 adequacy off a diagram with ``_classify``, in one cached pass over a
 diagram that ``validate_pd`` has checked; their sources are the
-bracket seeds plus the family's tails, the bundled ``.seq`` files and
-the bracket.  Spec integers are ASCII digits.
+vertex model's seeds plus the family's tails, the bundled ``.seq``
+files and the vertex model.  Spec integers are ASCII digits.
 A kind answers for the unmirrored knot, and one rule in ``_Spec``
 applies the mirror: degrees (dmax, dmin) become (-dmin, -dmax), the
 polynomial takes q -> 1/q, diagram counts swap c+ with c- and |A| with
@@ -245,7 +245,7 @@ class AlternatingData(_Spec):
 class _DiagramSpec(_Spec):
     """Answers read off the planar diagram ``pd``, whose adequate sides
     ``_classify`` reads; by default the other sides come from the
-    bracket."""
+    vertex model."""
 
     def default_colors(self):
         if not self.pd:
@@ -255,9 +255,9 @@ class _DiagramSpec(_Spec):
         from . import engine
         raise engine.EngineLimitError(
             "a diagram that is not adequate on both sides has no default "
-            "color depth without bundled degrees: every color is a cabled "
-            "state sum that costs about a hundred times the one before "
-            "(8_19: 0.35 s at color 3, 36 s at color 4); pass --max-n")
+            "color depth without bundled degrees: every color is a vertex "
+            "model state sum that costs several times the one before "
+            "(8_19: 0.2 s at color 5, 3 s at color 7); pass --max-n")
 
     def alternating_data(self):
         """Counts of an alternating diagram adequate on both sides."""
@@ -569,7 +569,7 @@ def _classify(pd):
     circle labelling per state gives that state's circle count and its
     adequacy: no crossing's smoothing meets the same state circle twice.
     Cached, as a spec asks for it for its colors, degrees and checks, and
-    the bracket for the writhe.
+    the cabled bracket for the writhe.
     """
     if not pd:
         return DiagramStats(0, 0, 1, 1), False, True, True

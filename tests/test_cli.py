@@ -278,13 +278,14 @@ sys.exit(code)
                     reason="VmHWM is read from /proc/self/status")
 @pytest.mark.parametrize("limit_mb, exit_code", [(4, 3), (64, 0)])
 def test_limit_bounds_the_resident_set(limit_mb, exit_code):
-    # 9_49's 3-cable peaks at 8,799,940 stored bytes, so a 4 MiB budget
-    # must stop its state sum and a 64 MiB one must not; either way the
-    # process stays under the budget above its state after the import
+    # 9_49's vertex state sum at color 4 peaks at 9,658,521 stored bytes
+    # in about 0.2 s, so a 4 MiB budget must stop it and a 64 MiB one
+    # must not; either way the process stays under the budget above its
+    # state after the import
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run(
-        [sys.executable, "-c", HWM_PROBE, "compute", "name:9_49", "--n", "3",
+        [sys.executable, "-c", HWM_PROBE, "compute", "name:9_49", "--n", "4",
          "--limit-mb", str(limit_mb)], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == exit_code, proc.stderr
@@ -293,9 +294,15 @@ def test_limit_bounds_the_resident_set(limit_mb, exit_code):
 
 
 def test_limit_holds_for_cached_bracket(capsys):
+    # the cabled oracle's memo refuses a bracket under a budget that its
+    # state sum exceeded; the command line's evaluator keeps no memo
+    pd = bundled_knot_table()["8_19"]
+    engine._cabled_colored_jones(pd, 2)
+    assert (pd, 2) in engine._BRACKET_CACHE
+    with pytest.raises(engine.EngineLimitError, match="memory budget"):
+        engine._cabled_colored_jones(pd, 2, limit_mb=0)
     code, _, _ = run(capsys, "compute", "name:8_19", "--n", "2")
     assert code == 0
-    assert (bundled_knot_table()["8_19"], 2) in engine._BRACKET_CACHE
     code, _, err = run(capsys, "compute", "name:8_19", "--n", "2",
                        "--limit-mb", "0")
     assert code == 3
@@ -316,7 +323,7 @@ def test_nonalternating_diagram_needs_max_n(capsys, monkeypatch):
 
     def no_state_sum(*args):
         raise AssertionError("a state sum ran")
-    monkeypatch.setattr(engine, "_bracket_raw", no_state_sum)
+    monkeypatch.setattr(engine, "_frontier", no_state_sum)
     for cmd in ("degrees", "fit", "slopes", "report"):
         code, out, err = run(capsys, cmd, pd)
         assert code == 3
@@ -337,7 +344,7 @@ def test_adequate_nonalternating_diagram_has_default_colors(capsys,
 
     def no_state_sum(*args):
         raise AssertionError("a state sum ran")
-    monkeypatch.setattr(engine, "_bracket_raw", no_state_sum)
+    monkeypatch.setattr(engine, "_frontier", no_state_sum)
     code, out, err = run(capsys, "degrees", pd.render())
     assert (code, err) == (0, "")
     assert out.splitlines()[0].endswith("colors 0..20")

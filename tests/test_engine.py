@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,10 @@ from knotslopes import engine
 from knotslopes.engine import (EngineLimitError, bracket_colored_jones,
                                degree_sequence, morton_colored_jones)
 from knotslopes.knots import (Diagram, Named, Pretzel237, Torus,
-                              bundled_knot_table,
+                              braid_pd, bundled_knot_table,
                               is_alternating, mirror_pd, parse_knot,
                               pretzel_pd, smoothing_counts, torus_pd,
-                              two_bridge_pd)
+                              two_bridge_pd, validate_pd)
 from knotslopes.laurent import LaurentPoly, parse_poly
 
 # the five smallest trefoil colorings, written out in full
@@ -69,7 +71,7 @@ def test_bracket_matches_morton_on_torus_3_4():
 
 
 def test_bracket_matches_morton_on_8_19_color_3():
-    # 8_19 is the (3,4) torus knot: 72 cable crossings, frontier width 18
+    # 8_19 is the (3,4) torus knot: 8 crossings, frontier width 6
     pd = bundled_knot_table()["8_19"]
     assert bracket_colored_jones(pd, 3) == morton_colored_jones(3, 4, 3)
 
@@ -96,8 +98,8 @@ def test_budget_checked_inside_a_step(monkeypatch):
     checks = []
     check_budget = engine._check_budget
 
-    def recorded(byte_limit, step, read, written, bits):
-        stored = check_budget(byte_limit, step, read, written, bits)
+    def recorded(byte_limit, step, read, written, *rest):
+        stored = check_budget(byte_limit, step, read, written, *rest)
         checks.append((step, written, stored))
         return stored
     monkeypatch.setattr(engine, "_check_budget", recorded)
@@ -210,9 +212,9 @@ def test_searched_order_reads_fewer_states_on_8_19(monkeypatch):
     written = {}
     check_budget = engine._check_budget
 
-    def recorded(byte_limit, step, read, new, bits):
+    def recorded(byte_limit, step, read, new, *rest):
         written[step] = new
-        return check_budget(byte_limit, step, read, new, bits)
+        return check_budget(byte_limit, step, read, new, *rest)
     monkeypatch.setattr(engine, "_check_budget", recorded)
     engine._bracket_raw(crossings, circles, 10 ** 9)
     assert sum(written.values()) == 68042
@@ -333,7 +335,7 @@ def test_smoothings_compiled_once_per_pattern(monkeypatch):
     try:
         pd = bundled_knot_table()["8_19"]
         for n in (1, 2, 3):
-            bracket_colored_jones(pd, n)
+            engine._cabled_colored_jones(pd, n)
     finally:
         engine._pattern_rule.cache_clear()
     # the arc-level rules made 4,194 calls here, two per local situation
@@ -370,8 +372,8 @@ def test_bracket_figure_eight():
 
 def test_bracket_mirror_property():
     for pd in (torus_pd(2, 3), pretzel_pd([-2, 3, 3]),
-               two_bridge_pd([2, 1, 1])):
-        for n in range(3):
+               two_bridge_pd([2, 1, 1]), bundled_knot_table()["9_49"]):
+        for n in range(5):
             assert bracket_colored_jones(mirror_pd(pd), n) == \
                 bracket_colored_jones(pd, n).mirror()
 
@@ -401,13 +403,13 @@ def test_bracket_le_degree_bounds():
 
 def test_budget_charges_bytes_per_stored_state():
     # the whole MiB below 8_19's 3-cable peak of 5,256,050 stored bytes
-    # (5 MiB, 5,242,880) stops color 3, and the one above it (6 MiB) does
-    # not
+    # (5 MiB, 5,242,880) stops the cabled color 3, and the one above it
+    # (6 MiB) does not
     pd = bundled_knot_table()["8_19"]
     below = PEAK_8_19_3 >> 20
     with pytest.raises(EngineLimitError, match="stored bytes"):
-        bracket_colored_jones(pd, 3, limit_mb=below)
-    assert bracket_colored_jones(pd, 3, limit_mb=below + 1) == \
+        engine._cabled_colored_jones(pd, 3, limit_mb=below)
+    assert engine._cabled_colored_jones(pd, 3, limit_mb=below + 1) == \
         morton_colored_jones(3, 4, 3)
 
 
@@ -419,8 +421,7 @@ def test_limit_budget_raises_cleanly():
 def test_degree_kind_checked_before_any_work(monkeypatch):
     def no_state_sum(*args):
         raise AssertionError("a state sum ran")
-    monkeypatch.setattr(engine, "_bracket_raw", no_state_sum)
-    monkeypatch.setattr(engine, "_BRACKET_CACHE", {})
+    monkeypatch.setattr(engine, "_frontier", no_state_sum)
     spec = Diagram(bundled_knot_table()["8_20"])
     with pytest.raises(ValueError, match="unknown degree kind 'bogus'"):
         degree_sequence(spec, "bogus", 2)
@@ -486,42 +487,49 @@ def test_named_sequences_agree_with_bracket():
 
 
 def test_bracket_of_9_49_at_color_3_matches_its_degree_files():
-    # 9_49's diagram is adequate on neither side; its 3-cable took about
-    # 17 s along the greedy pass from crossing 0 and 1.5 s along the
-    # searched order
+    # 9_49's diagram is adequate on neither side
     j = bracket_colored_jones(bundled_knot_table()["9_49"], 3)
     dmax, dmin = engine.bundled_degrees("9_49", 3)
     assert (j.deg(), j.mindeg()) == (dmax[3], dmin[3]) == (50, 6)
 
 
 @pytest.mark.slow
-def test_named_sequences_agree_with_bracket_at_color_3():
-    # every bundled degree file against the state sum of the bundled
-    # diagram at color 3
-    table = bundled_knot_table()
-    names = sorted({f.split(".")[0] for f in os.listdir(engine._SEQ_DIR)})
-    assert len(names) == 11
+def test_vertex_model_matches_cabled_bracket_at_color_3():
+    # every bundled diagram in both chiralities; the cabled 3-cables take
+    # most of the time
+    for name, pd in bundled_knot_table().items():
+        for diagram in (pd, mirror_pd(pd)):
+            assert bracket_colored_jones(diagram, 3) == \
+                engine._cabled_colored_jones(diagram, 3), name
+
+
+@pytest.mark.slow
+def test_vertex_model_matches_degree_files_at_color_5():
+    names = _seq_names()
     for key in names:
-        j = bracket_colored_jones(table[key], 3)
-        assert degree_sequence(Named(key), "max", 3)[3] == j.deg(), key
-        assert degree_sequence(Named(key), "min", 3)[3] == j.mindeg(), key
+        j = bracket_colored_jones(bundled_knot_table()[key], 5)
+        dmax, dmin = engine.bundled_degrees(key, 5)
+        assert (j.deg(), j.mindeg()) == (dmax[5], dmin[5]), key
 
 
 @pytest.mark.slow
-def test_bracket_matches_morton_on_8_19_color_4():
-    # the 4-cable's 128 crossings peak at 443,741,328 stored bytes, under
-    # the default budget of 512 MiB: about 36 s and 374 MB of RSS
+def test_vertex_model_matches_cabled_bracket_on_8_19_color_4():
+    # the cabled 4-cable's 128 crossings peak at 443,741,328 stored
+    # bytes, under the default budget of 512 MiB: about 36 s and 374 MB
+    # of RSS
     pd = bundled_knot_table()["8_19"]
-    want = morton_colored_jones(3, 4, 4)
-    assert bracket_colored_jones(pd, 4) in (want, want.mirror())
+    j = bracket_colored_jones(pd, 4)
+    assert j == engine._cabled_colored_jones(pd, 4)
+    assert j == morton_colored_jones(3, 4, 4)
 
 
 @pytest.mark.slow
-def test_bracket_matches_degree_files_on_9_42_color_4():
-    # the first .seq value beyond color 3 computed in-process: the
-    # 4-cable's 144 crossings peak at 494,525,689 stored bytes, under the
-    # default budget, in about 20 s and 345 MB of RSS
-    j = bracket_colored_jones(bundled_knot_table()["9_42"], 4)
+def test_vertex_model_matches_cabled_bracket_on_9_42_color_4():
+    # the cabled 4-cable's 144 crossings peak at 494,525,689 stored
+    # bytes, under the default budget, in about 20 s and 345 MB of RSS
+    pd = bundled_knot_table()["9_42"]
+    j = bracket_colored_jones(pd, 4)
+    assert j == engine._cabled_colored_jones(pd, 4)
     dmax, dmin = engine.bundled_degrees("9_42", 4)
     assert (j.deg(), j.mindeg()) == (dmax[4], dmin[4]) == (32, -36)
 
@@ -534,3 +542,137 @@ def test_bundled_degree_files_cover_every_non_adequate_diagram():
     assert len(needed) == 11
     for key in needed:
         assert {key + ".max.seq", key + ".min.seq"} <= files, key
+
+
+# ---------------------------------------------------------------------------
+# the vertex model against its oracles
+
+
+def _seq_names():
+    names = sorted({f.split(".")[0] for f in os.listdir(engine._SEQ_DIR)})
+    assert len(names) == 11
+    return names
+
+
+def test_vertex_model_matches_cabled_bracket_at_colors_1_and_2():
+    # every bundled diagram and every pretzel of the benchmark, odd p
+    # from -15 to 19, in both chiralities
+    diagrams = dict(bundled_knot_table())
+    diagrams.update((p, pretzel_pd([-2, 3, p])) for p in range(-15, 20, 2))
+    assert len(diagrams) == 34
+    for key, pd in diagrams.items():
+        for diagram in (pd, mirror_pd(pd)):
+            for n in (1, 2):
+                assert bracket_colored_jones(diagram, n) == \
+                    engine._cabled_colored_jones(diagram, n), (key, n)
+
+
+def test_vertex_model_matches_cabled_bracket_on_self_arcs():
+    # braid closures whose strands close up at one crossing: self-arcs,
+    # which no bundled diagram has, and two kinks at one crossing
+    for word, strands in (([1], 2), ([-1], 2), ([1, 1, 1, 2], 3),
+                          ([1, 1, 1, -2], 3), ([1, -2, 3], 4)):
+        pd = validate_pd(braid_pd(word, strands))
+        assert any(len(set(cr)) < 4 for cr in pd)
+        for diagram in (pd, mirror_pd(pd)):
+            for n in (1, 2, 3):
+                assert bracket_colored_jones(diagram, n) == \
+                    engine._cabled_colored_jones(diagram, n), (word, n)
+
+
+def test_vertex_model_matches_morton_on_torus_diagrams():
+    for a, b in ((2, 3), (3, 4), (2, 5), (3, 5)):
+        pd = torus_pd(a, b)
+        for n in range(7):
+            assert bracket_colored_jones(pd, n) == \
+                morton_colored_jones(a, b, n), (a, b, n)
+
+
+def test_vertex_model_matches_degree_files_at_color_4():
+    for key in _seq_names():
+        j = bracket_colored_jones(bundled_knot_table()[key], 4)
+        dmax, dmin = engine.bundled_degrees(key, 4)
+        assert (j.deg(), j.mindeg()) == (dmax[4], dmin[4]), key
+
+
+def _left_faces(pd):
+    """Arrival (crossing, slot) -> face, each face walked with the face
+    on the left: after arriving at slot s, leave by slot s + 3."""
+    ends = {}
+    for ci, cr in enumerate(pd):
+        for slot, arc in enumerate(cr):
+            ends.setdefault(arc, []).append((ci, slot))
+    face = {}
+    for dart in ((ci, s) for ci in range(len(pd)) for s in range(4)):
+        ci, s = dart
+        while (ci, s) not in face:
+            face[ci, s] = dart
+            out = (s + 3) % 4
+            a, b = ends[pd[ci][out]]
+            ci, s = b if a == (ci, out) else a
+    return face
+
+
+def test_vertex_model_does_not_depend_on_the_outer_face():
+    # the outer face is the one left of the arrival at crossing 0's
+    # slot 0, so rotating the crossing list moves it; relabelling the
+    # arcs moves nothing and must not matter either
+    for pd in (bundled_knot_table()["9_42"], pretzel_pd([-2, 3, 5])):
+        want = bracket_colored_jones(pd, 2)
+        faces = _left_faces(pd)
+        assert len({faces[k, 0] for k in range(len(pd))}) >= 4
+        for k in range(len(pd)):
+            assert bracket_colored_jones(pd[k:] + pd[:k], 2) == want, k
+        relabelled = [tuple(1000 - 3 * a for a in cr) for cr in pd]
+        assert bracket_colored_jones(relabelled, 2) == want
+
+
+# peak stored bytes of the vertex state sum of 8_19 at color 5
+PEAK_8_19_WEIGHTS_5 = 6023524
+
+
+def _weights_sum(pd, n, byte_limit):
+    pd = validate_pd(pd)
+    steps = engine._steps(pd, engine._pick_order(pd))
+    return engine._frontier(steps, engine._Weights(pd, n, steps), byte_limit)
+
+
+def test_vertex_budget_stops_inside_a_step_below_its_peak(monkeypatch):
+    # --limit-mb is a bound on this peak, so it must not drift; the whole
+    # MiB below it (5 MiB) stops the sum at a check inside a step, before
+    # the step has written its whole frontier
+    pd = bundled_knot_table()["8_19"]
+    written = {}
+    check_budget = engine._check_budget
+
+    def recorded(byte_limit, step, read, new, *rest):
+        written[step] = new
+        return check_budget(byte_limit, step, read, new, *rest)
+    monkeypatch.setattr(engine, "_check_budget", recorded)
+    assert _weights_sum(pd, 5, PEAK_8_19_WEIGHTS_5)[2] == PEAK_8_19_WEIGHTS_5
+    monkeypatch.undo()
+    with pytest.raises(EngineLimitError, match="memory budget") as info:
+        bracket_colored_jones(pd, 5, limit_mb=PEAK_8_19_WEIGHTS_5 >> 20)
+    step, new = map(int, re.search(r"step (\d+), at (\d+) new",
+                                   str(info.value)).groups())
+    assert new % engine._CHECK_EVERY == 0
+    assert new < written[step]
+
+
+def test_vertex_budget_counts_each_packed_int_once(monkeypatch):
+    # the bits a check charges are those of the distinct ints of the read
+    # and the written frontier, to within a byte: CPython shares its
+    # small ints, and the first step reads the empty state's 1
+    checks = []
+    check_budget = engine._check_budget
+
+    def recorded(byte_limit, step, read, new, bits, charge):
+        frontiers = sys._getframe(1).f_locals
+        ints = {id(value[1]): value[1] for dp in ("dp", "ndp")
+                for value in frontiers[dp].values()}
+        checks.append((bits, sum(p.bit_length() for p in ints.values())))
+        return check_budget(byte_limit, step, read, new, bits, charge)
+    monkeypatch.setattr(engine, "_check_budget", recorded)
+    bracket_colored_jones(bundled_knot_table()["9_49"], 4)
+    assert len(checks) > 20
+    assert all(abs(charged - held) < 8 for charged, held in checks)
