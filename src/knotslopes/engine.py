@@ -438,31 +438,43 @@ def _r_tables(n):
             for sign, entries in tables.items()}
 
 
-def _turning_numbers(pd, ends, into):
-    """The integer turning number of each arc of a diagram whose
-    crossings stand upright, their in-slots (``into[crossing, slot]``)
-    at the bottom.  Each face is walked with the face on the left: after
-    arriving at slot s, the walk leaves by slot s + 3 (mod 4).  A corner
-    between two in-slots or two out-slots is a cusp, which turns by 1/2,
-    and an arc turns by its number, with the sign of the walk's
-    direction along it.  A bounded face turns by +1 in all and the outer
-    one, the face of the first arrival at crossing 0's slot 0, by -1.
-    Solved on a breadth-first tree of the dual graph rooted at the outer
-    face, with 0 on the arcs off the tree; Euler's formula makes the
-    demands consistent, which is checked on the outer face."""
-    face_of, faces = {}, []     # (cusps, [(arc, +-1), ...]) per face
+def _left_faces(pd, ends):
+    """The faces of a diagram, each walked with the face on the left:
+    after arriving at slot s of a crossing, the walk leaves by slot
+    s + 3 (mod 4).  Returns the map from each arrival (crossing, slot)
+    to its face's index, and each face's arrivals in walk order; face 0
+    is the face of the arrival at crossing 0's slot 0."""
+    face_of, faces = {}, []
     for dart in ((ci, s) for ci in range(len(pd)) for s in range(4)):
-        cusps, walked = 0, []
+        walked = []
         ci, s = dart
         while (ci, s) not in face_of:
             face_of[ci, s] = len(faces)
+            walked.append((ci, s))
             out = (s + 3) % 4
-            cusps += into[ci, s] == into[ci, out]
-            walked.append((pd[ci][s], 1 if into[ci, s] else -1))
             arc_ends = ends[pd[ci][out]]
             ci, s = arc_ends[arc_ends[0] == (ci, out)]
         if walked:
-            faces.append((cusps, walked))
+            faces.append(walked)
+    return face_of, faces
+
+
+def _turning_numbers(pd, ends, into):
+    """The integer turning number of each arc of a diagram whose
+    crossings stand upright, their in-slots (``into[crossing, slot]``)
+    at the bottom.  Along a face's walk (``_left_faces``) a corner
+    between two in-slots or two out-slots is a cusp, which turns by
+    1/2, and an arc turns by its number, with the sign of the walk's
+    direction along it.  A bounded face turns by +1 in all and the outer
+    one, face 0, by -1.  Solved on a breadth-first tree of the dual
+    graph rooted at the outer face, with 0 on the arcs off the tree;
+    Euler's formula makes the demands consistent, which is checked on
+    the outer face."""
+    face_of, walks = _left_faces(pd, ends)
+    # (cusps, [(arc, +-1), ...]) per face
+    faces = [(sum(into[ci, s] == into[ci, (s + 3) % 4] for ci, s in walk),
+              [(pd[ci][s], 1 if into[ci, s] else -1) for ci, s in walk])
+             for walk in walks]
     turning = dict.fromkeys(ends, 0)
     parent, queue = {0: None}, [0]
     for f in queue:
@@ -533,7 +545,7 @@ class _Weights:
         for ci, slot in _component_walk(pd, ends):
             if slot % 2:
                 signs[ci] = slot == 3
-        self.writhe = 2 * signs.count(True) - len(pd)
+        self.writhe = _classify(pd)[0].writhe
         frames = [(3, 0, 1, 2) if sign else (0, 1, 2, 3) for sign in signs]
         into = {(ci, s): i < 2 for ci, frame in enumerate(frames)
                 for i, s in enumerate(frame)}

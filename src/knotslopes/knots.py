@@ -569,7 +569,7 @@ def _classify(pd):
     circle labelling per state gives that state's circle count and its
     adequacy: no crossing's smoothing meets the same state circle twice.
     Cached, as a spec asks for it for its colors, degrees and checks, and
-    the cabled bracket for the writhe.
+    both evaluators of the colored Jones polynomial for the writhe.
     """
     if not pd:
         return DiagramStats(0, 0, 1, 1), False, True, True

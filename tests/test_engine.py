@@ -588,29 +588,12 @@ def test_vertex_model_matches_morton_on_torus_diagrams():
                 morton_colored_jones(a, b, n), (a, b, n)
 
 
-def test_vertex_model_matches_degree_files_at_color_4():
+def test_vertex_model_matches_degree_files_at_colors_3_and_4():
     for key in _seq_names():
-        j = bracket_colored_jones(bundled_knot_table()[key], 4)
         dmax, dmin = engine.bundled_degrees(key, 4)
-        assert (j.deg(), j.mindeg()) == (dmax[4], dmin[4]), key
-
-
-def _left_faces(pd):
-    """Arrival (crossing, slot) -> face, each face walked with the face
-    on the left: after arriving at slot s, leave by slot s + 3."""
-    ends = {}
-    for ci, cr in enumerate(pd):
-        for slot, arc in enumerate(cr):
-            ends.setdefault(arc, []).append((ci, slot))
-    face = {}
-    for dart in ((ci, s) for ci in range(len(pd)) for s in range(4)):
-        ci, s = dart
-        while (ci, s) not in face:
-            face[ci, s] = dart
-            out = (s + 3) % 4
-            a, b = ends[pd[ci][out]]
-            ci, s = b if a == (ci, out) else a
-    return face
+        for n in (3, 4):
+            j = bracket_colored_jones(bundled_knot_table()[key], n)
+            assert (j.deg(), j.mindeg()) == (dmax[n], dmin[n]), (key, n)
 
 
 def test_vertex_model_does_not_depend_on_the_outer_face():
@@ -619,7 +602,7 @@ def test_vertex_model_does_not_depend_on_the_outer_face():
     # arcs moves nothing and must not matter either
     for pd in (bundled_knot_table()["9_42"], pretzel_pd([-2, 3, 5])):
         want = bracket_colored_jones(pd, 2)
-        faces = _left_faces(pd)
+        faces = engine._left_faces(pd, engine._arc_endpoints(pd))[0]
         assert len({faces[k, 0] for k in range(len(pd))}) >= 4
         for k in range(len(pd)):
             assert bracket_colored_jones(pd[k:] + pd[:k], 2) == want, k
