@@ -28,7 +28,11 @@ exponent shift and a packed factor.  The two local algebras are
   Reshetikhin-Turaev and Kirby-Melvin: a value is the label of a basis
   vector of V_n, a crossing acts by the R-matrix or its inverse, tabled
   once per color (``_r_tables``), and each arc carries a power of q
-  from its turning number (``_turning_numbers``);
+  from its turning number (``_turning_numbers``).  What does not depend
+  on the color (the steps, crossing signs, writhe and turning numbers)
+  is one frame per diagram (``_frame``, cached), which gives each step
+  a shape; a call builds and packs one rule table per distinct shape,
+  shared by the steps of that shape;
 - Temperley-Lieb matchings (``_Matchings``) for the cabled bracket: a
   value is the position of the open arc that the strand comes back
   by, and ``_pattern_rule`` works out the smoothings of each 4-slot
@@ -45,8 +49,9 @@ and add, and the sum is decoded once, from signed base-2**bits digits.
 docstrings of ``_Weights`` and ``_bracket_raw`` give the arguments.  The
 memory budget charges each stored state a calibrated overhead plus its
 packed int's bytes, over the frontier a step reads and the one it
-writes, and is checked every ``_CHECK_EVERY`` new states as well as
-after each step.
+writes, and each of the vertex model's distinct rule tables once; it
+is checked every ``_CHECK_EVERY`` new states as well as after each
+step.
 
 The contraction order is searched.  A greedy pass from a starting
 crossing takes next the crossing sharing the most open arcs, from a
@@ -60,14 +65,14 @@ passes, their 2-cables at most 19, and their 4-cables every start.
 """
 
 import functools
+import os
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .laurent import LaurentPoly, _wrap
 from .knots import (_A_PAIRING, _B_PAIRING, _arc_endpoints, _classify,
                     _component_walk, validate_pd)
 from .quasifit import load_sequence
-import os
 
 __all__ = [
     "morton_colored_jones", "bracket_colored_jones", "degree_sequence",
@@ -389,6 +394,14 @@ def _frontier(steps, algebra, byte_limit):
 # 147 and 214 on 8_20 at 6 and 7
 _WEIGHT_STATE_BYTES = 360
 
+# bytes charged per rule of a vertex-model table besides its packed
+# factor's digits: its (writes, shift, factor) tuple, the writes and
+# their pairs, the int shift, the factor's header, and its share of the
+# table's consumed-label keys, rule tuples and dict slots.  By
+# sys.getsizeof over the distinct tables these come to 336-343 bytes a
+# rule on 8_19 at colors 2, 5 and 7 and on 9_49 at colors 4 and 5
+_RULE_BYTES = 344
+
 
 @functools.cache
 def _r_tables(n):
@@ -407,7 +420,9 @@ def _r_tables(n):
             q**(-w(a) w(b)/4) e_{b-k} (x) e_{a+k},
 
     with w(i) = n - 2i and symmetric quantum binomials.  Cached per
-    color, as the pretzel seeds ask for colors 1 and 2 once per knot."""
+    color: every call at a color reads them once per distinct step
+    shape (``_shape_rules``), and the pretzel seeds ask for colors 1
+    and 2 once per knot."""
     def q(key, c=1):
         return LaurentPoly({key: c})
     # [m choose k] = q**(-(m-k)/2) [m-1 choose k-1] + q**(k/2) [m-1 choose k]
@@ -497,9 +512,77 @@ def _turning_numbers(pd, ends, into):
     return turning
 
 
+@functools.cache
+def _frame(pd):
+    """The color-independent frame of the vertex model on a validated
+    diagram ``pd``: (steps, writhe, shapes), with ``steps`` the
+    bookkeeping (``_steps``) of the order ``_pick_order`` picks and
+    ``shapes`` one shape per step.
+
+    A step's rules at color n depend only on its shape: the sign of its
+    crossing, its ``at``, ``links`` and ``opens``, and its ``turns``,
+    the slots whose arc factor it charges, each with twice its arc's
+    turning number (``_turning_numbers``): its opened slots and the
+    first slot of each self-arc.  So the signs, the strand walk and the
+    turning numbers are worked out once per diagram, and steps of one
+    shape share one rule table per color (``_Weights``).  Cached, as the
+    pretzel seeds ask for colors 1 and 2 of one diagram, so every caller
+    shares the frame and only reads it."""
+    steps = _steps(pd, _pick_order(pd))
+    ends = _arc_endpoints(pd)
+    signs = [None] * len(pd)
+    for ci, slot in _component_walk(pd, ends):
+        if slot % 2:
+            signs[ci] = slot == 3
+    into = {(ci, s): i < 2 for ci, sign in enumerate(signs)
+            for i, s in enumerate(_upright(sign))}
+    turning = _turning_numbers(pd, ends, into)
+    shapes = []
+    for idx, _, at, _, _, links, opens in steps:
+        charged = [s for s in range(4) if opens[s] is not None] + \
+            [s for s, t in enumerate(links) if t is not None and t > s]
+        shapes.append((signs[idx], tuple(at), tuple(links), tuple(opens),
+                       tuple((s, 2 * turning[pd[idx][s]]) for s in charged)))
+    return steps, _classify(pd)[0].writhe, tuple(shapes)
+
+
+def _upright(sign):
+    """The PD slots at (SW, SE, NE, NW) of a crossing of ``sign`` that
+    stands upright with its in-slots at the bottom."""
+    return (3, 0, 1, 2) if sign else (0, 1, 2, 3)
+
+
+def _shape_rules(n, shape):
+    """The rules of one step shape (``_frame``) at color n before
+    packing: consumed-label tuple -> {writes: quarter-key polynomial},
+    and the step's factor h of the coefficient bound (``_Weights``)."""
+    sign, at, links, opens, turns = shape
+    sw, se, ne, nw = _upright(sign)
+    out = [(opens[s], s) for s in range(4) if opens[s] is not None]
+    linked = [(s, t) for s, t in enumerate(links) if t is not None and t > s]
+    rules, norms = {}, {}
+    label = [0] * 4
+    for a, b, to_nw, to_ne, terms, norm in _r_tables(n)[sign]:
+        label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
+        if linked and any(label[s] != label[t] for s, t in linked):
+            continue
+        writes = tuple([(p, label[s]) for p, s in out])
+        norms[writes] = norms.get(writes, 0) + norm
+        shift = sum([(2 * label[s] - n) * t for s, t in turns])
+        outs = rules.setdefault(tuple([label[s] for s in at]), {})
+        poly = outs.get(writes)
+        if poly is None:
+            outs[writes] = {key + shift: c for key, c in terms.items()}
+            continue
+        for key, c in terms.items():
+            poly[key + shift] = poly.get(key + shift, 0) + c
+    return rules, max(norms.values())
+
+
 class _Weights:
     """The local algebra of weight labels on arcs: the colored R-matrix
-    vertex model of the diagram ``pd`` at color n, along ``steps``.
+    vertex model at color n of a diagram whose steps have the ``shapes``
+    of its frame (``_frame``).
 
     Each crossing stands upright with its in-slots at the bottom: as
     (SW, SE, NE, NW), a positive crossing, which the strand walk enters
@@ -511,7 +594,9 @@ class _Weights:
     (``_turning_numbers``) carries q**(-(n - 2i) t / 2), charged at the
     step that opens it, or, for a self-arc, at its crossing.  A step's
     rules are worked out for every consumed-label tuple before the sum
-    runs.
+    runs, once per distinct shape (``_shape_rules``): steps of one shape
+    share one table object, and ``tables`` holds one per step.  The
+    tables live as long as the algebra, one call.
 
     Exponents are quarter-keys at stride 2.  Every entry's exponents
     share the parity of n**2: k(k-1), the quantum binomials' and the
@@ -530,60 +615,41 @@ class _Weights:
     the steps' h (``bound``).  ``bits`` = H.bit_length() + 1 gives
     |c| < 2**(bits - 1), which ``_unpack`` reads back exactly; the
     decoded sum is checked against H.
+
+    The budget charges the distinct tables once, in ``table_bytes``:
+    ``_RULE_BYTES`` a rule plus its packed factor's bytes, on top of
+    the frontier states.
     """
 
     shift, partners, shares = 1, False, True
 
-    @staticmethod
-    def charge(states, bits):
+    def charge(self, states, bits):
         # CPython keeps an int in 30-bit digits of 4 bytes each
-        return states * _WEIGHT_STATE_BYTES + bits * 2 // 15
+        return (self.table_bytes + states * _WEIGHT_STATE_BYTES
+                + bits * 2 // 15)
 
-    def __init__(self, pd, n, steps):
-        ends = _arc_endpoints(pd)
-        signs = [None] * len(pd)
-        for ci, slot in _component_walk(pd, ends):
-            if slot % 2:
-                signs[ci] = slot == 3
-        self.writhe = _classify(pd)[0].writhe
-        frames = [(3, 0, 1, 2) if sign else (0, 1, 2, 3) for sign in signs]
-        into = {(ci, s): i < 2 for ci, frame in enumerate(frames)
-                for i, s in enumerate(frame)}
-        turning = _turning_numbers(pd, ends, into)
-        tables = _r_tables(n)
-        grouped, bound = [], 1
-        for idx, _, at, _, _, links, opens in steps:
-            sw, se, ne, nw = frames[idx]
-            out = [s for s in range(4) if opens[s] is not None]
-            linked = [(s, t) for s, t in enumerate(links) if t is not None]
-            # the slots whose arc factor the step charges, with twice
-            # their arc's turning number
-            turns = [(s, 2 * turning[pd[idx][s]])
-                     for s in out + [s for s, t in linked if t > s]]
-            rules, norms = {}, {}
-            for a, b, to_nw, to_ne, terms, norm in tables[signs[idx]]:
-                label = [0] * 4
-                label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
-                if linked and any(label[s] != label[t] for s, t in linked):
-                    continue
-                writes = tuple((opens[s], label[s]) for s in out)
-                norms[writes] = norms.get(writes, 0) + norm
-                shift = sum((2 * label[s] - n) * t for s, t in turns)
-                poly = rules.setdefault(tuple([label[s] for s in at]), {}) \
-                    .setdefault(writes, {})
-                for key, c in terms.items():
-                    poly[key + shift] = poly.get(key + shift, 0) + c
-            grouped.append(rules)
-            bound *= max(norms.values())
+    def __init__(self, n, shapes):
+        built = {}
+        for shape in shapes:
+            if shape not in built:
+                built[shape] = _shape_rules(n, shape)
+        bound = prod(built[shape][1] for shape in shapes)
         self.bound, self.bits = bound, bound.bit_length() + 1
-        self.tables = []
-        for rules in grouped:
-            table = {}
+        packed, count, digits = {}, 0, 0
+        for shape, (rules, _) in built.items():
+            table = packed[shape] = {}
             for local, outs in rules.items():
-                packed = (_packed_rule(writes, poly, self.bits)
-                          for writes, poly in outs.items())
-                table[local] = tuple(rule for rule in packed if rule)
-            self.tables.append(table)
+                found = []
+                for writes, poly in outs.items():
+                    rule = _packed_rule(writes, poly, self.bits)
+                    if rule:
+                        found.append(rule)
+                        if rule[2] is not None:
+                            digits += rule[2].bit_length()
+                table[local] = tuple(found)
+                count += len(found)
+        self.table_bytes = count * _RULE_BYTES + digits * 2 // 15
+        self.tables = [packed[shape] for shape in shapes]
 
     def rules(self, k, step):
         # a consumed-label tuple without a rule has no outcome
@@ -613,16 +679,20 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     Runs the colored R-matrix vertex model on the diagram itself
     (``_Weights``): the sum Z over the weight labellings of its arcs of
     the products of R and R**-1 entries and arc factors, contracted
-    along the frontier core.  With w the writhe,
-    J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with [n+1] =
-    (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
+    along the frontier core.  The diagram's frame (``_frame``: the
+    contraction steps, the writhe and each step's shape) is built once
+    per diagram and cached; a call builds one rule table per distinct
+    shape at its color and keeps the tables for that call only.  With w
+    the writhe, J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with
+    [n+1] = (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
     state's polynomial is packed into one int at stride 2 in
     quarter-keys, at a proven bound of bits a coefficient (see
     ``_Weights``).  Raises EngineLimitError, in the step that
     overflows, when the stored bytes of the state sum exceed
     ``limit_mb`` MiB (default 512): each stored state is charged a
     calibrated overhead plus its packed int's bytes, for the frontier a
-    step reads and the one it writes, and an int the two share once.
+    step reads and the one it writes, an int the two share once, and
+    each distinct rule table once.
     """
     if n < 0:
         raise ValueError("color must be nonnegative")
@@ -630,13 +700,13 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     if n == 0 or not pd:
         return LaurentPoly.one()
     byte_limit = (512 if limit_mb is None else limit_mb) << 20
-    steps = _steps(pd, _pick_order(pd))
-    algebra = _Weights(pd, n, steps)
+    steps, writhe, shapes = _frame(pd)
+    algebra = _Weights(n, shapes)
     lo, packed, _ = _frontier(steps, algebra, byte_limit)
     coeffs = _unpack(packed, algebra.bits)
     if sum(map(abs, coeffs)) > algebra.bound:
         raise AssertionError("the state sum exceeds its coefficient bound")
-    lo -= algebra.writhe * (n * n + 2 * n)
+    lo -= writhe * (n * n + 2 * n)
     z = _wrap({lo + 2 * i: c for i, c in enumerate(coeffs) if c})
     poly = (z * _binomial(0)).exact_div(_binomial(n)).mirror()
     if not poly.is_integral():

@@ -278,7 +278,7 @@ sys.exit(code)
                     reason="VmHWM is read from /proc/self/status")
 @pytest.mark.parametrize("limit_mb, exit_code", [(4, 3), (64, 0)])
 def test_limit_bounds_the_resident_set(limit_mb, exit_code):
-    # 9_49's vertex state sum at color 4 peaks at 8,708,088 stored bytes
+    # 9_49's vertex state sum at color 4 peaks at 8,881,976 stored bytes
     # in about 0.2 s, so a 4 MiB budget must stop it and a 64 MiB one
     # must not; either way the process stays under the budget above its
     # state after the import

@@ -611,13 +611,12 @@ def test_vertex_model_does_not_depend_on_the_outer_face():
 
 
 # peak stored bytes of the vertex state sum of 8_19 at color 5
-PEAK_8_19_WEIGHTS_5 = 6023524
+PEAK_8_19_WEIGHTS_5 = 6214112
 
 
 def _weights_sum(pd, n, byte_limit):
-    pd = validate_pd(pd)
-    steps = engine._steps(pd, engine._pick_order(pd))
-    return engine._frontier(steps, engine._Weights(pd, n, steps), byte_limit)
+    steps, _, shapes = engine._frame(validate_pd(pd))
+    return engine._frontier(steps, engine._Weights(n, shapes), byte_limit)
 
 
 def test_vertex_budget_stops_inside_a_step_below_its_peak(monkeypatch):
@@ -659,3 +658,129 @@ def test_vertex_budget_counts_each_packed_int_once(monkeypatch):
     bracket_colored_jones(bundled_knot_table()["9_49"], 4)
     assert len(checks) > 20
     assert all(abs(charged - held) < 8 for charged, held in checks)
+
+
+def _per_step_tables(pd, n, steps):
+    """The vertex model's rule tables built step by step, each from the
+    diagram's strand walk and turning numbers, with (bound, bits): the
+    oracle of the tables ``_Weights`` shares between steps of one
+    shape."""
+    ends = engine._arc_endpoints(pd)
+    signs = [None] * len(pd)
+    for ci, slot in engine._component_walk(pd, ends):
+        if slot % 2:
+            signs[ci] = slot == 3
+    frames = [(3, 0, 1, 2) if sign else (0, 1, 2, 3) for sign in signs]
+    into = {(ci, s): i < 2 for ci, frame in enumerate(frames)
+            for i, s in enumerate(frame)}
+    turning = engine._turning_numbers(pd, ends, into)
+    grouped, bound = [], 1
+    for idx, _, at, _, _, links, opens in steps:
+        sw, se, ne, nw = frames[idx]
+        out = [s for s in range(4) if opens[s] is not None]
+        linked = [(s, t) for s, t in enumerate(links) if t is not None]
+        turns = [(s, 2 * turning[pd[idx][s]])
+                 for s in out + [s for s, t in linked if t > s]]
+        rules, norms = {}, {}
+        for a, b, to_nw, to_ne, terms, norm in engine._r_tables(n)[signs[idx]]:
+            label = [0] * 4
+            label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
+            if linked and any(label[s] != label[t] for s, t in linked):
+                continue
+            writes = tuple((opens[s], label[s]) for s in out)
+            norms[writes] = norms.get(writes, 0) + norm
+            shift = sum((2 * label[s] - n) * t for s, t in turns)
+            poly = rules.setdefault(tuple([label[s] for s in at]), {}) \
+                .setdefault(writes, {})
+            for key, c in terms.items():
+                poly[key + shift] = poly.get(key + shift, 0) + c
+        grouped.append(rules)
+        bound *= max(norms.values())
+    bits = bound.bit_length() + 1
+    tables = []
+    for rules in grouped:
+        table = {}
+        for local, outs in rules.items():
+            packed = (engine._packed_rule(writes, poly, bits)
+                      for writes, poly in outs.items())
+            table[local] = tuple(rule for rule in packed if rule)
+        tables.append(table)
+    return tables, bound, bits
+
+
+def test_shared_tables_equal_the_per_step_build():
+    # every bundled diagram, every pretzel of the benchmark and braid
+    # closures with self-arcs, in both chiralities
+    diagrams = dict(bundled_knot_table())
+    diagrams.update((p, pretzel_pd([-2, 3, p])) for p in range(-15, 20, 2))
+    assert len(diagrams) == 34
+    diagrams.update((tuple(word), braid_pd(word, strands))
+                    for word, strands in (([1, 1, 1, 2], 3), ([1, -2, 3], 4)))
+    for key, pd in diagrams.items():
+        for diagram in (pd, mirror_pd(pd)):
+            steps, _, shapes = engine._frame(validate_pd(diagram))
+            for n in (1, 2, 3):
+                algebra = engine._Weights(n, shapes)
+                tables, bound, bits = _per_step_tables(
+                    validate_pd(diagram), n, steps)
+                assert (algebra.bound, algebra.bits) == (bound, bits)
+                assert algebra.tables == tables, (key, n)
+
+
+def _algebras(monkeypatch):
+    """The local algebras of the state sums run from now on."""
+    seen = []
+    frontier = engine._frontier
+
+    def recorded(steps, algebra, byte_limit):
+        seen.append(algebra)
+        return frontier(steps, algebra, byte_limit)
+    monkeypatch.setattr(engine, "_frontier", recorded)
+    return seen
+
+
+def test_steps_of_one_shape_share_one_table(monkeypatch):
+    algebras = _algebras(monkeypatch)
+    bracket_colored_jones(pretzel_pd([-2, 3, 19]), 2)
+    tables = algebras[0].tables
+    assert len(tables) == 24
+    assert len({id(table) for table in tables}) == 7
+
+
+def test_frame_built_once_per_diagram(monkeypatch):
+    calls = {"_turning_numbers": 0, "_pick_order": 0}
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    engine._frame.cache_clear()
+    pd = bundled_knot_table()["8_19"]
+    for n in (1, 2, 3):
+        bracket_colored_jones(pd, n)
+    assert calls == {"_turning_numbers": 1, "_pick_order": 1}
+
+
+def test_budget_charges_each_shared_table_once(monkeypatch):
+    # 8_19's 8 steps have 5 shapes, and every check charges the rules of
+    # the 5 tables once, over the states
+    algebras = _algebras(monkeypatch)
+    charged = set()
+    check_budget = engine._check_budget
+
+    def recorded(byte_limit, step, read, new, bits, charge):
+        charged.add(charge(0, 0))
+        return check_budget(byte_limit, step, read, new, bits, charge)
+    monkeypatch.setattr(engine, "_check_budget", recorded)
+    bracket_colored_jones(bundled_knot_table()["8_19"], 3)
+    distinct = {id(table): table for table in algebras[0].tables}
+    assert len(algebras[0].tables) == 8 and len(distinct) == 5
+    rules = [rule for table in distinct.values() for outs in table.values()
+             for rule in outs]
+    digits = sum(f.bit_length() for _, _, f in rules if f is not None)
+    assert charged == {len(rules) * engine._RULE_BYTES + digits * 2 // 15}
