@@ -53,7 +53,8 @@ def alt_symmetrized(st, n):
 def torus_degrees(a, b, n):
     """Maximum and minimum degree of the color-n Jones polynomial of the
     positive (a, b) torus knot.  ``Torus`` specs read their degrees off
-    Morton's polynomials; this closed form is their test oracle."""
+    the numerator of Morton's formula; this closed form is their test
+    oracle."""
     if a < 2 or b < 2 or gcd(a, b) != 1:
         raise ValueError("need coprime torus parameters >= 2, got (%d, %d)"
                          % (a, b))

@@ -1,19 +1,26 @@
 """Exact colored Jones polynomials.
 
 Two independent evaluators are public here.  ``morton_colored_jones``
-computes torus knots through the closed-form state sum;
+computes torus knots through Morton's closed-form state sum;
 ``bracket_colored_jones`` works on any planar diagram by the colored
 R-matrix vertex model, run on the diagram itself, and normalizes.  A
 third route, the cabled Kauffman bracket (``_cabled_colored_jones``),
 is on no user path: the tests cross-check the vertex model with it.
 All return Laurent polynomials in q, indexed so that color 0 is the
 unknot normalization (constant 1) and color 1 is the Jones polynomial.
+``morton_degrees`` reads the maximum and minimum degree of Morton's
+polynomial off the numerator of the formula, whose 2(n+1) terms fix
+both, without building the quotient, whose degree span is O(ab n**2)
+(``LaurentPoly.quotient_degrees``); it shares the numerator and the
+argument checks with ``morton_colored_jones`` (``_morton_numerator``),
+and ``Torus`` specs take their degrees from it.
 
 ``LaurentPoly`` is the only polynomial type: every evaluator divides by
 q**((n+1)/2) - q**(-(n+1)/2) through ``LaurentPoly.exact_div``.  That
 divisor is a binomial with coefficients +-1 of opposite signs, so the
 division takes ``exact_div``'s residue-class route, linear in the
-quotient, and not the long division that other divisors need.
+quotient, and not the long division that other divisors need; the
+degree reader checks the same route's remainder rule.
 
 One frontier core, ``_frontier``, contracts a diagram crossing by
 crossing and takes a local algebra.  Which arcs are open after each
@@ -30,9 +37,10 @@ exponent shift and a packed factor.  The two local algebras are
   once per color (``_r_tables``), and each arc carries a power of q
   from its turning number (``_turning_numbers``).  What does not depend
   on the color (the steps, crossing signs, writhe and turning numbers)
-  is one frame per diagram (``_frame``, cached), which gives each step
-  a shape; a call builds and packs one rule table per distinct shape,
-  shared by the steps of that shape;
+  is one frame per diagram (``_frame``, cached, which also validates
+  the diagram once), which gives each step a shape; a call builds and
+  packs one rule table per distinct shape, shared by the steps of that
+  shape;
 - Temperley-Lieb matchings (``_Matchings``) for the cabled bracket: a
   value is the position of the open arc that the strand comes back
   by, and ``_pattern_rule`` works out the smoothings of each 4-slot
@@ -67,16 +75,16 @@ passes, their 2-cables at most 19, and their 4-cables every start.
 import functools
 import os
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, prod
 
 from .laurent import LaurentPoly, _wrap
-from .knots import (_A_PAIRING, _B_PAIRING, _arc_endpoints, _classify,
-                    _component_walk, validate_pd)
+from .knots import (_A_PAIRING, _B_PAIRING, _arc_endpoints, _check_torus,
+                    _classify, _component_walk, _int_pd, validate_pd)
 from .quasifit import load_sequence
 
 __all__ = [
-    "morton_colored_jones", "bracket_colored_jones", "degree_sequence",
-    "EngineLimitError",
+    "morton_colored_jones", "morton_degrees", "bracket_colored_jones",
+    "degree_sequence", "EngineLimitError",
 ]
 
 
@@ -93,6 +101,30 @@ def _binomial(n):
     return LaurentPoly({2 * n + 2: 1, -2 * n - 2: -1})
 
 
+def _morton_numerator(a, b, n):
+    """The dividend of Morton's formula for the (a, |b|) torus knot at
+    color n, after the argument checks that ``morton_colored_jones`` and
+    ``morton_degrees`` share; its quotient by ``_binomial(n)`` is J_n.
+
+    The dividend sums over K = 2k, K = -n, -n+2, ..., n, as quarter-keys,
+    times the framing prefactor q**(ab n(n+2)/4): shifting its 2(n+1)
+    terms costs less than shifting the quotient.
+    """
+    if n < 0:
+        raise ValueError("color must be nonnegative")
+    _check_torus(a, b)
+    b = abs(b)
+    ab = a * b
+    frame = ab * n * (n + 2)
+    num = {}
+    for bigk in range(-n, n + 1, 2):
+        e1 = frame - ab * bigk * bigk + 2 * (a - b) * bigk + 2
+        e2 = frame - ab * bigk * bigk + 2 * (a + b) * bigk - 2
+        num[e1] = num.get(e1, 0) + 1
+        num[e2] = num.get(e2, 0) - 1
+    return LaurentPoly(num)
+
+
 def morton_colored_jones(a, b, n):
     """Colored Jones polynomial of the (a,b) torus knot at color n.
 
@@ -100,31 +132,22 @@ def morton_colored_jones(a, b, n):
     Laurent polynomial in q; the half-integer powers that appear along
     the way always cancel.
     """
-    if n < 0:
-        raise ValueError("color must be nonnegative")
-    if gcd(a, abs(b)) != 1:
-        raise ValueError("torus parameters must be coprime")
-    if a < 2 or abs(b) < 2:
-        raise ValueError("torus parameters must be at least 2 in magnitude")
-    if b < 0:
-        return morton_colored_jones(a, -b, n).mirror()
-    if n == 0:
-        return LaurentPoly.one()
+    j = _morton_numerator(a, b, n).exact_div(_binomial(n))
+    return j.mirror() if b < 0 else j
 
-    # numerator sum over K = 2k, K = -n, -n+2, ..., n, as quarter-keys,
-    # times the framing prefactor q**(ab n(n+2)/4): shifting the 2(n+1)
-    # numerator terms costs less than shifting the quotient
-    num = {}
-    ab = a * b
-    frame = ab * n * (n + 2)
-    for bigk in range(-n, n + 1, 2):
-        e1 = frame - ab * bigk * bigk + 2 * (a - b) * bigk + 2
-        e2 = frame - ab * bigk * bigk + 2 * (a + b) * bigk - 2
-        num[e1] = num.get(e1, 0) + 1
-        num[e2] = num.get(e2, 0) - 1
 
-    # divide by q**((n+1)/2) - q**(-(n+1)/2)
-    return LaurentPoly(num).exact_div(_binomial(n))
+def morton_degrees(a, b, n):
+    """(deg, mindeg) of ``morton_colored_jones(a, b, n)``, as Fractions,
+    read off the numerator of Morton's formula without building the
+    polynomial: with the numerator's zero coefficients dropped, deg is
+    (max key - (2n+2))/4 and mindeg is (min key + (2n+2))/4, once the
+    division by q**((n+1)/2) - q**(-(n+1)/2) is checked to be exact
+    (``LaurentPoly.quotient_degrees``).  O(n) per color, where the
+    polynomial spans O(ab n**2) degrees.  A negative b gives the mirror
+    image.
+    """
+    deg, mindeg = _morton_numerator(a, b, n).quotient_degrees(_binomial(n))
+    return (-mindeg, -deg) if b < 0 else (deg, mindeg)
 
 
 # the circle factor -A**2 - A**-2, the same map in A and in quarter-keys
@@ -514,10 +537,11 @@ def _turning_numbers(pd, ends, into):
 
 @functools.cache
 def _frame(pd):
-    """The color-independent frame of the vertex model on a validated
-    diagram ``pd``: (steps, writhe, shapes), with ``steps`` the
-    bookkeeping (``_steps``) of the order ``_pick_order`` picks and
-    ``shapes`` one shape per step.
+    """The color-independent frame of the vertex model on a diagram
+    ``pd`` of int labels (``knots._int_pd``), which it validates first:
+    (steps, writhe, shapes), with ``steps`` the bookkeeping (``_steps``)
+    of the order ``_pick_order`` picks and ``shapes`` one shape per
+    step.  The empty diagram has no steps.
 
     A step's rules at color n depend only on its shape: the sign of its
     crossing, its ``at``, ``links`` and ``opens``, and its ``turns``,
@@ -526,8 +550,14 @@ def _frame(pd):
     first slot of each self-arc.  So the signs, the strand walk and the
     turning numbers are worked out once per diagram, and steps of one
     shape share one rule table per color (``_Weights``).  Cached, as the
-    pretzel seeds ask for colors 1 and 2 of one diagram, so every caller
-    shares the frame and only reads it."""
+    pretzel seeds ask for colors 0, 1 and 2 of one diagram, so every
+    caller shares the frame and only reads it, and ``validate_pd`` runs
+    once per diagram.  An invalid diagram raises and is not cached, so
+    it raises on every call; a label that is no int, such as 1.0, is
+    refused by ``_int_pd`` before the cache is looked up."""
+    pd = validate_pd(pd)
+    if not pd:
+        return (), 0, ()
     steps = _steps(pd, _pick_order(pd))
     ends = _arc_endpoints(pd)
     signs = [None] * len(pd)
@@ -680,9 +710,10 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     (``_Weights``): the sum Z over the weight labellings of its arcs of
     the products of R and R**-1 entries and arc factors, contracted
     along the frontier core.  The diagram's frame (``_frame``: the
-    contraction steps, the writhe and each step's shape) is built once
-    per diagram and cached; a call builds one rule table per distinct
-    shape at its color and keeps the tables for that call only.  With w
+    contraction steps, the writhe and each step's shape) is built, and
+    the diagram validated, once per diagram and cached, at color 0
+    too; a call builds one rule table per distinct shape at its color
+    and keeps the tables for that call only.  With w
     the writhe, J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with
     [n+1] = (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
     state's polynomial is packed into one int at stride 2 in
@@ -696,11 +727,10 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     """
     if n < 0:
         raise ValueError("color must be nonnegative")
-    pd = validate_pd(pd)
-    if n == 0 or not pd:
+    steps, writhe, shapes = _frame(_int_pd(pd))
+    if n == 0 or not steps:
         return LaurentPoly.one()
     byte_limit = (512 if limit_mb is None else limit_mb) << 20
-    steps, writhe, shapes = _frame(pd)
     algebra = _Weights(n, shapes)
     lo, packed, _ = _frontier(steps, algebra, byte_limit)
     coeffs = _unpack(packed, algebra.bits)
@@ -1005,13 +1035,14 @@ def degree_sequence(spec, kind, n_max, limit_mb=None):
     minimum degrees (``spec.degrees``) by the one rule of
     ``knots._Spec._degrees``: an adequate side from its closed form,
     and any other side from the kind's source, checked against the
-    closed form of an adequate side.  The sources are Morton's formula
-    for torus knots, the bundled degree files for named knots, the
-    vertex model at colors 0..2 extended by the family's generating
-    functions for pretzel knots, and the vertex model for ``pd:``
-    diagrams; an ``alt:`` spec is adequate on both sides.  Every spec
-    computes its degrees for the unmirrored knot, and the one mirror
-    rule of ``knots._Spec`` turns (dmax, dmin) into (-dmin, -dmax).
+    closed form of an adequate side.  The sources are the numerator of
+    Morton's formula for torus knots (``morton_degrees``), the bundled
+    degree files for named knots, the vertex model at colors 0..2
+    extended by the family's generating functions for pretzel knots,
+    and the vertex model for ``pd:`` diagrams; an ``alt:`` spec is
+    adequate on both sides.  Every spec computes its degrees for the
+    unmirrored knot, and the one mirror rule of ``knots._Spec`` turns
+    (dmax, dmin) into (-dmin, -dmax).
     """
     combine = _KINDS.get(kind)
     if combine is None:

@@ -18,7 +18,8 @@ reduced alternating diagrams get the alternating checks) and
 of ``_Spec._degrees``: an adequate side is its closed form in the
 diagram's counts, and every other side comes from the kind's
 ``_source_degrees``.  ``alt:`` specs are adequate on both sides and
-``Torus`` specs on neither, so Morton's polynomials are their source.
+``Torus`` specs on neither, so Morton's formula is their source: its
+numerator gives both degrees without the polynomial.
 The ``pretzel:``, ``name:`` and ``pd:`` kinds read their counts and
 adequacy off a diagram with ``_classify``, in one cached pass over a
 diagram that ``validate_pd`` has checked; their sources are the
@@ -168,23 +169,37 @@ class _Spec(_Frozen):
     def _source_degrees(self, n_max, limit_mb):
         """Both degree lists read off the kind's polynomials."""
         polys = (self._polynomial(n, limit_mb) for n in range(n_max + 1))
-        pairs = [(j.deg(), j.mindeg()) for j in polys]
-        return [hi for hi, _ in pairs], [lo for _, lo in pairs]
+        return _unzip((j.deg(), j.mindeg()) for j in polys)
 
     def _boundary_slopes(self, db):
         return None
 
 
+def _unzip(pairs):
+    """The maximum- and the minimum-degree list of (deg, mindeg) pairs."""
+    pairs = list(pairs)
+    return [hi for hi, _ in pairs], [lo for _, lo in pairs]
+
+
+def _check_torus(a, b):
+    """Refuse torus parameters other than coprime a >= 2 and |b| >= 2;
+    the message states the rule, which ``Torus`` and Morton's formula
+    share."""
+    if a < 2 or abs(b) < 2 or gcd(a, abs(b)) != 1:
+        raise ValueError(
+            "torus parameters must be coprime with a >= 2 and |b| >= 2, "
+            "a negative b giving the mirror image: got (%d,%d)" % (a, b))
+
+
 class Torus(_Spec):
-    """The (a,b) torus knot; a negative b denotes the mirror image."""
+    """The (a,b) torus knot, for coprime a >= 2 and |b| >= 2; a negative
+    b denotes the mirror image.  Its polynomial is Morton's formula, and
+    its degrees are read off that formula's numerator, one
+    ``engine.morton_degrees`` call per color, so a color costs O(n)
+    and not the polynomial, which spans O(ab n**2) degrees."""
 
     def __init__(self, a, b):
-        if gcd(a, abs(b)) != 1:
-            raise ValueError("torus parameters must be coprime: (%d,%d)"
-                             % (a, b))
-        if a < 2 or abs(b) < 2:
-            raise ValueError(
-                "torus parameters must be at least 2 in magnitude")
+        _check_torus(a, b)
         super().__init__(a=a, b=b)
 
     @property
@@ -200,6 +215,13 @@ class Torus(_Spec):
     def _polynomial(self, n, limit_mb):
         from . import engine
         return engine.morton_colored_jones(self.a, abs(self.b), n)
+
+    def _source_degrees(self, n_max, limit_mb):
+        """Both degree lists, one ``engine.morton_degrees`` call per
+        color."""
+        from . import engine
+        return _unzip(engine.morton_degrees(self.a, abs(self.b), n)
+                      for n in range(n_max + 1))
 
     def _diagram_stats(self):
         return smoothing_counts(torus_pd(self.a, abs(self.b)))
@@ -465,6 +487,12 @@ def _label(x):
         raise ValueError("PD label %r is not an integer" % (x,)) from None
 
 
+def _int_pd(pd):
+    """A PD code as a tuple of 4-tuples of int labels (``_label``), not
+    otherwise checked."""
+    return tuple(tuple(map(_label, cr)) for cr in pd)
+
+
 def validate_pd(pd):
     """Check a PD code and return it as a tuple of 4-tuples of int labels.
 
@@ -475,7 +503,7 @@ def validate_pd(pd):
     a spec holds has passed here, so ``_classify`` reads it without
     checking it again.
     """
-    pd = tuple(tuple(map(_label, cr)) for cr in pd)
+    pd = _int_pd(pd)
     if not pd:
         return pd  # the 0-crossing unknot
     ends = _arc_endpoints(pd)
@@ -524,7 +552,7 @@ def canonical_pd(pd):
     direction, walks the component once, and rotates by two slots where
     the walk enters at slot 2.
     """
-    pd = tuple(tuple(map(_label, cr)) for cr in pd)
+    pd = _int_pd(pd)
     if not pd:
         return pd
     entries = _component_walk(pd, _arc_endpoints(pd))

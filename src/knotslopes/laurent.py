@@ -22,6 +22,10 @@ dividend's terms, so it is written run by run in time linear in its
 size (``_binomial_div``).  Any other divisor, such as 1 + z or a
 cyclotomic F_e with e >= 3, goes through long division with the pending
 exponents in a heap (``_long_div``), one pop and push per quotient term.
+A division on the residue-class route leaves a remainder exactly when
+some class of the dividend's keys does not sum to 0
+(``_binomial_remainder``), so ``quotient_degrees`` reads the quotient's
+degrees off the dividend after that one check, and builds no quotient.
 """
 
 import heapq
@@ -125,11 +129,30 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
             return LaurentPoly()
-        if len(d) == 2:
-            (k1, c1), (k2, c2) = sorted(d.items())
-            if c1 in (1, -1) and c2 == -c1:
-                return _wrap(_binomial_div(self.terms, k1, c1, k2 - k1))
+        route = _binomial_route(d)
+        if route is not None:
+            return _wrap(_binomial_div(self.terms, *route))
         return _wrap(_long_div(self.terms, d))
+
+    def quotient_degrees(self, divisor):
+        """(deg, mindeg) of the exact quotient self / divisor, as
+        Fractions, without building the quotient when the divisor takes
+        ``exact_div``'s residue-class route.
+
+        The quotient's top and bottom terms are the dividend's over the
+        divisor's, so on that route only the remainder is checked
+        (``_binomial_remainder``), in time linear in the dividend; any
+        other divisor divides.  Raises ValueError when the division
+        leaves a remainder, as ``exact_div`` does.
+        """
+        route = _binomial_route(divisor.terms)
+        if route is None or not self.terms:
+            quot = self.exact_div(divisor)
+            return quot.deg(), quot.mindeg()
+        low, _, s = route
+        _binomial_remainder(self.terms, low, s)
+        return (Fraction(max(self.terms) - low - s, 4),
+                Fraction(min(self.terms) - low, 4))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -252,12 +275,36 @@ def _long_div(terms, d):
     return quot
 
 
+def _binomial_route(d):
+    """(low, c, s) when the divisor terms ``d`` are c (q^low - q^(low+s))
+    with c = +-1, the residue-class route of ``exact_div``; else None."""
+    if len(d) != 2:
+        return None
+    (k1, c1), (k2, c2) = sorted(d.items())
+    if c1 in (1, -1) and c2 == -c1:
+        return k1, c1, k2 - k1
+    return None
+
+
+def _binomial_remainder(terms, low, s):
+    """Raise ValueError when dividing ``terms`` by c (q^low - q^(low+s))
+    leaves a remainder: exactly when the coefficients of some residue
+    class of the keys mod s do not sum to 0."""
+    sums = {}
+    for k, c in terms.items():
+        r = (k - low) % s
+        sums[r] = sums.get(r, 0) + c
+    if any(sums.values()):
+        raise ValueError("the division leaves a remainder")
+
+
 def _binomial_div(terms, low, c, s):
     """``terms`` divided by c (q^low - q^(low+s)), with c = +-1.
 
     The quotient satisfies Q_j = c P_(j+low) + Q_(j-s), so each residue
-    class of j mod s is a run of one value between the dividend's terms.
-    A class that ends on a nonzero value is the remainder."""
+    class of j mod s is a run of one value between the dividend's terms;
+    the runs end on 0 once ``_binomial_remainder`` has passed."""
+    _binomial_remainder(terms, low, s)
     classes = {}
     for k in sorted(terms):
         j = k - low
@@ -272,8 +319,6 @@ def _binomial_div(terms, low, c, s):
                 fill(zip(range(prev, j, s), repeat(v)))
             v += c * terms[j + low]
             prev = j
-        if v:
-            raise ValueError("the division leaves a remainder")
     return quot
 
 

@@ -3,18 +3,21 @@
 import ast
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from knotslopes import closedforms, knots
+from knotslopes import closedforms, engine, knots
 from knotslopes.closedforms import (adequate_max_degree, adequate_min_degree,
                                     alt_symmetrized, pretzel_boundary_slopes,
                                     pretzel_degrees, pretzel_slopes,
                                     torus_degrees)
-from knotslopes.engine import bracket_colored_jones, morton_colored_jones
+from knotslopes.engine import (bracket_colored_jones, morton_colored_jones,
+                               morton_degrees)
 from knotslopes.knots import (AlternatingData, DiagramStats, Pretzel237,
                               bundled_knot_table, is_alternating, parse_knot,
                               pretzel_pd, smoothing_counts, torus_pd)
+from knotslopes.laurent import LaurentPoly
 from knotslopes.quasifit import RationalGF, fit, slopes
 
 TREFOIL_DATA = AlternatingData(3, 0, 2, 3)
@@ -130,21 +133,64 @@ def test_torus_degrees_rejects_bad_parameters():
         torus_degrees(1, 5, 1)
 
 
+# every coprime pair below 8 and (2, 9), which covers the 8 torus knots
+# of the benchmark
+TORUS_PAIRS = [(a, b) for a in range(2, 8) for b in range(a + 1, 8)
+               if gcd(a, b) == 1] + [(2, 9)]
+
+
 def test_torus_degrees_match_morton():
-    # the closed form is the test oracle of the Morton route that
-    # ``Torus`` specs take: every coprime pair below 8 and (2, 9), which
-    # covers the 8 torus knots of the benchmark, to color 40 on both
-    # chiralities
-    from math import gcd
-    pairs = [(a, b) for a in range(2, 8) for b in range(a + 1, 8)
-             if gcd(a, b) == 1] + [(2, 9)]
-    for a, b in pairs:
+    # the closed form is the test oracle of Morton's formula, to color 40
+    # on both chiralities
+    for a, b in TORUS_PAIRS:
         for n in range(41):
             d, ds = torus_degrees(a, b, n)
             j = morton_colored_jones(a, b, n)
             assert (j.deg(), j.mindeg()) == (d, ds)
             m = morton_colored_jones(a, -b, n)
             assert (m.deg(), m.mindeg()) == (-ds, -d)
+
+
+def test_morton_degrees_match_morton_polynomials():
+    # ``Torus`` specs read their degrees off Morton's numerator; they are
+    # the degrees of the polynomials, on both chiralities
+    for a, b in TORUS_PAIRS:
+        for n in range(41):
+            for c in (b, -b):
+                j = morton_colored_jones(a, c, n)
+                assert morton_degrees(a, c, n) == (j.deg(), j.mindeg())
+
+
+def test_morton_degrees_match_the_closed_form_to_color_400():
+    for a, b in TORUS_PAIRS:
+        for n in range(401):
+            d, ds = torus_degrees(a, b, n)
+            assert morton_degrees(a, b, n) == (d, ds)
+            assert morton_degrees(a, -b, n) == (-ds, -d)
+
+
+def test_morton_degrees_check_the_division(monkeypatch):
+    # the degree route keeps the remainder check of the polynomial
+    # route: one more numerator term leaves a remainder in both
+    numerator = engine._morton_numerator
+
+    def spoiled(a, b, n):
+        return numerator(a, b, n) + LaurentPoly({4: 1})
+    monkeypatch.setattr(engine, "_morton_numerator", spoiled)
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="remainder"):
+            morton_degrees(3, 4, n)
+        with pytest.raises(ValueError, match="remainder"):
+            morton_colored_jones(3, 4, n)
+
+
+def test_morton_degrees_check_their_arguments():
+    for args in ((2, 4, 1), (1, 3, 1), (-2, 3, 1), (2, 1, 1), (2, 3, -1)):
+        with pytest.raises(ValueError) as degrees:
+            morton_degrees(*args)
+        with pytest.raises(ValueError) as poly:
+            morton_colored_jones(*args)
+        assert str(degrees.value) == str(poly.value)
 
 
 def test_adequate_degrees_match_morton_on_torus_diagrams():

@@ -766,6 +766,47 @@ def test_frame_built_once_per_diagram(monkeypatch):
     assert calls == {"_turning_numbers": 1, "_pick_order": 1}
 
 
+def test_diagram_validated_once_per_diagram(monkeypatch):
+    # colors 0-3 of one diagram validate it once, in its cached frame,
+    # and the tracer's hooks on the module still see every call
+    calls = {"validate_pd": 0, "_pick_order": 0}
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    engine._frame.cache_clear()
+    pd = bundled_knot_table()["8_19"]
+    for n in range(4):
+        assert bracket_colored_jones(pd, n) == morton_colored_jones(3, 4, n)
+    assert calls == {"validate_pd": 1, "_pick_order": 1}
+
+
+def test_invalid_diagrams_raise_on_every_call():
+    pd = bundled_knot_table()["8_19"]
+    bracket_colored_jones(pd, 1)
+    # a copy of the cached diagram with a float label is refused, though
+    # its tuple equals and hashes as the cached one
+    floated = ((1.0,) + pd[0][1:],) + pd[1:]
+    assert floated == pd
+    broken = ((pd[0][0], pd[0][1], pd[0][2], pd[0][0]),) + pd[1:]
+    for n in (0, 1, 2, 1, 0):
+        with pytest.raises(ValueError, match="not an integer"):
+            bracket_colored_jones(floated, n)
+        with pytest.raises(ValueError, match="appears"):
+            bracket_colored_jones(broken, n)
+        with pytest.raises(ValueError, match="appears"):
+            bracket_colored_jones([list(cr) for cr in broken], n)
+    # a list of lists with int labels is the cached diagram
+    assert bracket_colored_jones([list(cr) for cr in pd], 2) == \
+        morton_colored_jones(3, 4, 2)
+
+
 def test_budget_charges_each_shared_table_once(monkeypatch):
     # 8_19's 8 steps have 5 shapes, and every check charges the rules of
     # the 5 tables once, over the states

@@ -74,6 +74,24 @@ def test_torus_validation():
     assert Torus(2, -3).render() == "torus:2,-3"
 
 
+def test_torus_message_states_the_rule():
+    # a >= 2 and |b| >= 2: -2 is 2 in magnitude, but a must be positive;
+    # the spec and Morton's formula refuse with the one message
+    from knotslopes.engine import morton_colored_jones
+    rule = ("torus parameters must be coprime with a >= 2 and |b| >= 2, "
+            "a negative b giving the mirror image: got (-2,3)")
+    with pytest.raises(ValueError) as spec:
+        parse_knot("torus:-2,3")
+    with pytest.raises(ValueError) as poly:
+        morton_colored_jones(-2, 3, 1)
+    assert str(spec.value) == str(poly.value) == rule
+    assert parse_knot("torus:2,-3") == Torus(2, -3)
+    for a, b in ((2, 4), (1, 3), (3, 1), (3, -1), (0, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                "got (%d,%d)" % (a, b))):
+            Torus(a, b)
+
+
 def test_alternating_data_circle_count_constraint():
     AlternatingData(4, 4, 5, 5)
     with pytest.raises(ValueError):

@@ -208,6 +208,33 @@ def test_exact_div_rejects_a_remainder(a, d, c, k):
         num.exact_div(d)
     with pytest.raises(ValueError, match="remainder"):
         _long(num, d)
+    with pytest.raises(ValueError, match="remainder"):
+        num.quotient_degrees(d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(nonzero_polys, nonzero_polys | unit_binomials())
+def test_quotient_degrees_are_the_quotients(a, d):
+    # both routes: the residue-class route reads the degrees off the
+    # dividend, any other divisor divides
+    assert (a * d).quotient_degrees(d) == (a.deg(), a.mindeg())
+
+
+def test_quotient_degrees_fixed():
+    unit = LaurentPoly({6: 1, -6: -1})
+    assert (unit * parse_poly("q^-2 + 5 - q^3")).quotient_degrees(unit) == (
+        3, -2)
+    # a residue class that does not sum to 0 is a remainder, even where
+    # the dividend spans as far as the divisor
+    for num in ("q^-3/2 + q^3/2", "q^-3/2 - q^3/2 + q^5/2", "q^-3/2 - q^2"):
+        with pytest.raises(ValueError, match="remainder"):
+            parse_poly(num).quotient_degrees(unit)
+        with pytest.raises(ValueError, match="remainder"):
+            parse_poly(num).exact_div(unit)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        LaurentPoly.zero().quotient_degrees(unit)
+    with pytest.raises(ZeroDivisionError):
+        unit.quotient_degrees(LaurentPoly.zero())
 
 
 @settings(max_examples=200, deadline=None)

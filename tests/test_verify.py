@@ -43,8 +43,9 @@ def test_generating_functions_are_reduced_only_for_output(monkeypatch):
 
 
 def test_analyze_reads_each_degree_list_once(monkeypatch):
-    # one spec.degrees call yields both lists: one Morton evaluation per
-    # color, one read of each bundled file
+    # one spec.degrees call yields both lists: one read of Morton's
+    # numerator per color and no Morton polynomial, one read of each
+    # bundled file
     calls = {}
 
     def count(name):
@@ -54,12 +55,13 @@ def test_analyze_reads_each_degree_list_once(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(engine, name, wrapper)
+    count("morton_degrees")
     count("morton_colored_jones")
     count("_load_seq")
     analyze(Torus(3, 4), 40)
-    assert calls == {"morton_colored_jones": 41}
+    assert calls == {"morton_degrees": 41}
     analyze(Named("8_19"), 20)
-    assert calls == {"morton_colored_jones": 41, "_load_seq": 2}
+    assert calls == {"morton_degrees": 41, "_load_seq": 2}
 
 
 def test_analyze_trefoil_spec():
