@@ -91,6 +91,8 @@ def cmd_fit(args):
     if args.input:
         if args.knot or args.knot_pos:
             raise ValueError("pass either --input or a knot spec, not both")
+        if args.max_n is not None:
+            raise ValueError("pass either --input or --max-n, not both")
         seq = quasifit.load_sequence(args.input)
         source = args.input
     else:

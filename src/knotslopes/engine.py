@@ -55,11 +55,13 @@ matchings) evaluated at 2**bits.  A merge of two states is one shift
 and add, and the sum is decoded once, from signed base-2**bits digits.
 ``bits`` is a proven bound on every coefficient in either algebra; the
 docstrings of ``_Weights`` and ``_bracket_raw`` give the arguments.  The
-memory budget charges each stored state a calibrated overhead plus its
-packed int's bytes, over the frontier a step reads and the one it
-writes, and each of the vertex model's distinct rule tables once; it
-is checked every ``_CHECK_EVERY`` new states as well as after each
-step.
+memory budget is one rule for both algebras (``_check_budget``): each
+stored state of the frontier a step reads and of the one it writes is
+charged ``_STATE_BYTES`` plus its packed int's bytes, an int the two
+frontiers share counting once, and each of the algebra's distinct rule
+tables is charged once (``table_bytes``, 0 for matchings).  It is
+checked every ``_CHECK_EVERY`` new states as well as after each step,
+under ``_LIMIT_MB`` MiB unless the caller passes a limit.
 
 The contraction order is searched.  A greedy pass from a starting
 crossing takes next the crossing sharing the most open arcs, from a
@@ -79,7 +81,8 @@ from math import comb, prod
 
 from .laurent import LaurentPoly, _wrap
 from .knots import (_A_PAIRING, _B_PAIRING, _arc_endpoints, _check_torus,
-                    _classify, _component_walk, _int_pd, validate_pd)
+                    _classify, _component_walk, _int_pd, _left_faces,
+                    validate_pd)
 from .quasifit import load_sequence
 
 __all__ = [
@@ -89,7 +92,7 @@ __all__ = [
 
 
 class EngineLimitError(RuntimeError):
-    """Raised when a bracket computation exceeds its memory budget."""
+    """Raised when a state sum exceeds its memory budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,19 @@ def _greedy_order(crossings, ends, start):
 # new states of a step between two checks of the running stored bytes
 _CHECK_EVERY = 1024
 
+# the memory budget of a state sum in MiB when the caller sets none
+_LIMIT_MB = 512
+
+# bytes charged per stored frontier state besides its packed int's
+# digits: its key tuple, its (lo, packed, own) triple, the int lo, the
+# packed int's header and a dict slot.  By sys.getsizeof these come to
+# 239-274 bytes at the largest step of the vertex model on 8_19 at colors
+# 5 and 7 and on 9_49 at colors 4 and 5.  The running peak charge stays
+# at or above the growth of VmHWM past 2 MiB from 120 bytes on 8_19 at
+# color 5, 267 at 6 and 354 at 7, 264 and 286 on 9_49 at 4 and 5, 155 on
+# 9_42 at 6, and 147 and 214 on 8_20 at 6 and 7
+_STATE_BYTES = 360
+
 
 def _pack(coeffs, bits):
     """The polynomial sum(c_i * X**i) at X = 2**bits, as one int."""
@@ -246,12 +262,13 @@ def _unpack(packed, bits):
     return coeffs
 
 
-def _check_budget(byte_limit, step, read, written, bits, charge):
+def _check_budget(byte_limit, step, read, written, bits, table_bytes):
     """The stored bytes of a step that has read a frontier of ``read``
-    states and written ``written`` so far, whose packed ints hold
-    ``bits`` bits in all, as the local algebra's ``charge`` counts
-    them.  Raises EngineLimitError above ``byte_limit``."""
-    stored = charge(read + written, bits)
+    states and written ``written`` so far, whose distinct packed ints
+    hold ``bits`` bits in all, on top of the local algebra's
+    ``table_bytes``.  Raises EngineLimitError above ``byte_limit``."""
+    # CPython keeps an int in 30-bit digits of 4 bytes each
+    stored = table_bytes + (read + written) * _STATE_BYTES + bits * 2 // 15
     if stored > byte_limit:
         raise EngineLimitError(
             "state sum exceeded the memory budget in step %d, at %d new "
@@ -314,19 +331,18 @@ def _frontier(steps, algebra, byte_limit):
     the stride, so a merge is one shift and add, and a misaligned merge
     raises.
 
-    The budget charges the states and the packed ints' bits of the
-    frontier a step reads and the one it writes, which are alive
-    together, as ``algebra.charge`` prices them.  With
-    ``algebra.shares`` an int written unchanged from the read state is
-    charged once, and the written frontier's ints count once each as
-    the next step's read frontier.  The budget is checked after every
-    ``_CHECK_EVERY`` new states and at the end of each step, and the
-    largest charge seen is the peak.
+    The budget (``_check_budget``) charges the states and the packed
+    ints' bits of the frontier a step reads and the one it writes,
+    which are alive together, and ``algebra.table_bytes``.  An int
+    written unchanged from the read state is charged once, and the
+    written frontier's ints count once each as the next step's read
+    frontier.  The budget is checked after every ``_CHECK_EVERY`` new
+    states and at the end of each step, and the largest charge seen is
+    the peak.
     """
     bits, sh = algebra.bits, algebra.shift
     low, stride = (1 << bits) - 1, 1 << sh
-    partners, shares = algebra.partners, algebra.shares
-    charge = algebra.charge
+    partners, table_bytes = algebra.partners, algebra.table_bytes
     peak = held_bits = 0
     dp = {(): (0, 1, True)}
     for step, info in enumerate(steps, 1):
@@ -346,7 +362,6 @@ def _frontier(steps, algebra, byte_limit):
                 base = [remap[state[i]] for i in kept] + opened
             else:
                 base = [state[i] for i in kept] + opened
-            src = packed if shares else None
             for writes, shift, factor in rule:
                 nt = base[:]
                 for u, v in writes:
@@ -356,14 +371,14 @@ def _frontier(steps, algebra, byte_limit):
                 p = packed if factor is None else packed * factor
                 dst = ndp.get(key)
                 if dst is None:
-                    own = p is not src
+                    own = p is not packed
                     ndp[key] = e, p, own
                     if own:
                         new_bits += p.bit_length()
                     if not len(ndp) % _CHECK_EVERY:
                         peak = max(peak, _check_budget(
                             byte_limit, step, len(dp), len(ndp),
-                            held_bits + new_bits, charge))
+                            held_bits + new_bits, table_bytes))
                     continue
                 lo0, p0, own = dst
                 d = e - lo0
@@ -391,7 +406,7 @@ def _frontier(steps, algebra, byte_limit):
                 new_bits += p.bit_length()
                 ndp[key] = e, p, True
         peak = max(peak, _check_budget(byte_limit, step, len(dp), len(ndp),
-                                       held_bits + new_bits, charge))
+                                       held_bits + new_bits, table_bytes))
         # the ints the written frontier shares with the read one, each
         # counted once, as several written states may share one
         shared = {id(v[1]): v[1] for v in ndp.values() if not v[2]}
@@ -406,16 +421,6 @@ def _frontier(steps, algebra, byte_limit):
 # ---------------------------------------------------------------------------
 # weight labels on arcs: the colored R-matrix vertex model
 
-
-# bytes charged per stored frontier state besides its packed int's
-# digits: its key tuple, its (lo, packed, own) triple, the int lo, the
-# packed int's header and a dict slot.  By sys.getsizeof these come to
-# 239-274 bytes at the largest step of 8_19 at colors 5 and 7 and of
-# 9_49 at colors 4 and 5.  The running peak charge stays at or above the
-# growth of VmHWM past 2 MiB from 120 bytes on 8_19 at color 5, 267 at
-# 6 and 354 at 7, 264 and 286 on 9_49 at 4 and 5, 155 on 9_42 at 6, and
-# 147 and 214 on 8_20 at 6 and 7
-_WEIGHT_STATE_BYTES = 360
 
 # bytes charged per rule of a vertex-model table besides its packed
 # factor's digits: its (writes, shift, factor) tuple, the writes and
@@ -474,27 +479,6 @@ def _r_tables(n):
     return {sign: tuple(entry + (sum(map(abs, entry[4].values())),)
                         for entry in entries)
             for sign, entries in tables.items()}
-
-
-def _left_faces(pd, ends):
-    """The faces of a diagram, each walked with the face on the left:
-    after arriving at slot s of a crossing, the walk leaves by slot
-    s + 3 (mod 4).  Returns the map from each arrival (crossing, slot)
-    to its face's index, and each face's arrivals in walk order; face 0
-    is the face of the arrival at crossing 0's slot 0."""
-    face_of, faces = {}, []
-    for dart in ((ci, s) for ci in range(len(pd)) for s in range(4)):
-        walked = []
-        ci, s = dart
-        while (ci, s) not in face_of:
-            face_of[ci, s] = len(faces)
-            walked.append((ci, s))
-            out = (s + 3) % 4
-            arc_ends = ends[pd[ci][out]]
-            ci, s = arc_ends[arc_ends[0] == (ci, out)]
-        if walked:
-            faces.append(walked)
-    return face_of, faces
 
 
 def _turning_numbers(pd, ends, into):
@@ -651,12 +635,7 @@ class _Weights:
     the frontier states.
     """
 
-    shift, partners, shares = 1, False, True
-
-    def charge(self, states, bits):
-        # CPython keeps an int in 30-bit digits of 4 bytes each
-        return (self.table_bytes + states * _WEIGHT_STATE_BYTES
-                + bits * 2 // 15)
+    shift, partners = 1, False
 
     def __init__(self, n, shapes):
         built = {}
@@ -720,17 +699,15 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     quarter-keys, at a proven bound of bits a coefficient (see
     ``_Weights``).  Raises EngineLimitError, in the step that
     overflows, when the stored bytes of the state sum exceed
-    ``limit_mb`` MiB (default 512): each stored state is charged a
-    calibrated overhead plus its packed int's bytes, for the frontier a
-    step reads and the one it writes, an int the two share once, and
-    each distinct rule table once.
+    ``limit_mb`` MiB (default ``_LIMIT_MB``, 512), as ``_check_budget``
+    charges them.
     """
     if n < 0:
         raise ValueError("color must be nonnegative")
     steps, writhe, shapes = _frame(_int_pd(pd))
     if n == 0 or not steps:
         return LaurentPoly.one()
-    byte_limit = (512 if limit_mb is None else limit_mb) << 20
+    byte_limit = (_LIMIT_MB if limit_mb is None else limit_mb) << 20
     algebra = _Weights(n, shapes)
     lo, packed, _ = _frontier(steps, algebra, byte_limit)
     coeffs = _unpack(packed, algebra.bits)
@@ -812,29 +789,15 @@ def _apply_smoothing(pattern, pairing):
     return tuple(pairs), circles
 
 
-# bytes charged per stored frontier state besides its packed int's bits/8:
-# its key tuple, its (lo, packed) pair, the int lo, the int's header and
-# a dict slot.  Fitted so that the peak charge meets the growth of
-# ru_maxrss above the 16 MB interpreter floor, it is 352 on 8_19's
-# 3-cable (5.3 MB charged, 5.2 MB grown), 232 on 9_42's (5.3, 4.2), 471
-# on 9_49's (8.8, 9.9) and 194 on 8_19's 4-cable (444, 376); 9_42's
-# 4-cable grows less than its packed ints' bytes (495, 345), as read and
-# written states share many packed ints
-_STATE_BYTES = 360
-
-
 class _Matchings:
     """The Temperley-Lieb local algebra of the cabled bracket, with
     ``bits`` a coefficient: a state value is the position of the open
     arc that the strand through this one comes back by, and the rules
-    are the A and B smoothings of ``_compile_rule``.  Its pinned peaks
-    charge an int shared by the read and written frontiers twice."""
+    are the A and B smoothings of ``_compile_rule``, compiled on a miss
+    into a per-step memo.  It holds no tables, so the budget charges
+    its states only."""
 
-    shift, partners, shares = 2, True, False
-
-    @staticmethod
-    def charge(states, bits):
-        return states * _STATE_BYTES + (bits >> 3)
+    shift, partners, table_bytes = 2, True, 0
 
     def __init__(self, bits):
         self.bits = bits
@@ -929,33 +892,19 @@ def _pattern_rule(pattern):
     return tuple(rule)
 
 
-# (pd, m) -> (bracket of the m-parallel, peak stored bytes of its sum),
-# holding at most _BRACKET_CACHE_SIZE entries in insertion order
+# (pd, m) -> the bracket of the m-parallel of pd
 _BRACKET_CACHE = {}
-_BRACKET_CACHE_SIZE = 64
 
 
-def _cable_bracket(pd, m, byte_limit):
-    """Bracket of the m-parallel of pd.  A cached bracket is refused
-    under a budget that its state sum exceeded; a full memo drops its
-    oldest entry."""
+def _cable_bracket(pd, m):
+    """Bracket of the m-parallel of pd, memoized in ``_BRACKET_CACHE``."""
     key = (pd, m)
-    hit = _BRACKET_CACHE.get(key)
-    if hit is None:
-        crossings, circles = _cable(pd, m)
-        hit = _bracket_raw(crossings, circles, byte_limit)
-        if len(_BRACKET_CACHE) >= _BRACKET_CACHE_SIZE:
-            del _BRACKET_CACHE[next(iter(_BRACKET_CACHE))]
-        _BRACKET_CACHE[key] = hit
-    val, peak = hit
-    if peak > byte_limit:
-        raise EngineLimitError(
-            "bracket state sum of the %d-parallel peaked at %d stored bytes, "
-            "over the memory budget; raise the limit to continue" % (m, peak))
-    return val
+    if key not in _BRACKET_CACHE:
+        _BRACKET_CACHE[key] = _bracket_raw(*_cable(pd, m), _LIMIT_MB << 20)[0]
+    return _BRACKET_CACHE[key]
 
 
-def _cabled_colored_jones(pd, n, limit_mb=None):
+def _cabled_colored_jones(pd, n):
     """The colored Jones polynomial at color n by the cabled bracket: the
     cross-check of ``bracket_colored_jones``, on no user path.
 
@@ -963,23 +912,22 @@ def _cabled_colored_jones(pd, n, limit_mb=None):
     Chebyshev recursion, corrects for the writhe framing, and divides
     by the unknot value.  Each cable's bracket is a frontier state sum
     of matchings, at 2N + 3 bits a coefficient for N cable crossings
-    (see ``_bracket_raw``), under a budget of ``limit_mb`` MiB (default
-    512).  At color 4, 8_19 peaks at about 423 MiB and 9_42 at about
-    472 MiB.
+    (see ``_bracket_raw``), under the default budget of ``_LIMIT_MB``
+    MiB.  At color 4, 8_19 peaks at about 327 MiB and 9_42 at about
+    295 MiB.
     """
     if n < 0:
         raise ValueError("color must be nonnegative")
     pd = validate_pd(pd)
     if n == 0:
         return LaurentPoly.one()
-    byte_limit = (512 if limit_mb is None else limit_mb) << 20
     w = _classify(pd)[0].writhe
 
     # <cable_n> = sum_i (-1)^i C(n-i, i) <parallel_(n-2i)>
     total = LaurentPoly()
     for i in range(n // 2 + 1):
         total += ((-1) ** i * comb(n - i, i)
-                  * _cable_bracket(pd, n - 2 * i, byte_limit))
+                  * _cable_bracket(pd, n - 2 * i))
 
     # correct the writhe framing by mu_n^(-w) with mu_n = (-1)^n
     # q^(-(n^2 + 2n)/4), on the dividend, then divide by (-1)^n [n+1] =

@@ -33,6 +33,7 @@ Torus(a, -b); every other spec carries a ``mirror`` flag.
 """
 
 import functools
+import itertools
 import operator
 import os
 import re
@@ -493,6 +494,28 @@ def _int_pd(pd):
     return tuple(tuple(map(_label, cr)) for cr in pd)
 
 
+def _left_faces(pd, ends):
+    """The faces of a diagram, each walked with the face on the left:
+    after arriving at slot s of a crossing, the walk leaves by slot
+    s + 3 (mod 4).  Returns the map from each arrival (crossing, slot)
+    to its face's index, and each face's arrivals in walk order; face 0
+    is the face of the arrival at crossing 0's slot 0."""
+    face_of, faces = {}, []
+    for dart in itertools.product(range(len(pd)), range(4)):
+        if dart in face_of:
+            continue
+        walked = []
+        while dart not in face_of:
+            face_of[dart] = len(faces)
+            walked.append(dart)
+            ci, s = dart
+            out = (s + 3) % 4
+            arc_ends = ends[pd[ci][out]]
+            dart = arc_ends[arc_ends[0] == (ci, out)]
+        faces.append(walked)
+    return face_of, faces
+
+
 def validate_pd(pd):
     """Check a PD code and return it as a tuple of 4-tuples of int labels.
 
@@ -513,21 +536,8 @@ def validate_pd(pd):
             raise ValueError(
                 "crossing %d is entered at the outgoing under slot; "
                 "arc direction violates the PD convention" % ci)
-    # planarity: count faces of the rotation system
-    faces = 0
-    seen = set()
-    for arc in ends:
-        for start in range(2):
-            if (arc, start) in seen:
-                continue
-            a, t = arc, start
-            while (a, t) not in seen:
-                seen.add((a, t))
-                ci, slot = ends[a][t]
-                nslot = (slot + 1) % 4
-                a = pd[ci][nslot]
-                t = int(ends[a][0] == (ci, nslot))
-            faces += 1
+    # planarity: count faces of the rotation system (``_left_faces``)
+    faces = len(_left_faces(pd, ends)[1])
     v, e = len(pd), 2 * len(pd)
     if v - e + faces != 2:
         raise ValueError("diagram is not planar: V-E+F = %d" % (v - e + faces))

@@ -101,6 +101,11 @@ def test_fit_rejects_input_plus_knot(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "torus:2,3", "--input", str(f))
     assert code == 2
     assert "not both" in err
+    # --max-n sets how many colors of a knot's degrees are fitted; a
+    # sequence file is fitted whole, so the option would be ignored
+    code, out, err = run(capsys, "fit", "--input", str(f), "--max-n", "3")
+    assert (code, out) == (2, "")
+    assert "pass either --input or --max-n, not both" in err
 
 
 @pytest.mark.parametrize("spec", [["name:3_1"], ["--knot", "torus:2,3"]],
@@ -294,13 +299,9 @@ def test_limit_bounds_the_resident_set(limit_mb, exit_code):
 
 
 def test_limit_holds_for_cached_bracket(capsys):
-    # the cabled oracle's memo refuses a bracket under a budget that its
-    # state sum exceeded; the command line's evaluator keeps no memo
-    pd = bundled_knot_table()["8_19"]
-    engine._cabled_colored_jones(pd, 2)
-    assert (pd, 2) in engine._BRACKET_CACHE
-    with pytest.raises(engine.EngineLimitError, match="memory budget"):
-        engine._cabled_colored_jones(pd, 2, limit_mb=0)
+    # the command line's evaluator caches a diagram's frame but no
+    # polynomial, so a color it has computed is still refused under a
+    # budget that its state sum exceeds
     code, _, _ = run(capsys, "compute", "name:8_19", "--n", "2")
     assert code == 0
     code, _, err = run(capsys, "compute", "name:8_19", "--n", "2",
