@@ -75,15 +75,20 @@ def cmd_compute(args):
     return EXIT_OK, str(j)
 
 
+def _kind(args):
+    """The degree kind: --kind, else max."""
+    return args.kind or "max"
+
+
 def cmd_degrees(args):
     spec = _knot_spec(args)
     n_max = _colors(args, spec)
-    vals = degree_sequence(spec, args.kind, n_max, limit_mb=args.limit_mb)
+    kind = _kind(args)
+    vals = degree_sequence(spec, kind, n_max, limit_mb=args.limit_mb)
     if args.json:
-        return EXIT_OK, {"knot": spec.render(), "kind": args.kind,
+        return EXIT_OK, {"knot": spec.render(), "kind": kind,
                          "values": [str(v) for v in vals]}
-    head = "# %s degrees of %s, colors 0..%d" % (args.kind, spec.render(),
-                                                 n_max)
+    head = "# %s degrees of %s, colors 0..%d" % (kind, spec.render(), n_max)
     return EXIT_OK, "\n".join([head] + [str(v) for v in vals])
 
 
@@ -91,15 +96,20 @@ def cmd_fit(args):
     if args.input:
         if args.knot or args.knot_pos:
             raise ValueError("pass either --input or a knot spec, not both")
-        if args.max_n is not None:
-            raise ValueError("pass either --input or --max-n, not both")
+        # a sequence file is fitted whole and as it is, so --max-n and
+        # --kind would be ignored
+        for option, value in (("--max-n", args.max_n), ("--kind", args.kind)):
+            if value is not None:
+                raise ValueError("pass either --input or %s, not both"
+                                 % option)
         seq = quasifit.load_sequence(args.input)
         source = args.input
     else:
         spec = _knot_spec(args)
         n_max = _colors(args, spec)
-        seq = degree_sequence(spec, args.kind, n_max, limit_mb=args.limit_mb)
-        source = "%s %s degrees" % (spec.render(), args.kind)
+        kind = _kind(args)
+        seq = degree_sequence(spec, kind, n_max, limit_mb=args.limit_mb)
+        source = "%s %s degrees" % (spec.render(), kind)
     q = quasifit.fit(seq, max_period=args.max_period,
                      max_transient=args.max_transient)
     witnesses = quasifit.integrality_check(q)
@@ -220,7 +230,8 @@ _OPTIONS = {
                   help="run over every knot in the bundled table"),
     "--slope-db": dict(help="boundary-slope table overriding the bundled one"),
     "--max-n": dict(type=_integer_option),
-    "--kind": dict(choices=["max", "min", "span", "sum"], default="max"),
+    "--kind": dict(choices=["max", "min", "span", "sum"],
+                   help="degree kind (default max)"),
     "--max-period": dict(type=_integer_option, default=16),
     "--max-transient": dict(type=_integer_option, default=8),
     "--json": dict(action="store_true", help="machine-readable output"),

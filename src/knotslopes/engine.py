@@ -25,10 +25,14 @@ degree reader checks the same route's remainder rule.
 One frontier core, ``_frontier``, contracts a diagram crossing by
 crossing and takes a local algebra.  Which arcs are open after each
 step of the contraction order does not depend on the state, so each
-step's bookkeeping (consumed positions, kept positions, opened arcs) is
-worked out once (``_steps``), and a state is a tuple of values on the
-open arcs.  A step maps a state through the rule of its consumed
-values, from a per-step memo: writes into the new positions, an
+arc gets a fixed register when a step opens it, the lowest free one,
+and keeps it until a step consumes it (``_steps``); there are as many
+registers as the order's frontier width.  A state is one int, the
+values of the open arcs in fields of ``algebra.width`` bits, one field
+a register.  A step reads the fields of the registers it consumes,
+``local = key & cmask``, and that int keys its rules directly.  Each
+rule outcome holds one int ``flip`` that clears those fields and
+writes the new values, so the new state is ``key ^ flip``, with an
 exponent shift and a packed factor.  The two local algebras are
 
 - weight labels on arcs (``_Weights``), the vertex model of
@@ -39,14 +43,16 @@ exponent shift and a packed factor.  The two local algebras are
   on the color (the steps, crossing signs, writhe and turning numbers)
   is one frame per diagram (``_frame``, cached, which also validates
   the diagram once), which gives each step a shape; a call builds and
-  packs one rule table per distinct shape, shared by the steps of that
-  shape;
+  packs one label-keyed rule table per distinct shape, and re-keys it
+  to the registers of the steps of that shape, one table per distinct
+  (shape, registers);
 - Temperley-Lieb matchings (``_Matchings``) for the cabled bracket: a
-  value is the position of the open arc that the strand comes back
-  by, and ``_pattern_rule`` works out the smoothings of each 4-slot
-  pattern once per process.  The bracket runs in A with q = A**-4;
-  every closed circle, the last one included, is a factor
-  -A**2 - A**-2, and the empty diagram has bracket 1.
+  value is the register of the open arc that the strand comes back
+  by, which stays put while both arcs are open, and ``_pattern_rule``
+  works out the smoothings of each 4-slot pattern once per process.
+  The bracket runs in A with q = A**-4; every closed circle, the last
+  one included, is a factor -A**2 - A**-2, and the empty diagram has
+  bracket 1.
 
 Each state's polynomial is packed into one Python int (Kronecker
 substitution): its lowest exponent, and the polynomial above it at a
@@ -58,8 +64,8 @@ docstrings of ``_Weights`` and ``_bracket_raw`` give the arguments.  The
 memory budget is one rule for both algebras (``_check_budget``): each
 stored state of the frontier a step reads and of the one it writes is
 charged ``_STATE_BYTES`` plus its packed int's bytes, an int the two
-frontiers share counting once, and each of the algebra's distinct rule
-tables is charged once (``table_bytes``, 0 for matchings).  It is
+frontiers share counting once, and the rules of each distinct step
+shape are charged once (``table_bytes``, 0 for matchings).  It is
 checked every ``_CHECK_EVERY`` new states as well as after each step,
 under ``_LIMIT_MB`` MiB unless the caller passes a limit.
 
@@ -75,6 +81,7 @@ passes, their 2-cables at most 19, and their 4-cables every start.
 """
 
 import functools
+import heapq
 import os
 from fractions import Fraction
 from math import comb, prod
@@ -228,13 +235,17 @@ _CHECK_EVERY = 1024
 _LIMIT_MB = 512
 
 # bytes charged per stored frontier state besides its packed int's
-# digits: its key tuple, its (lo, packed, own) triple, the int lo, the
+# digits: its int key, its (lo, packed, own) triple, the int lo, the
 # packed int's header and a dict slot.  By sys.getsizeof these come to
-# 239-274 bytes at the largest step of the vertex model on 8_19 at colors
-# 5 and 7 and on 9_49 at colors 4 and 5.  The running peak charge stays
-# at or above the growth of VmHWM past 2 MiB from 120 bytes on 8_19 at
-# color 5, 267 at 6 and 354 at 7, 264 and 286 on 9_49 at 4 and 5, 155 on
-# 9_42 at 6, and 147 and 214 on 8_20 at 6 and 7
+# 177-201 bytes at the largest step of the vertex model on 8_19 at
+# colors 5 and 7 and on 9_49 at colors 4 and 5, and to 183 and 207 on
+# the cabled bracket of 8_19's 3- and 4-cable (239-274 on the vertex
+# model with tuple keys).  From the command line's post-import floor,
+# the running peak charge stays at or above the growth of VmHWM past
+# 2 MiB from 25 bytes on 8_19 at color 5, 165 at 6 and 238 at 7, 89 and
+# 179 on 9_49 at 4 and 5, 84 on 9_42 at 6, and 72 and 161 on 8_20 at 6
+# and 7.  8_19's cabled 4-cable peaks at 342,701,310 charged bytes with
+# ru_maxrss growing by 312,768 KiB (405,816 KiB in all with tuple keys)
 _STATE_BYTES = 360
 
 
@@ -279,56 +290,66 @@ def _check_budget(byte_limit, step, read, written, bits, table_bytes):
 
 def _steps(crossings, order):
     """The bookkeeping of each step of ``order``, which does not depend
-    on the state.  The open arcs after each step sit in one list, and a
-    state holds one value per open arc, by position.  A step's crossing
-    slot is a self-arc, linked to the other slot of its arc
-    (``links``); an open arc the step consumes, at position
-    ``consumed[j]`` and slot ``at[j]``; or an arc it opens, at new
-    position ``opens[slot]``.  The kept positions move to
-    ``remap[old]`` (-1 for a consumed one).  Returns one tuple
-    (crossing, consumed, at, kept, remap, links, opens) per step."""
-    steps, open_arcs = [], []
+    on the state, and the number of registers it uses.  A step frees
+    the registers of the arcs it consumes, then gives each arc it opens
+    the lowest free register, which the arc keeps until a step consumes
+    it; so the register count is the order's frontier width.  A step's
+    crossing slot is a self-arc, linked to the other slot of its arc
+    (``links``); an open arc the step consumes, at slot ``at[j]`` in
+    register ``consumed[j]``; or an arc it opens, in register
+    ``opens[slot]``.  Returns (one tuple (crossing, at, consumed,
+    links, opens) per step, register count).  Raises when a step but
+    the first starts on an empty frontier, as the crossings then do not
+    form a connected diagram, or when an arc is still open after the
+    last step."""
+    steps, held, free, registers = [], {}, [], 0
     for k, idx in enumerate(order):
-        if k and not open_arcs:
+        if k and not held:
             raise AssertionError("the crossings do not form a connected "
                                  "diagram")
         arcs = crossings[idx]
-        where = {a: i for i, a in enumerate(open_arcs)}
-        consumed = [where[a] for a in arcs if a in where]
-        at = [s for s, a in enumerate(arcs) if a in where]
-        kept = [i for i in range(len(open_arcs)) if i not in consumed]
-        remap = [-1] * len(open_arcs)
-        for new, old in enumerate(kept):
-            remap[old] = new
-        open_arcs = [open_arcs[i] for i in kept]
+        at = [s for s, a in enumerate(arcs) if a in held]
+        consumed = [held.pop(arcs[s]) for s in at]
+        for r in consumed:
+            heapq.heappush(free, r)
         links, opens = [None] * 4, [None] * 4
         for s, a in enumerate(arcs):
-            if a not in where:
-                other = [t for t in range(4) if t != s and arcs[t] == a]
-                if other:
-                    links[s] = other[0]
-                else:
-                    opens[s] = len(open_arcs)
-                    open_arcs.append(a)
-        steps.append((idx, consumed, at, kept, remap, links, opens))
-    return steps
+            if s in at:
+                continue
+            other = [t for t in range(4) if t != s and arcs[t] == a]
+            if other:
+                links[s] = other[0]
+                continue
+            if free:
+                opens[s] = heapq.heappop(free)
+            else:
+                opens[s], registers = registers, registers + 1
+            held[a] = opens[s]
+        steps.append((idx, at, consumed, links, opens))
+    if held:
+        raise AssertionError("frontier did not close up")
+    return steps, registers
 
 
 def _frontier(steps, algebra, byte_limit):
     """The frontier state sum along precompiled ``steps``, with the
     local algebra ``algebra``; returns (lo, packed, peak stored bytes).
 
-    A state is a tuple of values on the open arcs, and its polynomial a
+    A state is one int key, the value of each open arc in the field of
+    its register, ``algebra.width`` bits a field, and its polynomial a
     triple (lo, packed, own): its lowest exponent lo, the polynomial in
     X = q**(stride/4) above it evaluated at X = 2**bits, and whether
     the packed int is its own rather than the read state's.  A step
-    maps a state through the rule of its consumed values, which the
-    algebra's per-step memo holds or compiles on a miss: for each
-    outcome, the (position, value) writes into the kept values and the
-    opened arcs, an exponent shift, and a packed factor, None for 1.
-    With ``algebra.partners`` a value is a position, as in a matching,
-    and moves with ``remap``.  Every exponent of a state agrees modulo
-    the stride, so a merge is one shift and add, and a misaligned merge
+    reads the fields of its consumed registers, ``local = key & cmask``,
+    and maps the state through the rule of ``local``, which the
+    algebra's per-step table holds or compiles on a miss: for each
+    outcome an int ``flip``, an exponent shift, and a packed factor,
+    None for 1.  ``key ^ flip`` is the new state: ``flip`` clears the
+    consumed fields and writes the opened arcs' values, and in a
+    matching it also rewrites each kept register whose partner was
+    consumed.  A field that no open arc holds is 0, so the state after
+    the last step is 0.  Every exponent of a state agrees modulo the
+    stride, so a merge is one shift and add, and a misaligned merge
     raises.
 
     The budget (``_check_budget``) charges the states and the packed
@@ -340,39 +361,29 @@ def _frontier(steps, algebra, byte_limit):
     states and at the end of each step, and the largest charge seen is
     the peak.
     """
-    bits, sh = algebra.bits, algebra.shift
-    low, stride = (1 << bits) - 1, 1 << sh
-    partners, table_bytes = algebra.partners, algebra.table_bytes
+    bits, sh, width = algebra.bits, algebra.shift, algebra.width
+    low, stride, field = (1 << bits) - 1, 1 << sh, (1 << width) - 1
+    table_bytes = algebra.table_bytes
     peak = held_bits = 0
-    dp = {(): (0, 1, True)}
+    dp = {0: (0, 1, True)}
     for step, info in enumerate(steps, 1):
-        _, consumed, _, kept, remap, _, opens = info
+        cmask = sum(field << (r * width) for r in info[2])
         rules, compile_rule = algebra.rules(step - 1, info)
-        opened = [-1] * (4 - opens.count(None))
         ndp = {}
         new_bits = 0
-        for state, (lo, packed, _) in dp.items():
-            local = tuple([state[i] for i in consumed])
+        for key, (lo, packed, _) in dp.items():
+            local = key & cmask
             rule = rules.get(local)
             if rule is None:
                 rule = rules[local] = compile_rule(local)
-            # opened arcs, and in a matching each kept position whose
-            # partner was consumed, hold -1 until the rule's writes
-            if partners:
-                base = [remap[state[i]] for i in kept] + opened
-            else:
-                base = [state[i] for i in kept] + opened
-            for writes, shift, factor in rule:
-                nt = base[:]
-                for u, v in writes:
-                    nt[u] = v
-                key = tuple(nt)
+            for flip, shift, factor in rule:
+                new = key ^ flip
                 e = lo + shift
                 p = packed if factor is None else packed * factor
-                dst = ndp.get(key)
+                dst = ndp.get(new)
                 if dst is None:
                     own = p is not packed
-                    ndp[key] = e, p, own
+                    ndp[new] = e, p, own
                     if own:
                         new_bits += p.bit_length()
                     if not len(ndp) % _CHECK_EVERY:
@@ -398,13 +409,13 @@ def _frontier(steps, algebra, byte_limit):
                 p += p0
                 if not (d or p & low):
                     if not p:
-                        del ndp[key]
+                        del ndp[new]
                         continue
                     z = ((p & -p).bit_length() - 1) // bits
                     p >>= z * bits
                     e += stride * z
                 new_bits += p.bit_length()
-                ndp[key] = e, p, True
+                ndp[new] = e, p, True
         peak = max(peak, _check_budget(byte_limit, step, len(dp), len(ndp),
                                        held_bits + new_bits, table_bytes))
         # the ints the written frontier shares with the read one, each
@@ -412,9 +423,7 @@ def _frontier(steps, algebra, byte_limit):
         shared = {id(v[1]): v[1] for v in ndp.values() if not v[2]}
         dp, held_bits = ndp, new_bits + sum(
             p.bit_length() for p in shared.values())
-    if list(dp) != [()]:
-        raise AssertionError("frontier did not close up")
-    lo, packed, _ = dp[()]
+    lo, packed, _ = dp[0]
     return lo, packed, peak
 
 
@@ -422,12 +431,18 @@ def _frontier(steps, algebra, byte_limit):
 # weight labels on arcs: the colored R-matrix vertex model
 
 
-# bytes charged per rule of a vertex-model table besides its packed
-# factor's digits: its (writes, shift, factor) tuple, the writes and
-# their pairs, the int shift, the factor's header, and its share of the
-# table's consumed-label keys, rule tuples and dict slots.  By
-# sys.getsizeof over the distinct tables these come to 336-343 bytes a
-# rule on 8_19 at colors 2, 5 and 7 and on 9_49 at colors 4 and 5
+# bytes charged per rule of a shape's table besides its packed factor's
+# digits, calibrated on the label-keyed tables: a (writes, shift,
+# factor) tuple, the writes and their pairs, the int shift, the
+# factor's header, and a share of the consumed-label keys and dict
+# slots, 336-343 bytes a rule by sys.getsizeof on 8_19 at colors 2, 5
+# and 7 and on 9_49 at colors 4 and 5.  The tables a sum reads are the
+# re-keyed ones, an int key and an int flip a rule, and the copies of
+# one shape's table share its factors, so charging each shape's rules
+# once bounds them: factors included, they hold 14,360 of 24,462
+# charged bytes on 8_19 at color 2, 129,384 of 190,588 at 5 and 416,036
+# of 553,604 at 7, and 122,356 of 152,152 and 233,540 of 282,712 on
+# 9_49 at 4 and 5, whose 11 steps have 7 shapes and 11 re-keyed tables
 _RULE_BYTES = 344
 
 
@@ -527,22 +542,27 @@ def _frame(pd):
     of the order ``_pick_order`` picks and ``shapes`` one shape per
     step.  The empty diagram has no steps.
 
-    A step's rules at color n depend only on its shape: the sign of its
-    crossing, its ``at``, ``links`` and ``opens``, and its ``turns``,
-    the slots whose arc factor it charges, each with twice its arc's
-    turning number (``_turning_numbers``): its opened slots and the
-    first slot of each self-arc.  So the signs, the strand walk and the
-    turning numbers are worked out once per diagram, and steps of one
-    shape share one rule table per color (``_Weights``).  Cached, as the
-    pretzel seeds ask for colors 0, 1 and 2 of one diagram, so every
-    caller shares the frame and only reads it, and ``validate_pd`` runs
-    once per diagram.  An invalid diagram raises and is not cached, so
-    it raises on every call; a label that is no int, such as 1.0, is
-    refused by ``_int_pd`` before the cache is looked up."""
+    A step's rules at color n, keyed by labels, depend only on its
+    shape: the sign of its crossing, its consumed slots ``at``, its
+    ``links``, its opened slots, and its ``turns``, the slots whose arc
+    factor it charges, each with twice its arc's turning number
+    (``_turning_numbers``): its opened slots and the first slot of each
+    self-arc.  A shape names slots, not registers, so steps of one
+    shape share one label-keyed table per color (``_Weights``), which
+    is re-keyed to each step's registers.  So the signs, the strand
+    walk and the turning numbers are worked out once per diagram.
+
+    Cached, as the pretzel seeds ask for colors 0, 1 and 2 of one
+    diagram, so every caller shares the frame and only reads it, and
+    ``validate_pd`` runs once per diagram; a ``pretzel:`` spec leaves
+    the validation of its diagram to this frame.  An invalid diagram
+    raises and is not cached, so it raises on every call; a label that
+    is no int, such as 1.0, is refused by ``_int_pd`` before the cache
+    is looked up."""
     pd = validate_pd(pd)
     if not pd:
         return (), 0, ()
-    steps = _steps(pd, _pick_order(pd))
+    steps, _ = _steps(pd, _pick_order(pd))
     ends = _arc_endpoints(pd)
     signs = [None] * len(pd)
     for ci, slot in _component_walk(pd, ends):
@@ -552,10 +572,11 @@ def _frame(pd):
             for i, s in enumerate(_upright(sign))}
     turning = _turning_numbers(pd, ends, into)
     shapes = []
-    for idx, _, at, _, _, links, opens in steps:
-        charged = [s for s in range(4) if opens[s] is not None] + \
-            [s for s, t in enumerate(links) if t is not None and t > s]
-        shapes.append((signs[idx], tuple(at), tuple(links), tuple(opens),
+    for idx, at, _, links, opens in steps:
+        opened = tuple(s for s in range(4) if opens[s] is not None)
+        charged = opened + tuple(s for s, t in enumerate(links)
+                                 if t is not None and t > s)
+        shapes.append((signs[idx], tuple(at), tuple(links), opened,
                        tuple((s, 2 * turning[pd[idx][s]]) for s in charged)))
     return steps, _classify(pd)[0].writhe, tuple(shapes)
 
@@ -568,11 +589,11 @@ def _upright(sign):
 
 def _shape_rules(n, shape):
     """The rules of one step shape (``_frame``) at color n before
-    packing: consumed-label tuple -> {writes: quarter-key polynomial},
-    and the step's factor h of the coefficient bound (``_Weights``)."""
-    sign, at, links, opens, turns = shape
+    packing: consumed-label tuple -> {opened-label tuple: quarter-key
+    polynomial}, with labels in slot order, and the step's factor h of
+    the coefficient bound (``_Weights``)."""
+    sign, at, links, opened, turns = shape
     sw, se, ne, nw = _upright(sign)
-    out = [(opens[s], s) for s in range(4) if opens[s] is not None]
     linked = [(s, t) for s, t in enumerate(links) if t is not None and t > s]
     rules, norms = {}, {}
     label = [0] * 4
@@ -580,7 +601,7 @@ def _shape_rules(n, shape):
         label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
         if linked and any(label[s] != label[t] for s, t in linked):
             continue
-        writes = tuple([(p, label[s]) for p, s in out])
+        writes = tuple([label[s] for s in opened])
         norms[writes] = norms.get(writes, 0) + norm
         shift = sum([(2 * label[s] - n) * t for s, t in turns])
         outs = rules.setdefault(tuple([label[s] for s in at]), {})
@@ -608,9 +629,12 @@ class _Weights:
     (``_turning_numbers``) carries q**(-(n - 2i) t / 2), charged at the
     step that opens it, or, for a self-arc, at its crossing.  A step's
     rules are worked out for every consumed-label tuple before the sum
-    runs, once per distinct shape (``_shape_rules``): steps of one shape
-    share one table object, and ``tables`` holds one per step.  The
-    tables live as long as the algebra, one call.
+    runs, once per distinct shape (``_shape_rules``), and re-keyed once
+    per distinct (shape, registers) to the registers of its ``steps``
+    (``_rekey``): steps of one shape and registers share one table
+    object, and ``tables`` holds one per step.  A register holds a
+    label in ``width`` = n.bit_length() bits.  The tables live as long
+    as the algebra, one call.
 
     Exponents are quarter-keys at stride 2.  Every entry's exponents
     share the parity of n**2: k(k-1), the quantum binomials' and the
@@ -630,14 +654,15 @@ class _Weights:
     |c| < 2**(bits - 1), which ``_unpack`` reads back exactly; the
     decoded sum is checked against H.
 
-    The budget charges the distinct tables once, in ``table_bytes``:
-    ``_RULE_BYTES`` a rule plus its packed factor's bytes, on top of
-    the frontier states.
+    The budget charges the rules of each distinct shape once, in
+    ``table_bytes``: ``_RULE_BYTES`` a rule plus its packed factor's
+    bytes, on top of the frontier states.  The re-keyed copies of one
+    shape's table share its factors (see ``_RULE_BYTES``).
     """
 
-    shift, partners = 1, False
+    shift = 1
 
-    def __init__(self, n, shapes):
+    def __init__(self, n, steps, shapes):
         built = {}
         for shape in shapes:
             if shape not in built:
@@ -658,16 +683,45 @@ class _Weights:
                 table[local] = tuple(found)
                 count += len(found)
         self.table_bytes = count * _RULE_BYTES + digits * 2 // 15
-        self.tables = [packed[shape] for shape in shapes]
+        self.width = n.bit_length()
+        rekeyed, self.tables = {}, []
+        for shape, (_, _, consumed, _, opens) in zip(shapes, steps):
+            regs = shape, tuple(consumed), tuple(opens)
+            if regs not in rekeyed:
+                rekeyed[regs] = _rekey(packed[shape], consumed,
+                                       [opens[s] for s in shape[3]],
+                                       self.width)
+            self.tables.append(rekeyed[regs])
 
     def rules(self, k, step):
-        # a consumed-label tuple without a rule has no outcome
+        # a consumed-label key without a rule has no outcome
         return self.tables[k], lambda local: ()
+
+
+def _rekey(table, consumed, opened, width):
+    """A shape's label-keyed table as the table of a step whose consumed
+    arcs sit in the registers ``consumed`` and whose opened arcs go to
+    ``opened``, both in slot order: each consumed-label tuple becomes
+    ``local``, its labels in their registers' fields of ``width`` bits,
+    and each rule's opened labels become ``flip``, ``local`` xor the
+    opened labels in their fields."""
+    def place(labels, registers):
+        key = 0
+        for label, r in zip(labels, registers):
+            key |= label << (r * width)
+        return key
+    out = {}
+    for labels, rules in table.items():
+        local = place(labels, consumed)
+        out[local] = tuple((local ^ place(writes, opened), shift, factor)
+                           for writes, shift, factor in rules)
+    return out
 
 
 def _packed_rule(writes, poly, bits):
     """The rule (writes, shift, packed factor) of a quarter-key
-    polynomial at stride 2, with factor None for 1, or None for 0."""
+    polynomial at stride 2, with factor None for 1, or None for 0;
+    ``writes`` are the opened labels, which ``_rekey`` places."""
     poly = {key: c for key, c in poly.items() if c}
     if not poly:
         return None
@@ -691,9 +745,10 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     along the frontier core.  The diagram's frame (``_frame``: the
     contraction steps, the writhe and each step's shape) is built, and
     the diagram validated, once per diagram and cached, at color 0
-    too; a call builds one rule table per distinct shape at its color
-    and keeps the tables for that call only.  With w
-    the writhe, J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with
+    too; a call builds one rule table per distinct shape at its color,
+    re-keyed to the registers of its steps, and keeps the tables for
+    that call only.  With w the writhe,
+    J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with
     [n+1] = (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
     state's polynomial is packed into one int at stride 2 in
     quarter-keys, at a proven bound of bits a coefficient (see
@@ -708,7 +763,7 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     if n == 0 or not steps:
         return LaurentPoly.one()
     byte_limit = (_LIMIT_MB if limit_mb is None else limit_mb) << 20
-    algebra = _Weights(n, shapes)
+    algebra = _Weights(n, steps, shapes)
     lo, packed, _ = _frontier(steps, algebra, byte_limit)
     coeffs = _unpack(packed, algebra.bits)
     if sum(map(abs, coeffs)) > algebra.bound:
@@ -791,37 +846,40 @@ def _apply_smoothing(pattern, pairing):
 
 class _Matchings:
     """The Temperley-Lieb local algebra of the cabled bracket, with
-    ``bits`` a coefficient: a state value is the position of the open
-    arc that the strand through this one comes back by, and the rules
-    are the A and B smoothings of ``_compile_rule``, compiled on a miss
-    into a per-step memo.  It holds no tables, so the budget charges
-    its states only."""
+    ``bits`` a coefficient, over ``registers`` registers: a state value
+    is the register of the open arc that the strand through this one
+    comes back by, in ``width`` bits, enough for any register, and the
+    rules are the A and B smoothings of ``_compile_rule``, compiled on
+    a miss into a per-step memo.  It holds no tables, so the budget
+    charges its states only."""
 
-    shift, partners, table_bytes = 2, True, 0
+    shift, table_bytes = 2, 0
 
-    def __init__(self, bits):
+    def __init__(self, bits, registers):
         self.bits = bits
+        self.width = max(1, (registers - 1).bit_length())
         # a smoothing closes at most two circles, each through two slots
         self.factors = (None,) + tuple(
             _pack([(-1) ** c * comb(c, j) for j in range(c + 1)], bits)
             for c in (1, 2))
 
     def rules(self, k, step):
-        _, consumed, at, _, remap, links, opens = step
+        _, at, consumed, links, opens = step
         return {}, lambda local: _compile_rule(
-            local, consumed, at, links, opens, remap, self.factors)
+            local, at, consumed, links, opens, self.width, self.factors)
 
 
 def _bracket_raw(crossings, free_circles, byte_limit):
     """Kauffman bracket of a raw crossing list as a LaurentPoly in q,
     with the peak stored bytes of the state sum.
 
-    A state is the tuple of partner positions of the open arcs: the
-    strand that leaves through open arc i comes back through open arc
-    ``state[i]``.  A smoothing's outcome depends on a state only
-    through the partners of the consumed positions, so that tuple keys
-    a per-step memo of rules (new links, A-shift, packed circle factor)
-    that ``_compile_rule`` fills on a miss.
+    A state is an int holding, in the field of each open arc's
+    register, the register of its partner: the strand that leaves
+    through that arc comes back through the partner.  A smoothing's
+    outcome depends on a state only through the partners of the
+    consumed registers, so those fields key a per-step memo of rules
+    (new links as a ``flip``, A-shift, packed circle factor) that
+    ``_compile_rule`` fills on a miss.
 
     A state's polynomial is its lowest A-exponent lo and the polynomial
     in X = A**4 above it evaluated at X = 2**bits (``_frontier``).  The
@@ -850,32 +908,44 @@ def _bracket_raw(crossings, free_circles, byte_limit):
     result_scale = _DELTA ** free_circles
     if not crossings:
         return result_scale, 0
-    algebra = _Matchings(2 * len(crossings) + 3)
-    lo, packed, peak = _frontier(_steps(crossings, _pick_order(crossings)),
-                                 algebra, byte_limit)
+    steps, registers = _steps(crossings, _pick_order(crossings))
+    algebra = _Matchings(2 * len(crossings) + 3, registers)
+    lo, packed, peak = _frontier(steps, algebra, byte_limit)
     terms = {-lo - 4 * i: c
              for i, c in enumerate(_unpack(packed, algebra.bits)) if c}
     return _wrap(terms) * result_scale, peak
 
 
-def _compile_rule(local, consumed, at, self_links, ends, remap, factors):
+def _compile_rule(local, at, consumed, self_links, ends, width, factors):
     """The A and B outcomes of one step for the states whose consumed
-    positions have the partners ``local``: the writes that link new
-    positions, the A-shift, and the packed circle factor
+    registers hold the partners in ``local`` (fields of ``width``
+    bits): for each, the ``flip`` that clears the consumed fields and
+    links the outward ends, the A-shift, and the packed circle factor
     ``factors[circles]``, None for no circle.  ``consumed[j]`` sits at
-    slot ``at[j]``; a consumed partner links two slots as a self-arc
-    does, and a kept partner makes the slot an outward end at the
-    partner's new position, as an opened arc is."""
+    slot ``at[j]``, and ``ends[s]`` is the register an opened slot s
+    goes to.  A consumed partner links two slots as a self-arc does; a
+    kept partner makes the slot an outward end at the partner's
+    register, as an opened arc is, and that register, which held the
+    consumed one, is rewritten by every outcome, as every outward end
+    is joined to another."""
+    field = (1 << width) - 1
     pattern, ends = list(self_links), list(ends)
-    for s, p in zip(at, local):
+    clear = local
+    for s, r in zip(at, consumed):
+        p = (local >> (r * width)) & field
         if p in consumed:
             pattern[s] = at[consumed.index(p)]
         else:
-            ends[s] = remap[p]
-    return [(tuple(w for s, t in pairs
-                   for w in ((ends[s], ends[t]), (ends[t], ends[s]))),
-             shift, factors[circles])
-            for pairs, shift, circles in _pattern_rule(tuple(pattern))]
+            ends[s] = p
+            clear ^= r << (p * width)
+    rules = []
+    for pairs, shift, circles in _pattern_rule(tuple(pattern)):
+        flip = clear
+        for s, t in pairs:
+            flip ^= (ends[t] << (ends[s] * width)) | \
+                (ends[s] << (ends[t] * width))
+        rules.append((flip, shift, factors[circles]))
+    return rules
 
 
 @functools.cache

@@ -344,7 +344,8 @@ class Pretzel237(_DiagramSpec):
     """The (-2, 3, p) pretzel knot for odd p.  Its diagram is adequate on
     one side only.  Its degree source computes colors 0..2 by the state
     sum and hands them to ``closedforms.pretzel_degrees``, which extends
-    both lists by the family's generating functions."""
+    both lists by the family's generating functions.  The state sum's
+    frame is where its diagram is validated, once (``_pretzel237_pd``)."""
 
     def __init__(self, p, mirror=False):
         if p % 2 == 0:
@@ -376,7 +377,9 @@ class Pretzel237(_DiagramSpec):
 
 @functools.cache
 def _pretzel237_pd(p):
-    return pretzel_pd([-2, 3, p])
+    """The (-2, 3, p) pretzel diagram, validated once, by the first state
+    sum of its degrees (``engine._frame``), not by the generator."""
+    return _pretzel_diagram([-2, 3, p])
 
 
 _PD_TUPLE_RE = re.compile(
@@ -523,8 +526,10 @@ def validate_pd(pd):
     twice, the diagram is a single closed component, the walk enters
     every under-strand at slot 0 (the PD orientation convention), and
     the rotation system is planar by the Euler formula.  Every diagram
-    a spec holds has passed here, so ``_classify`` reads it without
-    checking it again.
+    a spec holds passes here once, so ``_classify`` reads it without
+    checking it again: a ``pretzel:`` spec's diagram, built by the
+    pretzel generator, passes in the frame of its first state sum
+    (``engine._frame``), which its degrees and polynomials run.
     """
     pd = _int_pd(pd)
     if not pd:
@@ -560,9 +565,13 @@ def canonical_pd(pd):
 
     Accepts tuples whose under-strand occupies slots 0 and 2 in either
     direction, walks the component once, and rotates by two slots where
-    the walk enters at slot 2.
+    the walk enters at slot 2; the result is validated.
     """
-    pd = _int_pd(pd)
+    return validate_pd(_canonical(_int_pd(pd)))
+
+
+def _canonical(pd):
+    """``canonical_pd`` of a diagram of int labels, not validated."""
     if not pd:
         return pd
     entries = _component_walk(pd, _arc_endpoints(pd))
@@ -574,7 +583,7 @@ def canonical_pd(pd):
             fixed.append(cr)
         else:
             fixed.append((cr[2], cr[3], cr[0], cr[1]))
-    return validate_pd(tuple(fixed))
+    return tuple(fixed)
 
 
 def smoothing_counts(pd):
@@ -655,8 +664,9 @@ def _union(parent, x, y):
 class _Builder:
     """Accumulates crossings over provisional arc tokens, identified by
     ``_union`` in the forest ``parent``, then resolves them into a
-    canonical PD.  A token whose arc meets no crossing lies on a loop
-    of the closure that no crossing touches, which is refused."""
+    canonical PD, which the caller validates.  A token whose arc meets
+    no crossing lies on a loop of the closure that no crossing touches,
+    which is refused."""
 
     def __init__(self):
         self.crossings = []
@@ -677,7 +687,7 @@ class _Builder:
         if any(_find(self.parent, t) not in labels
                for t in range(len(self.parent))):
             raise ValueError("closure has a free loop")
-        return canonical_pd(out)
+        return _canonical(tuple(out))
 
 
 def _twist_pair(builder, left, right, count):
@@ -719,7 +729,7 @@ def braid_pd(word, strands):
                                          1 if g > 0 else -1)
     for j in range(strands):
         _union(b.parent, cur[j], tops[j])
-    return b.finish()
+    return validate_pd(b.finish())
 
 
 def torus_pd(a, b_param):
@@ -739,6 +749,11 @@ def pretzel_pd(twists):
     Each entry is a signed number of crossings in one vertical band;
     bands are joined left to right and closed around the outside.
     """
+    return validate_pd(_pretzel_diagram(twists))
+
+
+def _pretzel_diagram(twists):
+    """``pretzel_pd`` before its validation."""
     if not twists or all(t == 0 for t in twists):
         raise ValueError("pretzel needs at least one twist")
     b = _Builder()
@@ -775,7 +790,7 @@ def two_bridge_pd(partial_quotients):
     _union(b.parent, tops[2], tops[3])
     _union(b.parent, cur[0], cur[1])
     _union(b.parent, cur[2], cur[3])
-    return b.finish()
+    return validate_pd(b.finish())
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,15 @@ def test_fit_rejects_input_plus_knot(tmp_path, capsys):
     code, out, err = run(capsys, "fit", "--input", str(f), "--max-n", "3")
     assert (code, out) == (2, "")
     assert "pass either --input or --max-n, not both" in err
+    # so would --kind, which chooses among a knot's degree lists; an
+    # explicit --kind max is refused as well
+    for kind in ("min", "max"):
+        code, out, err = run(capsys, "fit", "--input", str(f), "--kind", kind)
+        assert (code, out) == (2, "")
+        assert "pass either --input or --kind, not both" in err
+    # without --kind a knot's maximum degrees are fitted
+    assert run(capsys, "fit", "torus:2,3", "--max-n", "10")[1] == \
+        run(capsys, "fit", "torus:2,3", "--max-n", "10", "--kind", "max")[1]
 
 
 @pytest.mark.parametrize("spec", [["name:3_1"], ["--knot", "torus:2,3"]],
@@ -485,7 +494,9 @@ _HEAD = [(["-h", "--help"], "help", argparse.SUPPRESS, None, 0, None),
          ([], "knot_pos", None, None, "?", None),
          (["--knot"], "knot", None, None, None, None)]
 _MAX_N = [(["--max-n"], "max_n", None, None, None, _INT)]
-_KIND = [(["--kind"], "kind", "max", ["max", "min", "span", "sum"], None,
+# --kind defaults to None, which the handlers read as max, so that
+# `fit --input` can refuse an explicit --kind
+_KIND = [(["--kind"], "kind", None, ["max", "min", "span", "sum"], None,
           None)]
 _WINDOW = [(["--max-period"], "max_period", 16, None, None, _INT),
            (["--max-transient"], "max_transient", 8, None, None, _INT)]

@@ -585,7 +585,8 @@ PEAK_8_19_WEIGHTS_5 = 6214112
 
 def _weights_sum(pd, n, byte_limit):
     steps, _, shapes = engine._frame(validate_pd(pd))
-    return engine._frontier(steps, engine._Weights(n, shapes), byte_limit)
+    return engine._frontier(steps, engine._Weights(n, steps, shapes),
+                            byte_limit)
 
 
 def test_vertex_budget_stops_inside_a_step_below_its_peak(monkeypatch):
@@ -641,9 +642,9 @@ def test_vertex_budget_counts_each_packed_int_once(monkeypatch):
 
 def _per_step_tables(pd, n, steps):
     """The vertex model's rule tables built step by step, each from the
-    diagram's strand walk and turning numbers, with (bound, bits): the
-    oracle of the tables ``_Weights`` shares between steps of one
-    shape."""
+    diagram's strand walk and turning numbers and keyed by the step's
+    registers, with (bound, bits): the oracle of the tables ``_Weights``
+    re-keys from one table per shape."""
     ends = engine._arc_endpoints(pd)
     signs = [None] * len(pd)
     for ci, slot in engine._component_walk(pd, ends):
@@ -653,8 +654,12 @@ def _per_step_tables(pd, n, steps):
     into = {(ci, s): i < 2 for ci, frame in enumerate(frames)
             for i, s in enumerate(frame)}
     turning = engine._turning_numbers(pd, ends, into)
+    width = n.bit_length()
+
+    def place(labels, registers):
+        return sum(label << (r * width) for label, r in zip(labels, registers))
     grouped, bound = [], 1
-    for idx, _, at, _, _, links, opens in steps:
+    for idx, at, consumed, links, opens in steps:
         sw, se, ne, nw = frames[idx]
         out = [s for s in range(4) if opens[s] is not None]
         linked = [(s, t) for s, t in enumerate(links) if t is not None]
@@ -666,11 +671,11 @@ def _per_step_tables(pd, n, steps):
             label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
             if linked and any(label[s] != label[t] for s, t in linked):
                 continue
-            writes = tuple((opens[s], label[s]) for s in out)
+            local = place([label[s] for s in at], consumed)
+            writes = place([label[s] for s in out], [opens[s] for s in out])
             norms[writes] = norms.get(writes, 0) + norm
             shift = sum((2 * label[s] - n) * t for s, t in turns)
-            poly = rules.setdefault(tuple([label[s] for s in at]), {}) \
-                .setdefault(writes, {})
+            poly = rules.setdefault(local, {}).setdefault(local ^ writes, {})
             for key, c in terms.items():
                 poly[key + shift] = poly.get(key + shift, 0) + c
         grouped.append(rules)
@@ -699,7 +704,7 @@ def test_shared_tables_equal_the_per_step_build():
         for diagram in (pd, mirror_pd(pd)):
             steps, _, shapes = engine._frame(validate_pd(diagram))
             for n in (1, 2, 3):
-                algebra = engine._Weights(n, shapes)
+                algebra = engine._Weights(n, steps, shapes)
                 tables, bound, bits = _per_step_tables(
                     validate_pd(diagram), n, steps)
                 assert (algebra.bound, algebra.bits) == (bound, bits)
@@ -718,12 +723,64 @@ def _algebras(monkeypatch):
     return seen
 
 
+def _replay_width(crossings, order):
+    """Most open arcs along ``order``: an arc opens at its first crossing
+    and closes at its second, as the benchmark's tracer replays it."""
+    open_arcs, width = set(), 0
+    for idx in order:
+        open_arcs.symmetric_difference_update(
+            a for a in set(crossings[idx])
+            if crossings[idx].count(a) == 1)
+        width = max(width, len(open_arcs))
+    return width
+
+
+@pytest.mark.parametrize("pd, width", [
+    (bundled_knot_table()["8_19"], 6), (bundled_knot_table()["9_49"], 8),
+    (pretzel_pd([-2, 3, 19]), 6)], ids=["8_19", "9_49", "pretzel_19"])
+def test_registers_are_the_frontier_width(pd, width):
+    # each arc holds one register from the step that opens it to the one
+    # that consumes it, an opened arc takes a free register, the lowest,
+    # and none is open after the last step
+    order = engine._pick_order(pd)
+    steps, registers = engine._steps(pd, order)
+    assert registers == _replay_width(pd, order) == width
+    held = {}
+    for idx, at, consumed, links, opens in steps:
+        assert [held.pop(pd[idx][s]) for s in at] == consumed
+        for s, r in enumerate(opens):
+            if r is not None:
+                assert r not in held.values()
+                assert r == min(set(range(registers)) - set(held.values()))
+                held[pd[idx][s]] = r
+        assert all(links[s] is None or pd[idx][s] == pd[idx][links[s]]
+                   for s in range(4))
+    assert held == {}
+    # an order that leaves arcs open is refused, as is a crossing list
+    # of two diagrams
+    with pytest.raises(AssertionError, match="did not close up"):
+        engine._steps(pd, order[:-1])
+    shifted = [tuple(a + 1000 for a in cr) for cr in pd]
+    both = list(pd) + shifted
+    with pytest.raises(AssertionError, match="connected"):
+        engine._steps(both, list(range(len(both))))
+
+
 def test_steps_of_one_shape_share_one_table(monkeypatch):
+    # the 24 steps of (-2,3,19) have 7 shapes and 8 distinct (shape,
+    # registers), and steps of one shape and registers share one table
     algebras = _algebras(monkeypatch)
-    bracket_colored_jones(pretzel_pd([-2, 3, 19]), 2)
+    pd = pretzel_pd([-2, 3, 19])
+    bracket_colored_jones(pd, 2)
+    steps, _, shapes = engine._frame(pd)
     tables = algebras[0].tables
-    assert len(tables) == 24
-    assert len({id(table) for table in tables}) == 7
+    assert len(tables) == 24 and len(set(shapes)) == 7
+    owner = {}
+    for shape, (_, _, consumed, _, opens), table in zip(shapes, steps,
+                                                          tables):
+        owner.setdefault((shape, tuple(consumed), tuple(opens)), table)
+        assert owner[shape, tuple(consumed), tuple(opens)] is table
+    assert len(owner) == len({id(table) for table in tables}) == 8
 
 
 def test_frame_built_once_per_diagram(monkeypatch):
@@ -787,8 +844,9 @@ def test_invalid_diagrams_raise_on_every_call():
 
 
 def test_budget_charges_each_shared_table_once(monkeypatch):
-    # 8_19's 8 steps have 5 shapes, and every check charges the rules of
-    # the 5 tables once, over the states
+    # 8_19's 8 steps have 5 shapes and 6 re-keyed tables, and every
+    # check charges the rules of one table per shape once, over the
+    # states: a shape's re-keyed copies share its packed factors
     algebras = _algebras(monkeypatch)
     charged = set()
     check_budget = engine._check_budget
@@ -797,10 +855,13 @@ def test_budget_charges_each_shared_table_once(monkeypatch):
         charged.add(table_bytes)
         return check_budget(byte_limit, step, read, new, bits, table_bytes)
     monkeypatch.setattr(engine, "_check_budget", recorded)
-    bracket_colored_jones(bundled_knot_table()["8_19"], 3)
-    distinct = {id(table): table for table in algebras[0].tables}
-    assert len(algebras[0].tables) == 8 and len(distinct) == 5
-    rules = [rule for table in distinct.values() for outs in table.values()
+    pd = bundled_knot_table()["8_19"]
+    bracket_colored_jones(pd, 3)
+    tables = algebras[0].tables
+    per_shape = dict(zip(engine._frame(pd)[2], tables))
+    assert len(tables) == 8 and len(per_shape) == 5
+    assert len({id(table) for table in tables}) == 6
+    rules = [rule for table in per_shape.values() for outs in table.values()
              for rule in outs]
     digits = sum(f.bit_length() for _, _, f in rules if f is not None)
     assert charged == {len(rules) * engine._RULE_BYTES + digits * 2 // 15}

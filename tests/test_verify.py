@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from knotslopes import engine
+from knotslopes import engine, knots
 from knotslopes.quasifit import RationalGF
 from knotslopes.knots import (INFINITY, AlternatingData, DiagramStats, Named,
                               Pretzel237, Torus, parse_knot)
@@ -79,6 +79,27 @@ def test_analyze_pretzel_p7():
     assert r.js_star == [0]
     assert r.boundary_slopes == [0, 16, Fraction(37, 2), 20]
     assert r.conjecture_verdict == "verified"
+
+
+def test_analyze_validates_a_pretzel_diagram_once(monkeypatch):
+    # the generator leaves the diagram to the state sum's frame, which
+    # validates it once for colors 0, 1 and 2; it is the validated
+    # diagram of the public generator
+    calls = []
+    validate = knots.validate_pd
+
+    def counted(pd):
+        calls.append(pd)
+        return validate(pd)
+    for module in (knots, engine):
+        monkeypatch.setattr(module, "validate_pd", counted)
+    knots._pretzel237_pd.cache_clear()
+    engine._frame.cache_clear()
+    r = analyze(Pretzel237(11), 30)
+    assert r.conjecture_verdict == "verified"
+    assert calls == [Pretzel237(11).pd]
+    monkeypatch.undo()
+    assert calls[0] == knots.pretzel_pd([-2, 3, 11])
 
 
 def test_analyze_negative_pretzels():
