@@ -14,7 +14,7 @@ formulas only: it imports the standard library and ``quasifit``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .quasifit import RationalGF, _cyclotomic_split
 
@@ -102,15 +102,20 @@ def _extend(vals, tail_gf, n_max):
     0..min(n_max, 2), cut to n_max or grown by the recurrence
     f(n+3) = d3(n) + 3 f(n+2) - 3 f(n+1) + f(n), where d3 is the series
     of tail_gf (identically zero when tail_gf is None), expanded once
-    for the whole extension."""
+    for the whole extension.  The recurrence runs on integers: the
+    seeds and d3 times their common denominator, which is 1 for every
+    knot, as its degrees are integers."""
     out = vals[:n_max + 1]
     if len(out) > n_max:
         return out
-    d3 = tail_gf.series(n_max - 2) if tail_gf is not None else None
-    for i in range(len(out) - 3, n_max - 2):
-        step = d3[i] if d3 is not None else 0
-        out.append(step + 3 * out[-1] - 3 * out[-2] + out[-3])
-    return out
+    d3 = (tail_gf.series(n_max - 2) if tail_gf is not None
+          else [0] * (n_max - 2))
+    den = lcm(*(x.denominator for x in out + d3))
+    f, d3 = ([x.numerator * (den // x.denominator) for x in xs]
+             for xs in (out, d3))
+    for step in d3[len(out) - 3:]:
+        f.append(step + 3 * f[-1] - 3 * f[-2] + f[-3])
+    return out + [Fraction(v, den) for v in f[len(out):]]
 
 
 def pretzel_degrees(p, n_max, seeds):

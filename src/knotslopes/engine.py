@@ -42,10 +42,13 @@ exponent shift and a packed factor.  The two local algebras are
   from its turning number (``_turning_numbers``).  What does not depend
   on the color (the steps, crossing signs, writhe and turning numbers)
   is one frame per diagram (``_frame``, cached, which also validates
-  the diagram once), which gives each step a shape; a call builds and
-  packs one label-keyed rule table per distinct shape, and re-keys it
-  to the registers of the steps of that shape, one table per distinct
-  (shape, registers);
+  the diagram once if no knot table did as it loaded), which gives
+  each step a shape.  A step's rules are built once per process per (color,
+  shape), label-keyed (``_shape_table``), and placed once per process
+  per (color, shape, registers) on the registers of the steps of that
+  shape (``_placed``); a call only packs their factors at its bits and
+  fills one table per distinct (shape, registers), and still charges
+  the tables it reads;
 - Temperley-Lieb matchings (``_Matchings``) for the cabled bracket: a
   value is the register of the open arc that the strand comes back
   by, which stays put while both arcs are open, and ``_pattern_rule``
@@ -87,9 +90,9 @@ from fractions import Fraction
 from math import comb, prod
 
 from .laurent import LaurentPoly, _wrap
-from .knots import (_A_PAIRING, _B_PAIRING, _arc_endpoints, _check_torus,
-                    _classify, _component_walk, _int_pd, _left_faces,
-                    validate_pd)
+from .knots import (_A_PAIRING, _B_PAIRING, _TABLE_PDS, _arc_endpoints,
+                    _check_torus, _classify, _component_walk, _int_pd,
+                    _left_faces, validate_pd)
 from .quasifit import load_sequence
 
 __all__ = [
@@ -342,15 +345,15 @@ def _frontier(steps, algebra, byte_limit):
     the packed int is its own rather than the read state's.  A step
     reads the fields of its consumed registers, ``local = key & cmask``,
     and maps the state through the rule of ``local``, which the
-    algebra's per-step table holds or compiles on a miss: for each
-    outcome an int ``flip``, an exponent shift, and a packed factor,
-    None for 1.  ``key ^ flip`` is the new state: ``flip`` clears the
-    consumed fields and writes the opened arcs' values, and in a
-    matching it also rewrites each kept register whose partner was
-    consumed.  A field that no open arc holds is 0, so the state after
-    the last step is 0.  Every exponent of a state agrees modulo the
-    stride, so a merge is one shift and add, and a misaligned merge
-    raises.
+    algebra's per-step table holds or compiles on a miss, storing it
+    only when it has an outcome: for each outcome an int ``flip``, an
+    exponent shift, and a packed factor, None for 1.  ``key ^ flip`` is
+    the new state: ``flip`` clears the consumed fields and writes the
+    opened arcs' values, and in a matching it also rewrites each kept
+    register whose partner was consumed.  A field that no open arc
+    holds is 0, so the state after the last step is 0.  Every exponent
+    of a state agrees modulo the stride, so a merge is one shift and
+    add, and a misaligned merge raises.
 
     The budget (``_check_budget``) charges the states and the packed
     ints' bits of the frontier a step reads and the one it writes,
@@ -375,7 +378,9 @@ def _frontier(steps, algebra, byte_limit):
             local = key & cmask
             rule = rules.get(local)
             if rule is None:
-                rule = rules[local] = compile_rule(local)
+                rule = compile_rule(local)
+                if rule:
+                    rules[local] = rule
             for flip, shift, factor in rule:
                 new = key ^ flip
                 e = lo + shift
@@ -432,17 +437,25 @@ def _frontier(steps, algebra, byte_limit):
 
 
 # bytes charged per rule of a shape's table besides its packed factor's
-# digits, calibrated on the label-keyed tables: a (writes, shift,
-# factor) tuple, the writes and their pairs, the int shift, the
-# factor's header, and a share of the consumed-label keys and dict
-# slots, 336-343 bytes a rule by sys.getsizeof on 8_19 at colors 2, 5
-# and 7 and on 9_49 at colors 4 and 5.  The tables a sum reads are the
-# re-keyed ones, an int key and an int flip a rule, and the copies of
-# one shape's table share its factors, so charging each shape's rules
-# once bounds them: factors included, they hold 14,360 of 24,462
-# charged bytes on 8_19 at color 2, 129,384 of 190,588 at 5 and 416,036
-# of 553,604 at 7, and 122,356 of 152,152 and 233,540 of 282,712 on
-# 9_49 at 4 and 5, whose 11 steps have 7 shapes and 11 re-keyed tables
+# digits, calibrated by sys.getsizeof on 8_19 at colors 2, 5 and 7 and
+# on 9_49 at colors 4 and 5.  The tables a sum reads, a dict slot and an
+# int key per consumed-label tuple and a rule's (flip, shift, factor)
+# tuple, its ints flip and shift and its factor's header, take 213, 214
+# and 210 bytes a rule on 8_19 and 281 and 281 on 9_49, whose 11 steps
+# have 7 shapes and 11 placements; the tables of one shape share its
+# packed factors, so charging each shape's rules once bounds them.  The
+# label-keyed rules (``_shape_table``, 271-345 bytes a rule with their
+# coefficient tuples) and the placed ones (``_placed``, 183-253 more,
+# whose all-monomial rules a call's tables share) are kept for the
+# process, as the frames and ``_r_tables`` are, and are not charged:
+# all three together, packed digits included, hold 40,374 bytes where
+# 24,462 are charged on 8_19 at color 2, 307,880 for 190,588 at 5 and
+# 858,956 for 553,604 at 7, and 283,892 for 152,152 and 509,568 for
+# 282,712 on 9_49 at 4 and 5.  From the command line's post-import
+# floor, VmHWM growth stays 4.7-9.9 MiB below the peak charge on 8_19
+# at colors 6 and 7, 9_49 at 4 and 5, and 9_42 and 8_20 at 6, where it
+# stayed 3.4-8.6 MiB below before these tables were kept, in one session
+# (the probe varies by about 1.5 MiB from run to run)
 _RULE_BYTES = 344
 
 
@@ -463,9 +476,10 @@ def _r_tables(n):
             q**(-w(a) w(b)/4) e_{b-k} (x) e_{a+k},
 
     with w(i) = n - 2i and symmetric quantum binomials.  Cached per
-    color: every call at a color reads them once per distinct step
-    shape (``_shape_rules``), and the pretzel seeds ask for colors 1
-    and 2 once per knot."""
+    color, as are the step shapes' tables built from them
+    (``_shape_table``): a shape's rules at a color are worked out once
+    per process, whatever diagrams share it, so these entries are read
+    once per distinct (color, shape)."""
     def q(key, c=1):
         return LaurentPoly({key: c})
     # [m choose k] = q**(-(m-k)/2) [m-1 choose k-1] + q**(k/2) [m-1 choose k]
@@ -548,18 +562,21 @@ def _frame(pd):
     factor it charges, each with twice its arc's turning number
     (``_turning_numbers``): its opened slots and the first slot of each
     self-arc.  A shape names slots, not registers, so steps of one
-    shape share one label-keyed table per color (``_Weights``), which
-    is re-keyed to each step's registers.  So the signs, the strand
-    walk and the turning numbers are worked out once per diagram.
+    shape, in any diagram, share one label-keyed table per color
+    (``_shape_table``), which is placed on each step's registers
+    (``_placed``).  So the signs, the strand walk and the turning
+    numbers are worked out once per diagram.
 
     Cached, as the pretzel seeds ask for colors 0, 1 and 2 of one
     diagram, so every caller shares the frame and only reads it, and
-    ``validate_pd`` runs once per diagram; a ``pretzel:`` spec leaves
-    the validation of its diagram to this frame.  An invalid diagram
-    raises and is not cached, so it raises on every call; a label that
-    is no int, such as 1.0, is refused by ``_int_pd`` before the cache
-    is looked up."""
-    pd = validate_pd(pd)
+    ``validate_pd`` runs once per diagram, here, unless a knot table
+    has validated it as it loaded (``knots._TABLE_PDS``); a ``pretzel:``
+    spec leaves the validation of its diagram to this frame.  An
+    invalid diagram raises and is not cached, so it raises on every
+    call; a label that is no int, such as 1.0, is refused by
+    ``_int_pd`` before the cache is looked up."""
+    if pd not in _TABLE_PDS:
+        pd = validate_pd(pd)
     if not pd:
         return (), 0, ()
     steps, _ = _steps(pd, _pick_order(pd))
@@ -614,6 +631,80 @@ def _shape_rules(n, shape):
     return rules, max(norms.values())
 
 
+@functools.cache
+def _shape_table(n, shape):
+    """The rules of one step shape (``_frame``) at color n, label-keyed
+    and built once per process: (rules, h, factors, uses).  ``rules``
+    holds one (consumed labels, outcomes) pair per consumed-label tuple
+    with an outcome, and an outcome is (opened labels, lowest key,
+    factor index) for a nonzero quarter-key polynomial of
+    ``_shape_rules``.  ``factors[i]`` is a distinct coefficient tuple of
+    those polynomials at stride 2 above their lowest key, None at i = 0
+    for the monomial 1, and ``uses[i]`` counts the outcomes with factor
+    i.  ``h`` is the step's factor of the coefficient bound
+    (``_Weights``)."""
+    rules, h = _shape_rules(n, shape)
+    index, uses, table = {None: 0}, [0], []
+    for labels, outs in rules.items():
+        found = []
+        for writes, poly in outs.items():
+            poly = {key: c for key, c in poly.items() if c}
+            if not poly:
+                continue
+            lo = min(poly)
+            coeffs = None
+            if poly != {lo: 1}:
+                coeffs = [0] * ((max(poly) - lo) // 2 + 1)
+                for key, c in poly.items():
+                    if (key - lo) & 1:
+                        raise AssertionError("entry exponents of mixed "
+                                             "parity")
+                    coeffs[(key - lo) >> 1] = c
+                coeffs = tuple(coeffs)
+            i = index.setdefault(coeffs, len(index))
+            if i == len(uses):
+                uses.append(0)
+            uses[i] += 1
+            found.append((writes, lo, i))
+        if found:
+            table.append((labels, tuple(found)))
+    return tuple(table), h, tuple(index), tuple(uses)
+
+
+@functools.cache
+def _placed(n, shape, consumed, opened):
+    """The rules of a shape at color n (``_shape_table``) placed on the
+    registers of a step, built once per process: its consumed arcs sit
+    in the registers ``consumed`` and its opened arcs go to ``opened``,
+    both in slot order.  One (local, ((flip, shift, factor), ...)) per
+    consumed-label tuple, with ``local`` its labels in their registers'
+    fields of n.bit_length() bits, and ``flip`` the xor of ``local`` and
+    the opened labels in their fields.  ``factor`` is None on every
+    outcome of a tuple whose outcomes are all monomials, which the
+    frontier reads as they are, and a factor index otherwise."""
+    width = n.bit_length()
+    placed = {}
+
+    def place(labels, registers):
+        key = 0
+        for label, r in zip(labels, registers):
+            key |= label << (r * width)
+        return key
+    out = []
+    for labels, rules in _shape_table(n, shape)[0]:
+        local = place(labels, consumed)
+        found = []
+        for writes, shift, i in rules:
+            key = placed.get(writes)
+            if key is None:
+                key = placed[writes] = place(writes, opened)
+            found.append((local ^ key, shift, i))
+        if not any(i for _, _, i in rules):
+            found = [(flip, shift, None) for flip, shift, _ in found]
+        out.append((local, tuple(found)))
+    return tuple(out)
+
+
 class _Weights:
     """The local algebra of weight labels on arcs: the colored R-matrix
     vertex model at color n of a diagram whose steps have the ``shapes``
@@ -629,12 +720,17 @@ class _Weights:
     (``_turning_numbers``) carries q**(-(n - 2i) t / 2), charged at the
     step that opens it, or, for a self-arc, at its crossing.  A step's
     rules are worked out for every consumed-label tuple before the sum
-    runs, once per distinct shape (``_shape_rules``), and re-keyed once
-    per distinct (shape, registers) to the registers of its ``steps``
-    (``_rekey``): steps of one shape and registers share one table
-    object, and ``tables`` holds one per step.  A register holds a
-    label in ``width`` = n.bit_length() bits.  The tables live as long
-    as the algebra, one call.
+    runs, once per process per (color, shape) (``_shape_table``), and
+    placed once per process per (color, shape, registers) on the
+    registers of its ``steps`` (``_placed``).  What depends on ``bits``
+    is all that a call builds: it packs each distinct coefficient tuple
+    once, and fills one table per distinct (shape, registers), which
+    steps of that shape and registers share and ``tables`` holds one per
+    step; a consumed-label tuple whose outcomes are all monomials keeps
+    its placed rules as they are.  A register holds a label in
+    ``width`` = n.bit_length() bits.  The tables a call fills live as
+    long as the algebra, one call, and a state sum adds nothing to them
+    (``_frontier``).
 
     Exponents are quarter-keys at stride 2.  Every entry's exponents
     share the parity of n**2: k(k-1), the quantum binomials' and the
@@ -654,86 +750,50 @@ class _Weights:
     |c| < 2**(bits - 1), which ``_unpack`` reads back exactly; the
     decoded sum is checked against H.
 
-    The budget charges the rules of each distinct shape once, in
-    ``table_bytes``: ``_RULE_BYTES`` a rule plus its packed factor's
-    bytes, on top of the frontier states.  The re-keyed copies of one
-    shape's table share its factors (see ``_RULE_BYTES``).
+    The budget charges the rules of each distinct shape that a call
+    reads once, in ``table_bytes``: ``_RULE_BYTES`` a rule plus its
+    packed factor's bytes, on top of the frontier states, though the
+    label-keyed and placed rules outlive the call.  The tables of one
+    shape share its packed factors (see ``_RULE_BYTES``).
     """
 
     shift = 1
 
     def __init__(self, n, steps, shapes):
-        built = {}
-        for shape in shapes:
-            if shape not in built:
-                built[shape] = _shape_rules(n, shape)
+        built = {shape: _shape_table(n, shape)
+                 for shape in dict.fromkeys(shapes)}
         bound = prod(built[shape][1] for shape in shapes)
         self.bound, self.bits = bound, bound.bit_length() + 1
-        packed, count, digits = {}, 0, 0
-        for shape, (rules, _) in built.items():
-            table = packed[shape] = {}
-            for local, outs in rules.items():
-                found = []
-                for writes, poly in outs.items():
-                    rule = _packed_rule(writes, poly, self.bits)
-                    if rule:
-                        found.append(rule)
-                        if rule[2] is not None:
-                            digits += rule[2].bit_length()
-                table[local] = tuple(found)
-                count += len(found)
+        # each distinct coefficient tuple packed once, and per shape its
+        # packed factors by index, None for 1
+        packed, factors, count, digits = {None: None}, {}, 0, 0
+        for shape, (_, _, coeffs, uses) in built.items():
+            ints = factors[shape] = []
+            for c, used in zip(coeffs, uses):
+                if c not in packed:
+                    packed[c] = _pack(c, self.bits)
+                p = packed[c]
+                if p is not None:
+                    digits += used * p.bit_length()
+                ints.append(p)
+                count += used
         self.table_bytes = count * _RULE_BYTES + digits * 2 // 15
         self.width = n.bit_length()
-        rekeyed, self.tables = {}, []
+        tables, self.tables = {}, []
         for shape, (_, _, consumed, _, opens) in zip(shapes, steps):
-            regs = shape, tuple(consumed), tuple(opens)
-            if regs not in rekeyed:
-                rekeyed[regs] = _rekey(packed[shape], consumed,
-                                       [opens[s] for s in shape[3]],
-                                       self.width)
-            self.tables.append(rekeyed[regs])
+            regs = shape, tuple(consumed), tuple([opens[s] for s in shape[3]])
+            table = tables.get(regs)
+            if table is None:
+                ints = factors[shape]
+                table = tables[regs] = {
+                    local: rules if rules[0][2] is None else tuple(
+                        [(flip, shift, ints[i]) for flip, shift, i in rules])
+                    for local, rules in _placed(n, *regs)}
+            self.tables.append(table)
 
     def rules(self, k, step):
         # a consumed-label key without a rule has no outcome
         return self.tables[k], lambda local: ()
-
-
-def _rekey(table, consumed, opened, width):
-    """A shape's label-keyed table as the table of a step whose consumed
-    arcs sit in the registers ``consumed`` and whose opened arcs go to
-    ``opened``, both in slot order: each consumed-label tuple becomes
-    ``local``, its labels in their registers' fields of ``width`` bits,
-    and each rule's opened labels become ``flip``, ``local`` xor the
-    opened labels in their fields."""
-    def place(labels, registers):
-        key = 0
-        for label, r in zip(labels, registers):
-            key |= label << (r * width)
-        return key
-    out = {}
-    for labels, rules in table.items():
-        local = place(labels, consumed)
-        out[local] = tuple((local ^ place(writes, opened), shift, factor)
-                           for writes, shift, factor in rules)
-    return out
-
-
-def _packed_rule(writes, poly, bits):
-    """The rule (writes, shift, packed factor) of a quarter-key
-    polynomial at stride 2, with factor None for 1, or None for 0;
-    ``writes`` are the opened labels, which ``_rekey`` places."""
-    poly = {key: c for key, c in poly.items() if c}
-    if not poly:
-        return None
-    lo = min(poly)
-    if poly == {lo: 1}:
-        return writes, lo, None
-    coeffs = [0] * ((max(poly) - lo) // 2 + 1)
-    for key, c in poly.items():
-        if (key - lo) & 1:
-            raise AssertionError("entry exponents of mixed parity")
-        coeffs[(key - lo) >> 1] = c
-    return writes, lo, _pack(coeffs, bits)
 
 
 def bracket_colored_jones(pd, n, limit_mb=None):
@@ -745,9 +805,10 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     along the frontier core.  The diagram's frame (``_frame``: the
     contraction steps, the writhe and each step's shape) is built, and
     the diagram validated, once per diagram and cached, at color 0
-    too; a call builds one rule table per distinct shape at its color,
-    re-keyed to the registers of its steps, and keeps the tables for
-    that call only.  With w the writhe,
+    too.  A step's rules are built once per process per (color, shape)
+    and placed once per (color, shape, registers); a call packs their
+    factors at its bits and keeps the tables it fills for that call
+    only.  With w the writhe,
     J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with
     [n+1] = (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
     state's polynomial is packed into one int at stride 2 in

@@ -854,14 +854,21 @@ def load_slope_db(path):
             for ln, key, rest in _tsv_rows(path)}
 
 
+# the diagrams that ``load_knot_table`` has validated, which the vertex
+# model's frame (``engine._frame``) does not validate again
+_TABLE_PDS = set()
+
+
 def load_knot_table(path):
-    """Load a knot table: ``knot-key <TAB> pd:[(a,b,c,d),...]``."""
+    """Load a knot table: ``knot-key <TAB> pd:[(a,b,c,d),...]``.  Each
+    diagram is validated here and recorded in ``_TABLE_PDS``."""
     table = {}
     for ln, key, rest in _tsv_rows(path):
         rest = rest.strip()
         if not rest.startswith("pd:"):
             raise ValueError("%s:%d: expected pd:[...] entry" % (path, ln))
         table[key] = parse_knot(rest).pd
+    _TABLE_PDS.update(table.values())
     return table
 
 

@@ -232,6 +232,34 @@ def test_pretzel_degrees_are_copies():
     assert seeds == (P237_DELTA[:3], [0, 5, 10])
 
 
+def _fraction_extension(vals, tail_gf, n_max):
+    """The recurrence f(n+3) = d3(n) + 3 f(n+2) - 3 f(n+1) + f(n) run on
+    Fractions, with d3 the series of tail_gf, zero when it is None."""
+    out = [Fraction(x) for x in vals[:n_max + 1]]
+    d3 = tail_gf.series(n_max - 2) if tail_gf is not None else None
+    while len(out) <= n_max:
+        step = d3[len(out) - 3] if d3 is not None else 0
+        out.append(step + 3 * out[-1] - 3 * out[-2] + out[-3])
+    return out
+
+
+def test_pretzel_degrees_equal_the_fraction_recurrence():
+    # every pretzel of the benchmark up to color 63, on its state-sum
+    # seeds and on seeds with halves, which the integer recurrence scales
+    # by their common denominator and back
+    for p in range(-15, 20, 2):
+        tails = closedforms._pretzel_tails(p)
+        for seeds in (Pretzel237(p).degrees(2),
+                      ([Fraction(1, 2), Fraction(3), Fraction(-7, 2)],
+                       [Fraction(0), Fraction(5, 2), Fraction(4)])):
+            got = pretzel_degrees(p, 63, seeds)
+            for side, tail, values in zip(seeds, tails, got):
+                want = _fraction_extension(side, tail, 63)
+                assert len(values) == 64
+                assert all(type(v) is Fraction for v in values), p
+                assert values == want, p
+
+
 @pytest.mark.parametrize("p", [-5, 7])
 def test_pretzel_tails_match_the_state_sum_at_color_3(p):
     # color 3 is the first color the generating functions extrapolate;

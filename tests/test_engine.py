@@ -643,8 +643,10 @@ def test_vertex_budget_counts_each_packed_int_once(monkeypatch):
 def _per_step_tables(pd, n, steps):
     """The vertex model's rule tables built step by step, each from the
     diagram's strand walk and turning numbers and keyed by the step's
-    registers, with (bound, bits): the oracle of the tables ``_Weights``
-    re-keys from one table per shape."""
+    registers, with (bound, bits), each factor packed at stride 2 from
+    its lowest key: the oracle of the tables ``_Weights`` fills from
+    the rules that it builds once per shape and places once per
+    registers."""
     ends = engine._arc_endpoints(pd)
     signs = [None] * len(pd)
     for ci, slot in engine._component_walk(pd, ends):
@@ -685,9 +687,20 @@ def _per_step_tables(pd, n, steps):
     for rules in grouped:
         table = {}
         for local, outs in rules.items():
-            packed = (engine._packed_rule(writes, poly, bits)
-                      for writes, poly in outs.items())
-            table[local] = tuple(rule for rule in packed if rule)
+            found = []
+            for flip, poly in outs.items():
+                poly = {key: c for key, c in poly.items() if c}
+                if not poly:
+                    continue
+                lo = min(poly)
+                assert all((key - lo) % 2 == 0 for key in poly)
+                factor = None if poly == {lo: 1} else sum(
+                    poly.get(key, 0) << ((key - lo) // 2 * bits)
+                    for key in range(lo, max(poly) + 1, 2))
+                found.append((flip, lo, factor))
+            # a consumed-label key without an outcome has no rule
+            if found:
+                table[local] = tuple(found)
         tables.append(table)
     return tables, bound, bits
 
@@ -783,6 +796,46 @@ def test_steps_of_one_shape_share_one_table(monkeypatch):
     assert len(owner) == len({id(table) for table in tables}) == 8
 
 
+def test_rule_tables_built_once_per_color_and_shape(monkeypatch):
+    # the 18 pretzels of the benchmark have 11 distinct step shapes and
+    # 16 distinct placements on registers at each color, and each is
+    # built once per process, whatever diagram asks for it
+    algebras = _algebras(monkeypatch)
+    engine._shape_table.cache_clear()
+    engine._placed.cache_clear()
+    pds = [pretzel_pd([-2, 3, p]) for p in range(-15, 20, 2)]
+    for n in (1, 2):
+        for pd in pds:
+            bracket_colored_jones(pd, n)
+        assert engine._shape_table.cache_info().misses == 11 * n
+        assert engine._placed.cache_info().misses == 16 * n
+    assert len(algebras) == 36
+
+
+def test_state_sum_leaves_the_tables_unchanged():
+    # a state sum reads its tables and writes none: a consumed-label key
+    # without a rule is not stored, though 8_19 at color 3 meets 48 of
+    # them, and the tables built once per process, tuples, are still
+    # the ones the caches hand out
+    cases = [(pretzel_pd([-2, 3, p]), n) for p in range(-15, 20, 2)
+             for n in (1, 2)] + [(bundled_knot_table()["8_19"], 3)]
+    for pd, n in cases:
+        steps, _, shapes = engine._frame(validate_pd(pd))
+        algebra = engine._Weights(n, steps, shapes)
+        tables = [dict(table) for table in algebra.tables]
+        cached = [(engine._shape_table(n, shape),
+                   engine._placed(n, shape, tuple(consumed),
+                                  tuple(opens[s] for s in shape[3])))
+                  for shape, (_, _, consumed, _, opens) in zip(shapes, steps)]
+        engine._frontier(steps, algebra, 1 << 30)
+        assert algebra.tables == tables
+        assert all(engine._shape_table(n, shape) is built and
+                   engine._placed(n, shape, tuple(consumed),
+                                  tuple(opens[s] for s in shape[3])) is placed
+                   for shape, (_, _, consumed, _, opens), (built, placed)
+                   in zip(shapes, steps, cached))
+
+
 def test_frame_built_once_per_diagram(monkeypatch):
     calls = {"_turning_numbers": 0, "_pick_order": 0}
 
@@ -803,8 +856,11 @@ def test_frame_built_once_per_diagram(monkeypatch):
 
 
 def test_diagram_validated_once_per_diagram(monkeypatch):
-    # colors 0-3 of one diagram validate it once, in its cached frame,
-    # and the tracer's hooks on the module still see every call
+    # colors 0-3 of a diagram that nothing has validated, 8_19 with its
+    # crossing list rotated, validate it once, in its cached frame, and
+    # the tracer's hooks on the module still see every call; the bundled
+    # 8_19, which the knot table validated as it loaded, is not
+    # validated again
     calls = {"validate_pd": 0, "_pick_order": 0}
 
     def counted(name):
@@ -817,10 +873,15 @@ def test_diagram_validated_once_per_diagram(monkeypatch):
     for name in calls:
         monkeypatch.setattr(engine, name, counted(name))
     engine._frame.cache_clear()
-    pd = bundled_knot_table()["8_19"]
+    bundled = bundled_knot_table()["8_19"]
+    pd = bundled[1:] + bundled[:1]
     for n in range(4):
         assert bracket_colored_jones(pd, n) == morton_colored_jones(3, 4, n)
     assert calls == {"validate_pd": 1, "_pick_order": 1}
+    for n in range(4):
+        assert bracket_colored_jones(bundled, n) == \
+            morton_colored_jones(3, 4, n)
+    assert calls == {"validate_pd": 1, "_pick_order": 2}
 
 
 def test_invalid_diagrams_raise_on_every_call():
