@@ -232,8 +232,9 @@ _OPTIONS = {
     "--max-n": dict(type=_integer_option),
     "--kind": dict(choices=["max", "min", "span", "sum"],
                    help="degree kind (default max)"),
-    "--max-period": dict(type=_integer_option, default=16),
-    "--max-transient": dict(type=_integer_option, default=8),
+    "--max-period": dict(type=_integer_option, default=quasifit.MAX_PERIOD),
+    "--max-transient": dict(type=_integer_option,
+                            default=quasifit.MAX_TRANSIENT),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--limit-mb": dict(type=_integer_option,
                        help="memory budget of the vertex model's state "

@@ -41,9 +41,8 @@ exponent shift and a packed factor.  The two local algebras are
   once per color (``_r_tables``), and each arc carries a power of q
   from its turning number (``_turning_numbers``).  What does not depend
   on the color (the steps, crossing signs, writhe and turning numbers)
-  is one frame per diagram (``_frame``, cached, which also validates
-  the diagram once if no knot table did as it loaded), which gives
-  each step a shape.  A step's rules are built once per process per (color,
+  is one frame per diagram (``_frame``, cached), which gives each
+  step a shape.  A step's rules are built once per process per (color,
   shape), label-keyed (``_shape_table``), and placed once per process
   per (color, shape, registers) on the registers of the steps of that
   shape (``_placed``); a call only packs their factors at its bits and
@@ -90,9 +89,8 @@ from fractions import Fraction
 from math import comb, prod
 
 from .laurent import LaurentPoly, _wrap
-from .knots import (_A_PAIRING, _B_PAIRING, _TABLE_PDS, _arc_endpoints,
-                    _check_torus, _classify, _component_walk, _int_pd,
-                    _left_faces, validate_pd)
+from .knots import (_A_PAIRING, _B_PAIRING, _check_torus, _classify,
+                    _int_pd, _reading, validate_pd)
 from .quasifit import load_sequence
 
 __all__ = [
@@ -510,10 +508,11 @@ def _r_tables(n):
             for sign, entries in tables.items()}
 
 
-def _turning_numbers(pd, ends, into):
+def _turning_numbers(pd, ends, left_faces, into):
     """The integer turning number of each arc of a diagram whose
     crossings stand upright, their in-slots (``into[crossing, slot]``)
-    at the bottom.  Along a face's walk (``_left_faces``) a corner
+    at the bottom, from its arc ends and its faces
+    (``knots._left_faces``).  Along a face's walk a corner
     between two in-slots or two out-slots is a cusp, which turns by
     1/2, and an arc turns by its number, with the sign of the walk's
     direction along it.  A bounded face turns by +1 in all and the outer
@@ -521,7 +520,7 @@ def _turning_numbers(pd, ends, into):
     graph rooted at the outer face, with 0 on the arcs off the tree;
     Euler's formula makes the demands consistent, which is checked on
     the outer face."""
-    face_of, walks = _left_faces(pd, ends)
+    face_of, walks = left_faces
     # (cusps, [(arc, +-1), ...]) per face
     faces = [(sum(into[ci, s] == into[ci, (s + 3) % 4] for ci, s in walk),
               [(pd[ci][s], 1 if into[ci, s] else -1) for ci, s in walk])
@@ -551,10 +550,10 @@ def _turning_numbers(pd, ends, into):
 @functools.cache
 def _frame(pd):
     """The color-independent frame of the vertex model on a diagram
-    ``pd`` of int labels (``knots._int_pd``), which it validates first:
-    (steps, writhe, shapes), with ``steps`` the bookkeeping (``_steps``)
-    of the order ``_pick_order`` picks and ``shapes`` one shape per
-    step.  The empty diagram has no steps.
+    ``pd`` of int labels (``knots._int_pd``): (steps, writhe, shapes),
+    with ``steps`` the bookkeeping (``_steps``) of the order
+    ``_pick_order`` picks and ``shapes`` one shape per step.  The empty
+    diagram has no steps.
 
     A step's rules at color n, keyed by labels, depend only on its
     shape: the sign of its crossing, its consumed slots ``at``, its
@@ -564,30 +563,25 @@ def _frame(pd):
     self-arc.  A shape names slots, not registers, so steps of one
     shape, in any diagram, share one label-keyed table per color
     (``_shape_table``), which is placed on each step's registers
-    (``_placed``).  So the signs, the strand walk and the turning
-    numbers are worked out once per diagram.
+    (``_placed``).  The signs and turning numbers are read off the
+    diagram's strand walk and faces (``knots._reading``, which checks
+    it).
 
     Cached, as the pretzel seeds ask for colors 0, 1 and 2 of one
-    diagram, so every caller shares the frame and only reads it, and
-    ``validate_pd`` runs once per diagram, here, unless a knot table
-    has validated it as it loaded (``knots._TABLE_PDS``); a ``pretzel:``
-    spec leaves the validation of its diagram to this frame.  An
+    diagram, so every caller shares the frame and only reads it.  An
     invalid diagram raises and is not cached, so it raises on every
-    call; a label that is no int, such as 1.0, is refused by
-    ``_int_pd`` before the cache is looked up."""
-    if pd not in _TABLE_PDS:
-        pd = validate_pd(pd)
+    call."""
+    ends, walk, faces = _reading(pd)
     if not pd:
         return (), 0, ()
     steps, _ = _steps(pd, _pick_order(pd))
-    ends = _arc_endpoints(pd)
     signs = [None] * len(pd)
-    for ci, slot in _component_walk(pd, ends):
+    for ci, slot in walk:
         if slot % 2:
             signs[ci] = slot == 3
     into = {(ci, s): i < 2 for ci, sign in enumerate(signs)
             for i, s in enumerate(_upright(sign))}
-    turning = _turning_numbers(pd, ends, into)
+    turning = _turning_numbers(pd, ends, faces, into)
     shapes = []
     for idx, at, _, links, opens in steps:
         opened = tuple(s for s in range(4) if opens[s] is not None)
@@ -803,12 +797,11 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     (``_Weights``): the sum Z over the weight labellings of its arcs of
     the products of R and R**-1 entries and arc factors, contracted
     along the frontier core.  The diagram's frame (``_frame``: the
-    contraction steps, the writhe and each step's shape) is built, and
-    the diagram validated, once per diagram and cached, at color 0
-    too.  A step's rules are built once per process per (color, shape)
-    and placed once per (color, shape, registers); a call packs their
-    factors at its bits and keeps the tables it fills for that call
-    only.  With w the writhe,
+    contraction steps, the writhe and each step's shape) is built once
+    per diagram and cached, at color 0 too.  A step's rules are built
+    once per process per (color, shape) and placed once per (color,
+    shape, registers); a call packs their factors at its bits and keeps
+    the tables it fills for that call only.  With w the writhe,
     J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with
     [n+1] = (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
     state's polynomial is packed into one int at stride 2 in

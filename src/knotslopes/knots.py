@@ -21,8 +21,7 @@ diagram's counts, and every other side comes from the kind's
 ``Torus`` specs on neither, so Morton's formula is their source: its
 numerator gives both degrees without the polynomial.
 The ``pretzel:``, ``name:`` and ``pd:`` kinds read their counts and
-adequacy off a diagram with ``_classify``, in one cached pass over a
-diagram that ``validate_pd`` has checked; their sources are the
+adequacy off a diagram with ``_classify``; their sources are the
 vertex model's seeds plus the family's tails, the bundled ``.seq``
 files and the vertex model.  Spec integers are ASCII digits.
 A kind answers for the unmirrored knot, and one rule in ``_Spec``
@@ -344,8 +343,7 @@ class Pretzel237(_DiagramSpec):
     """The (-2, 3, p) pretzel knot for odd p.  Its diagram is adequate on
     one side only.  Its degree source computes colors 0..2 by the state
     sum and hands them to ``closedforms.pretzel_degrees``, which extends
-    both lists by the family's generating functions.  The state sum's
-    frame is where its diagram is validated, once (``_pretzel237_pd``)."""
+    both lists by the family's generating functions."""
 
     def __init__(self, p, mirror=False):
         if p % 2 == 0:
@@ -377,13 +375,14 @@ class Pretzel237(_DiagramSpec):
 
 @functools.cache
 def _pretzel237_pd(p):
-    """The (-2, 3, p) pretzel diagram, validated once, by the first state
-    sum of its degrees (``engine._frame``), not by the generator."""
-    return _pretzel_diagram([-2, 3, p])
+    """The (-2, 3, p) pretzel diagram."""
+    return pretzel_pd([-2, 3, p])
 
 
 _PD_TUPLE_RE = re.compile(
     r"\(%s\)" % ",".join([r"\s*(%s)\s*" % _INTEGER.pattern] * 4), re.ASCII)
+# the one comma between two pd tuples, which something follows
+_PD_COMMA_RE = re.compile(r"\s*,\s*(?=\S)")
 
 
 def parse_knot(text):
@@ -418,16 +417,19 @@ def parse_knot(text):
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError("pd spec must be bracketed: %r" % text)
         inner = body[1:-1].strip()
-        tuples = []
-        pos = 0
+        tuples, pos = [], 0
         while pos < len(inner):
+            if tuples:
+                m = _PD_COMMA_RE.match(inner, pos)
+                if not m:
+                    raise ValueError("expected a comma and a pd tuple at %r"
+                                     % inner[pos:])
+                pos = m.end()
             m = _PD_TUPLE_RE.match(inner, pos)
             if not m:
                 raise ValueError("malformed pd tuple at %r" % inner[pos:])
             tuples.append(tuple(int(g) for g in m.groups()))
             pos = m.end()
-            while pos < len(inner) and inner[pos] in ", ":
-                pos += 1
         return Diagram(tuple(tuples), mirror=mirror)
     if kind == "name:":
         return Named(body, mirror=mirror)
@@ -525,15 +527,22 @@ def validate_pd(pd):
     Requirements: every label is an integer, every arc appears exactly
     twice, the diagram is a single closed component, the walk enters
     every under-strand at slot 0 (the PD orientation convention), and
-    the rotation system is planar by the Euler formula.  Every diagram
-    a spec holds passes here once, so ``_classify`` reads it without
-    checking it again: a ``pretzel:`` spec's diagram, built by the
-    pretzel generator, passes in the frame of its first state sum
-    (``engine._frame``), which its degrees and polynomials run.
+    the rotation system is planar by the Euler formula.  The checks
+    after the labels run once per diagram and process (``_reading``).
     """
     pd = _int_pd(pd)
+    _reading(pd)
+    return pd
+
+
+@functools.cache
+def _reading(pd):
+    """``validate_pd``'s checks of a diagram of int labels, and what they
+    read off it: (``_arc_endpoints``, ``_component_walk``, ``_left_faces``).
+    Cached, for ``_classify`` and the vertex model's frame, which only
+    read it; an invalid diagram raises on every call."""
     if not pd:
-        return pd  # the 0-crossing unknot
+        return {}, {}, ({}, [])  # the 0-crossing unknot
     ends = _arc_endpoints(pd)
     entries = _component_walk(pd, ends)
     for (ci, entry) in entries:
@@ -541,12 +550,12 @@ def validate_pd(pd):
             raise ValueError(
                 "crossing %d is entered at the outgoing under slot; "
                 "arc direction violates the PD convention" % ci)
-    # planarity: count faces of the rotation system (``_left_faces``)
-    faces = len(_left_faces(pd, ends)[1])
-    v, e = len(pd), 2 * len(pd)
-    if v - e + faces != 2:
-        raise ValueError("diagram is not planar: V-E+F = %d" % (v - e + faces))
-    return pd
+    # planarity: count faces of the rotation system
+    faces = _left_faces(pd, ends)
+    v, e, f = len(pd), 2 * len(pd), len(faces[1])
+    if v - e + f != 2:
+        raise ValueError("diagram is not planar: V-E+F = %d" % (v - e + f))
+    return ends, entries, faces
 
 
 def mirror_pd(pd):
@@ -588,7 +597,7 @@ def _canonical(pd):
 
 def smoothing_counts(pd):
     """Crossing signs and A/B smoothing circle counts for a diagram, read
-    off its classification (``_classify``) after ``validate_pd``.
+    off its classification (``_classify``).
 
     The A smoothing joins the counterclockwise-adjacent arc pairs
     (slots 0,1) and (slots 2,3); the B smoothing joins (1,2) and (3,0).
@@ -609,18 +618,18 @@ _B_PAIRING = ((1, 2), (3, 0))
 
 @functools.cache
 def _classify(pd):
-    """The ``DiagramStats`` of a validated diagram, whether it alternates,
-    and whether its all-B and its all-A state are adequate.
+    """The ``DiagramStats`` of a diagram, whether it alternates, and
+    whether its all-B and its all-A state are adequate.
 
-    One strand walk gives the crossing signs and the alternation, and one
-    circle labelling per state gives that state's circle count and its
-    adequacy: no crossing's smoothing meets the same state circle twice.
-    Cached, as a spec asks for it for its colors, degrees and checks, and
-    both evaluators of the colored Jones polynomial for the writhe.
+    The strand walk (``_reading``) gives the crossing signs and the
+    alternation, and one circle labelling per state gives that state's
+    circle count and its adequacy: no crossing's smoothing meets the
+    same state circle twice.  Cached, as a spec asks for it for its
+    colors, degrees and checks, and both evaluators for the writhe.
     """
     if not pd:
         return DiagramStats(0, 0, 1, 1), False, True, True
-    entries = _component_walk(pd, _arc_endpoints(pd))
+    entries = _reading(pd)[1]
     slots = [slot for _, slot in entries]  # entry slots in walk order
     unders = [slot == 0 for slot in slots]
     alternating = all(u != v for u, v in zip(unders, unders[1:] + unders[:1]))
@@ -749,11 +758,6 @@ def pretzel_pd(twists):
     Each entry is a signed number of crossings in one vertical band;
     bands are joined left to right and closed around the outside.
     """
-    return validate_pd(_pretzel_diagram(twists))
-
-
-def _pretzel_diagram(twists):
-    """``pretzel_pd`` before its validation."""
     if not twists or all(t == 0 for t in twists):
         raise ValueError("pretzel needs at least one twist")
     b = _Builder()
@@ -768,7 +772,7 @@ def _pretzel_diagram(twists):
         _union(b.parent, ports[j][3], ports[j + 1][2])
     _union(b.parent, ports[0][0], ports[-1][1])  # outer top arc
     _union(b.parent, ports[0][2], ports[-1][3])  # outer bottom arc
-    return b.finish()
+    return validate_pd(b.finish())
 
 
 def two_bridge_pd(partial_quotients):
@@ -854,21 +858,15 @@ def load_slope_db(path):
             for ln, key, rest in _tsv_rows(path)}
 
 
-# the diagrams that ``load_knot_table`` has validated, which the vertex
-# model's frame (``engine._frame``) does not validate again
-_TABLE_PDS = set()
-
-
 def load_knot_table(path):
-    """Load a knot table: ``knot-key <TAB> pd:[(a,b,c,d),...]``.  Each
-    diagram is validated here and recorded in ``_TABLE_PDS``."""
+    """Load a knot table: ``knot-key <TAB> pd:[(a,b,c,d),...]``, each
+    diagram validated."""
     table = {}
     for ln, key, rest in _tsv_rows(path):
         rest = rest.strip()
         if not rest.startswith("pd:"):
             raise ValueError("%s:%d: expected pd:[...] entry" % (path, ln))
         table[key] = parse_knot(rest).pd
-    _TABLE_PDS.update(table.values())
     return table
 
 

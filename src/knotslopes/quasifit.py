@@ -36,6 +36,10 @@ __all__ = [
     "integrality_check", "load_sequence",
 ]
 
+# the default fit window of ``fit`` and ``detect_period``
+MAX_PERIOD = 16
+MAX_TRANSIENT = 8
+
 
 # ---------------------------------------------------------------------------
 # polynomials in z, held as the LaurentPoly of the same polynomial in q
@@ -258,7 +262,7 @@ def difference(seq, k=1):
     return out
 
 
-def detect_period(seq, max_period=16, max_transient=8):
+def detect_period(seq, max_period=MAX_PERIOD, max_transient=MAX_TRANSIENT):
     """Smallest (transient, period) in lexicographic order making the
     sequence eventually periodic; returned as (period, transient).
 
@@ -388,7 +392,7 @@ def _reject_cubic(ints, max_period, max_transient):
                          "a nonzero mean")
 
 
-def fit(seq, max_period=16, max_transient=8):
+def fit(seq, max_period=MAX_PERIOD, max_transient=MAX_TRANSIENT):
     """Fit an exact quadratic quasi-polynomial to a sequence.
 
     Candidates come from per-class interpolation over (transient,

@@ -116,8 +116,8 @@ class SlopeReport:
         return "\n".join(lines)
 
 
-def analyze(spec, n_max, max_period=16, max_transient=8, limit_mb=None,
-            db=None):
+def analyze(spec, n_max, max_period=quasifit.MAX_PERIOD,
+            max_transient=quasifit.MAX_TRANSIENT, limit_mb=None, db=None):
     """Fit both degree sequences of a knot up to color n_max and check
     twice the slopes against the boundary-slope data."""
     dmax, dmin = spec.degrees(n_max, limit_mb)

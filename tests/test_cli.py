@@ -256,6 +256,21 @@ def test_integers_are_ascii_digits(capsys, argv, token):
     assert token in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, fault", [
+    ("(1,2,3,4)(2,5,6,3),(5,1,4,6)", "(2,5,6,3),(5,1,4,6)"),
+    ("(1,2,3,4),,,(2,5,6,3),(5,1,4,6)", ",,(2,5,6,3),(5,1,4,6)"),
+    ("(1,2,3,4) (2,5,6,3) (5,1,4,6)", " (2,5,6,3) (5,1,4,6)"),
+    ("(1,2,3,4),(2,5,6,3),(5,1,4,6),", ",")],
+    ids=["no-comma", "three-commas", "spaces-only", "trailing-comma"])
+def test_pd_tuples_need_one_comma_between_them(capsys, body, fault):
+    code, out, err = run(capsys, "compute", "pd:[%s]" % body)
+    assert (code, out) == (2, "")
+    assert repr(fault) in err
+    # spaces around the one comma are allowed
+    assert run(capsys, "compute", "pd:[(1,2,3,4) , (2,5,6,3),(5,1,4,6)]") \
+        == (0, "q + q^3 - q^4\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("degrees", "name:8_19", "--max-n", "3", "--limit-mb", "-1"),
     ("compute", "name:3_1", "--n", "1", "--limit-mb", "-5")],

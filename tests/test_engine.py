@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotslopes import engine
+from knotslopes import engine, knots
 from knotslopes.engine import (EngineLimitError, bracket_colored_jones,
                                degree_sequence, morton_colored_jones)
 from knotslopes.knots import (Diagram, Named, Pretzel237, Torus,
@@ -571,7 +571,7 @@ def test_vertex_model_does_not_depend_on_the_outer_face():
     # arcs moves nothing and must not matter either
     for pd in (bundled_knot_table()["9_42"], pretzel_pd([-2, 3, 5])):
         want = bracket_colored_jones(pd, 2)
-        faces = engine._left_faces(pd, engine._arc_endpoints(pd))[0]
+        faces = knots._left_faces(pd, knots._arc_endpoints(pd))[0]
         assert len({faces[k, 0] for k in range(len(pd))}) >= 4
         for k in range(len(pd)):
             assert bracket_colored_jones(pd[k:] + pd[:k], 2) == want, k
@@ -646,16 +646,18 @@ def _per_step_tables(pd, n, steps):
     registers, with (bound, bits), each factor packed at stride 2 from
     its lowest key: the oracle of the tables ``_Weights`` fills from
     the rules that it builds once per shape and places once per
-    registers."""
-    ends = engine._arc_endpoints(pd)
+    registers.  It walks the diagram itself, not through the cached
+    reading (``knots._reading``)."""
+    ends = knots._arc_endpoints(pd)
     signs = [None] * len(pd)
-    for ci, slot in engine._component_walk(pd, ends):
+    for ci, slot in knots._component_walk(pd, ends):
         if slot % 2:
             signs[ci] = slot == 3
     frames = [(3, 0, 1, 2) if sign else (0, 1, 2, 3) for sign in signs]
     into = {(ci, s): i < 2 for ci, frame in enumerate(frames)
             for i, s in enumerate(frame)}
-    turning = engine._turning_numbers(pd, ends, into)
+    turning = engine._turning_numbers(pd, ends, knots._left_faces(pd, ends),
+                                      into)
     width = n.bit_length()
 
     def place(labels, registers):
@@ -856,32 +858,32 @@ def test_frame_built_once_per_diagram(monkeypatch):
 
 
 def test_diagram_validated_once_per_diagram(monkeypatch):
-    # colors 0-3 of a diagram that nothing has validated, 8_19 with its
-    # crossing list rotated, validate it once, in its cached frame, and
-    # the tracer's hooks on the module still see every call; the bundled
-    # 8_19, which the knot table validated as it loaded, is not
-    # validated again
-    calls = {"validate_pd": 0, "_pick_order": 0}
+    # colors 0-3 of a diagram that nothing has read, 8_19 with its
+    # crossing list rotated, check it once, in the cached reading
+    # (``knots._reading``) that its frame takes; the bundled 8_19,
+    # validated as the knot table validates it when it loads, is not
+    # read again
+    calls = []
+    pick_order = engine._pick_order
 
-    def counted(name):
-        fn = getattr(engine, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-    for name in calls:
-        monkeypatch.setattr(engine, name, counted(name))
+    def counted(pd):
+        calls.append(pd)
+        return pick_order(pd)
+    monkeypatch.setattr(engine, "_pick_order", counted)
     engine._frame.cache_clear()
-    bundled = bundled_knot_table()["8_19"]
+    knots._reading.cache_clear()
+    bundled = validate_pd(bundled_knot_table()["8_19"])
     pd = bundled[1:] + bundled[:1]
+    misses = knots._reading.cache_info().misses
     for n in range(4):
         assert bracket_colored_jones(pd, n) == morton_colored_jones(3, 4, n)
-    assert calls == {"validate_pd": 1, "_pick_order": 1}
+    assert knots._reading.cache_info().misses == misses + 1
+    assert calls == [pd]
     for n in range(4):
         assert bracket_colored_jones(bundled, n) == \
             morton_colored_jones(3, 4, n)
-    assert calls == {"validate_pd": 1, "_pick_order": 2}
+    assert knots._reading.cache_info().misses == misses + 1
+    assert calls == [pd, bundled]
 
 
 def test_invalid_diagrams_raise_on_every_call():

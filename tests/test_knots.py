@@ -1,6 +1,7 @@
 """Tests for knot specs, planar diagrams, and the bundled tables."""
 
 import dataclasses
+import os
 import re
 from fractions import Fraction
 
@@ -183,8 +184,10 @@ def test_diagram_classification():
 
 
 def test_classification_walks_the_diagram_once(monkeypatch):
-    # one strand walk and one circle labelling per state for a cache miss
-    pd = Named("9_49").pd
+    # a cache miss on a validated diagram reads the strand walk of the
+    # diagram's cached reading, which validation made, and labels the
+    # circles of each state once
+    pd = validate_pd(Named("9_49").pd)
     calls = []
     for name in ("_component_walk", "_state_circles"):
         def counted(*args, _fn=getattr(knots, name), _name=name):
@@ -193,8 +196,44 @@ def test_classification_walks_the_diagram_once(monkeypatch):
         monkeypatch.setattr(knots, name, counted)
     knots._classify.cache_clear()
     knots._classify(pd)
-    assert sorted(calls) == ["_component_walk", "_state_circles",
-                             "_state_circles"]
+    assert calls == ["_state_circles", "_state_circles"]
+
+
+def test_each_diagram_is_read_once(monkeypatch):
+    # one diagram from each source: the bundled table, the pretzel
+    # generator, a user pd: spec and the mirror of a diagram.  Building
+    # each one reads it once (``_reading``: the checks, the strand walk
+    # and the faces); after that, validation, classification, the vertex
+    # model's frame and its state sums read none of them again
+    for cache in (knots._reading, knots._classify, engine._frame):
+        cache.cache_clear()
+    reads = knots._reading.cache_info
+    table = load_knot_table(os.path.join(knots.DATA_DIR, "knots.tsv"))
+    assert reads().misses == len(table)
+    diagrams = [table["8_19"]]
+    for build in (
+            lambda: pretzel_pd([-2, 3, 5]),
+            lambda: parse_knot(
+                "pd:[(11,12,13,14),(12,15,16,13),(15,11,14,16)]").pd,
+            lambda: mirror_pd(diagrams[1])):
+        misses = reads().misses
+        diagrams.append(build())
+        assert reads().misses == misses + 1
+    calls = []
+    for name in ("_arc_endpoints", "_component_walk", "_left_faces"):
+        monkeypatch.setattr(knots, name,
+                            lambda *args, _name=name: calls.append(_name))
+    misses = reads().misses
+    polys = []
+    for pd in diagrams:
+        assert validate_pd(pd) == pd
+        knots._classify(pd)
+        engine._frame(pd)
+        polys.append([engine.bracket_colored_jones(pd, n) for n in range(4)])
+    assert reads().misses == misses
+    assert calls == []
+    assert polys[3] == [j.mirror() for j in polys[1]]
+    assert [str(j) for j in polys[2][:2]] == ["1", "q + q^3 - q^4"]
 
 
 def test_bundled_degrees_must_match_the_adequate_side(monkeypatch):

@@ -82,9 +82,9 @@ def test_analyze_pretzel_p7():
 
 
 def test_analyze_validates_a_pretzel_diagram_once(monkeypatch):
-    # the generator leaves the diagram to the state sum's frame, which
-    # validates it once for colors 0, 1 and 2; it is the validated
-    # diagram of the public generator
+    # the generator validates the diagram once, and the state sum's frame
+    # for colors 0, 1 and 2 reads it without validating it again; it is
+    # the validated diagram of the public generator
     calls = []
     validate = knots.validate_pd
 
