@@ -5,15 +5,20 @@ whose coefficients are periodic with some period, valid from some
 transient index on.  Sequences of this shape have rational generating
 functions whose poles are roots of unity of order at most three.
 
-The fitter scans (transient, period) pairs and interpolates a quadratic
-through the first three samples of each residue class, checked on every
-later sample of the class.  The first candidate whose classes hold, do
-not repeat with a smaller period, and have slopes whose products with
-the squared period are integers is the model; the scan order makes it
-the smallest one, so nothing is reduced to find the period and
-transient.  The model's generating function is built only when read.
-A sequence whose third difference settles into a period with a nonzero
-sum grows like n^3 and is refused.
+The fitter works on the samples scaled to integers.  For each period p
+one backward pass finds the settle index: the first index from which
+the lag-p third differences vanish.  A quadratic per residue class
+through the first three samples of each class from the transient t on
+fits every later sample exactly when t is at or past that index, so
+the (transient, period) pairs are settled without a pass of their own.
+The first fitting pair whose classes do not repeat with a smaller
+period, and whose slopes times the squared period are integers, is the
+model; the scan order makes it the smallest one, so nothing is reduced
+to find the period and transient.  Both tests run on the integer
+numerators of the class coefficients, and Fractions are built only for
+the model that is returned.  Its generating function is built only
+when read.  A sequence whose third difference settles into a period
+with a nonzero sum grows like n^3 and is refused.
 
 The arithmetic is exact: integer kernels, Fractions at the interface.
 The cubic check, the class scan and its coefficients, the series
@@ -61,7 +66,9 @@ def _zcoeffs(poly):
 def _scaled(values):
     """Fractions times the lcm of their denominators, as integers, and
     that lcm."""
-    scale = lcm(*(x.denominator for x in values))
+    scale = lcm(*[x.denominator for x in values])
+    if scale == 1:
+        return [x.numerator for x in values], 1
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
@@ -98,6 +105,16 @@ def _factor(d):
     return f
 
 
+@lru_cache(maxsize=None)
+def _den_coeffs(factors):
+    """Ascending integer coefficients of prod F_d^m over the sorted
+    (d, m) pairs ``factors``, as a tuple: built once per denominator."""
+    out = LaurentPoly.one()
+    for d, m in factors:
+        out = out * _factor(d) ** m
+    return tuple(_zcoeffs(out))
+
+
 # ---------------------------------------------------------------------------
 # rational generating functions with cyclotomic denominators
 
@@ -118,10 +135,7 @@ class RationalGF:
 
     def den_poly(self):
         """Ascending integer coefficients of the denominator."""
-        out = LaurentPoly.one()
-        for d, m in sorted(self.den.items()):
-            out = out * _factor(d) ** m
-        return _zcoeffs(out)
+        return list(_den_coeffs(tuple(sorted(self.den.items()))))
 
     def reduced(self):
         """Cancel the factors F_d that divide the numerator.  Each F_d is
@@ -145,9 +159,11 @@ class RationalGF:
 
         The denominator has integer coefficients and constant term 1,
         so the recurrence runs on integers once the numerator is scaled
-        by the lcm of its denominators."""
+        by the lcm of its denominators.  The denominator's coefficients
+        are built once per distinct denominator (``_den_coeffs``)."""
         num, scale = _scaled(self.num)
-        taps = [(k, c) for k, c in enumerate(self.den_poly()) if k and c]
+        den = _den_coeffs(tuple(sorted(self.den.items())))
+        taps = [(k, c) for k, c in enumerate(den) if k and c]
         out = []
         for n in range(count):
             c = num[n] if n < len(num) else 0
@@ -190,7 +206,9 @@ class QuasiPolynomial:
             raise ValueError("need one coefficient triple per residue class")
         self.period = period
         self.transient = transient
-        self.classes = [tuple(Fraction(c) for c in trip) for trip in classes]
+        # Fraction(c) would copy a Fraction through an ABC check
+        self.classes = [tuple(c if isinstance(c, Fraction) else Fraction(c)
+                              for c in trip) for trip in classes]
         self._head = None
 
     @property
@@ -268,15 +286,22 @@ def detect_period(seq, max_period=MAX_PERIOD, max_transient=MAX_TRANSIENT):
 
     A candidate is only accepted when the data shows at least two full
     periods past the transient plus three more matching points:
-    len(seq) >= transient + 2 * period + 3.
+    len(seq) >= transient + 2 * period + 3.  The sequence is periodic
+    with period p from t on exactly when t is at or past p's settle
+    index on lag-p first differences, so each period takes one
+    backward pass and its smallest transient is that index.
     """
     seq = list(seq)
-    for t in range(min(max_transient, len(seq) - 5) + 1):
-        for p in range(1, min(max_period, (len(seq) - t - 3) // 2) + 1):
-            if all(seq[n] == seq[n + p] for n in range(t, len(seq) - p)):
-                return p, t
-    raise ValueError("no period up to %d with transient up to %d fits "
-                     "%d samples" % (max_period, max_transient, len(seq)))
+    best = None
+    for p in range(1, min(max_period, (len(seq) - 3) // 2) + 1):
+        t = _settle(seq, p, 1)
+        if (t <= min(max_transient, len(seq) - 3 - 2 * p)
+                and (best is None or t < best[1])):
+            best = p, t
+    if best is None:
+        raise ValueError("no period up to %d with transient up to %d fits "
+                         "%d samples" % (max_period, max_transient, len(seq)))
+    return best
 
 
 def _cyclotomic_split(power_of, mult):
@@ -292,42 +317,61 @@ def _cyclotomic_split(power_of, mult):
 # the fit
 
 
-def _try_classes(seq, t, p, scale):
+def _settle(seq, lag, order):
+    """The settle index of ``seq`` for ``lag``: the first index n from
+    which every lag-``lag`` difference of ``order`` (1 or 3) vanishes,
+    that of order 3 being seq[n + 3 lag] - 3 seq[n + 2 lag]
+    + 3 seq[n + lag] - seq[n].  One backward pass from the last
+    difference stops at the first one that is nonzero."""
+    n = len(seq) - order * lag      # one past the last difference
+    if order == 1:
+        while n > 0 and seq[n - 1 + lag] == seq[n - 1]:
+            n -= 1
+        return n
+    while n > 0 and seq[n - 1 + 3 * lag] - seq[n - 1] == \
+            3 * (seq[n - 1 + 2 * lag] - seq[n - 1 + lag]):
+        n -= 1
+    return n
+
+
+def _try_classes(seq, t, p):
     """Quadratic per residue class through the first three samples of
-    each class at indices >= t, validated on every remaining sample.
-    ``seq`` holds integers, the samples times ``scale``.  The samples of
-    a class are equally spaced, so a quadratic through the first three
-    fits every later one exactly when the class's third differences
-    vanish; only then are the coefficients read off the integer first
-    and second differences.  Returns the class list, or None if some
-    class misses or lacks three samples."""
-    starts = range(t, t + p)    # the first index of each class
-    for n0 in starts:
-        ys = seq[n0::p]
-        if len(ys) < 3:
-            return None
-        for i in range(len(ys) - 3):
-            if ys[i + 3] - 3 * ys[i + 2] + 3 * ys[i + 1] - ys[i]:
-                return None
+    each class at indices >= t, on ``seq``, the samples scaled to
+    integers.  The caller runs it only when t is at or past the settle
+    index of period p and len(seq) >= t + 3p, so every class has three
+    samples and its third differences vanish: the quadratic fits every
+    later sample of the class.  Returns the class list, (c2, c1, c0)
+    per residue, as integer numerators over 2 p^2 times the scale,
+    read off the first and second differences of each class."""
     classes = [None] * p
-    den = 2 * p * p * scale
-    for n0 in starts:
+    for n0 in range(t, t + p):    # the first index of each class
         # Newton's form in x = (n - n0)/p: y0 + d1 x + d2 x(x - 1)/2
         y0, y1, y2 = seq[n0], seq[n0 + p], seq[n0 + 2 * p]
         d1, d2 = y1 - y0, y2 - 2 * y1 + y0
         classes[n0 % p] = (
-            Fraction(d2, den),
-            Fraction(2 * p * d1 - d2 * (2 * n0 + p), den),
-            Fraction(2 * p * p * y0 - 2 * p * d1 * n0 + d2 * n0 * (n0 + p),
-                     den))
+            d2, 2 * p * d1 - d2 * (2 * n0 + p),
+            2 * p * p * y0 - 2 * p * d1 * n0 + d2 * n0 * (n0 + p))
     return classes
 
 
 def _repeats(classes):
-    """True when the class list repeats with a smaller period."""
+    """True when the class list repeats with a smaller period.  The
+    classes are integer numerators over one denominator, equal exactly
+    when their Fractions are."""
     p = len(classes)
     return any(classes == classes[:d] * (p // d)
                for d in range(1, p) if p % d == 0)
+
+
+def _model(seq, t, p, classes, scale):
+    """The fitted QuasiPolynomial: ``classes`` are integer numerators
+    over 2 p^2 ``scale``, and the samples ``seq`` below t are its head."""
+    den = 2 * p * p * scale
+    quasi = QuasiPolynomial(p, t, [(Fraction(c2, den), Fraction(c1, den),
+                                    Fraction(c0, den))
+                                   for c2, c1, c0 in classes])
+    quasi._head = seq[:t]
+    return quasi
 
 
 def _fit_classes(seq, ints, scale, max_period, max_transient):
@@ -338,36 +382,47 @@ def _fit_classes(seq, ints, scale, max_period, max_transient):
     Pairs that leave every class a fourth sample, so that some sample
     checks each class, are tried first; pairs whose thinnest class
     holds only its three interpolation points come after.  Both passes
-    run in lexicographic (t, p) order.  The class tests run on ``ints``,
-    the samples ``seq`` times ``scale``."""
-    pairs = [(t, p) for t in range(min(max_transient, len(seq) - 3) + 1)
-             for p in range(1, min(max_period, (len(seq) - t) // 3) + 1)]
-    pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
-    refusal = None
-    for t, p in pairs:
-        classes = _try_classes(ints, t, p, scale)
-        if classes is None or _repeats(classes):
-            continue
-        quasi = QuasiPolynomial(p, t, classes)
-        try:
-            integrality_check(quasi)
-        except ValueError as exc:
-            refusal = exc
-            continue
-        # The first candidate to get here is the smallest model.  A
-        # smaller one (t' <= t, p' dividing p) that also fits has at
-        # least as many samples per class, so the scan met it first, in
-        # this pass or an earlier one, with these classes cut to p'.  If
-        # p' < p, these classes repeat and _repeats skips them; if
-        # p' = p, it failed this same integrality check.
-        quasi._head = seq[:t]
-        return quasi
-    if not pairs:
+    run in lexicographic (t, p) order.  A pair's classes hold exactly
+    when t is at or past the settle index of p, which one backward pass
+    over ``ints``, the samples ``seq`` times ``scale``, finds the first
+    time p is met; only the pairs that hold reach ``_try_classes``.  A
+    slope times p^2 is d2 / scale for the class's second difference d2,
+    so the integrality test is that scale divides each d2.  Fractions
+    are built for the model returned, or for the last candidate that
+    failed only that test, whose ``integrality_check`` message is the
+    refusal."""
+    if len(seq) < 3:
         raise ValueError(
             "not enough samples: fitting period p needs at least 3p "
             "values past the transient, got %d" % len(seq))
-    if refusal is not None:
-        raise refusal
+    last_t = min(max_transient, len(seq) - 3)
+    settle = {}
+    refused = None
+    for spare in (True, False):
+        for t in range(last_t + 1):
+            room = len(seq) - t
+            lo, hi = (1, room // 4) if spare else (room // 4 + 1, room // 3)
+            for p in range(lo, min(max_period, hi) + 1):
+                if p not in settle:
+                    settle[p] = _settle(ints, p, 3)
+                if t < settle[p]:
+                    continue
+                classes = _try_classes(ints, t, p)
+                if _repeats(classes):
+                    continue
+                if any(c2 % scale for c2, _, _ in classes):
+                    refused = t, p, classes
+                    continue
+                # The first candidate to get here is the smallest model.
+                # A smaller one (t' <= t, p' dividing p) that also fits
+                # has at least as many samples per class, so the scan
+                # met it first, in this pass or an earlier one, with
+                # these classes cut to p'.  If p' < p, these classes
+                # repeat and _repeats skips them; if p' = p, it failed
+                # this same integrality test.
+                return _model(seq, t, p, classes, scale)
+    if refused is not None:
+        integrality_check(_model(seq, *refused, scale))
     raise ValueError(
         "no quadratic quasi-polynomial with period <= %d and transient "
         "<= %d fits the data" % (max_period, max_transient))
@@ -405,6 +460,12 @@ def fit(seq, max_period=MAX_PERIOD, max_transient=MAX_TRANSIENT):
     passes the integrality check, the check's last message is raised.
     Sequences whose third difference settles into a period with a
     nonzero sum are refused as cubic.
+
+    The samples are scaled to integers once (a Fraction passes as it
+    is; anything else goes through ``Fraction``).  Each period's settle
+    index is found once, by one backward pass, and decides every pair
+    with that period; the candidates are certified on integer
+    numerators, and Fractions are built only for the returned model.
     """
     if max_period < 1:
         raise ValueError("max_period must be at least 1, got %d"
@@ -412,7 +473,7 @@ def fit(seq, max_period=MAX_PERIOD, max_transient=MAX_TRANSIENT):
     if max_transient < 0:
         raise ValueError("max_transient must be nonnegative, got %d"
                          % max_transient)
-    seq = [Fraction(x) for x in seq]
+    seq = [x if isinstance(x, Fraction) else Fraction(x) for x in seq]
     ints, scale = _scaled(seq)
     _reject_cubic(ints, max_period, max_transient)
     return _fit_classes(seq, ints, scale, max_period, max_transient)

@@ -467,6 +467,168 @@ def quarter_sequences(draw):
 @settings(max_examples=200, deadline=None)
 @given(quarter_sequences(), st.integers(0, 3), st.integers(1, 6))
 def test_integer_class_test_matches_fraction_interpolation(seq, t, p):
+    # the pair fits when every class has three samples from t on and t
+    # is at or past the settle index of p; its classes are then the
+    # integer numerators of _try_classes over 2 p^2 times the scale
     ints = [int(x * 4) for x in seq]
-    assert quasifit._try_classes(ints, t, p, 4) == \
-        _try_classes_reference(seq, t, p)
+    if len(ints) - t < 3 * p or t < quasifit._settle(ints, p, 3):
+        got = None
+    else:
+        got = [tuple(Fraction(c, 2 * p * p * 4) for c in trip)
+               for trip in quasifit._try_classes(ints, t, p)]
+    assert got == _try_classes_reference(seq, t, p)
+
+
+def test_series_builds_each_denominator_once():
+    quasifit._den_coeffs.cache_clear()
+    gfs = [RationalGF([1, 2], {1: 2, 4: 1}),
+           RationalGF([Fraction(1, 3)], {4: 1, 1: 2}),
+           RationalGF([0, 5, Fraction(-7, 2)], {1: 2, 3: 0, 4: 1})]
+    for g in gfs:
+        for count in (0, 7, 20):
+            assert g.series(count) == _series_reference(g, count)
+    info = quasifit._den_coeffs.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the settle-index scans against the pair-by-pair scans they replaced
+
+
+def _detect_period_reference(seq, max_period, max_transient):
+    """The lexicographic ``all(...)`` scan ``detect_period`` used to
+    run."""
+    seq = list(seq)
+    for t in range(min(max_transient, len(seq) - 5) + 1):
+        for p in range(1, min(max_period, (len(seq) - t - 3) // 2) + 1):
+            if all(seq[n] == seq[n + p] for n in range(t, len(seq) - p)):
+                return p, t
+    raise ValueError("no period up to %d with transient up to %d fits "
+                     "%d samples" % (max_period, max_transient, len(seq)))
+
+
+def _fit_reference(seq, max_period, max_transient):
+    """The pair-by-pair route ``fit`` used to run, in Fractions: the
+    cubic check, then every (transient, period) pair, those with a
+    spare sample in every class first, through the Lagrange classes,
+    ``_repeats`` and ``integrality_check``."""
+    seq = [Fraction(x) for x in seq]
+    d3 = [seq[n + 3] - 3 * seq[n + 2] + 3 * seq[n + 1] - seq[n]
+          for n in range(len(seq) - 3)]
+    try:
+        period, t = _detect_period_reference(d3, max_period, max_transient)
+    except ValueError:
+        pass
+    else:
+        if sum(d3[t:t + period]):
+            raise ValueError("sequence is not quasi-quadratic in the "
+                             "window: third differences have period but "
+                             "a nonzero mean")
+    pairs = [(t, p) for t in range(min(max_transient, len(seq) - 3) + 1)
+             for p in range(1, min(max_period, (len(seq) - t) // 3) + 1)]
+    pairs.sort(key=lambda tp: (len(seq) - tp[0]) // tp[1] < 4)
+    refusal = None
+    for t, p in pairs:
+        classes = _try_classes_reference(seq, t, p)
+        if classes is None or quasifit._repeats(classes):
+            continue
+        quasi = QuasiPolynomial(p, t, classes)
+        try:
+            integrality_check(quasi)
+        except ValueError as exc:
+            refusal = exc
+            continue
+        quasi._head = seq[:t]
+        return quasi
+    if not pairs:
+        raise ValueError(
+            "not enough samples: fitting period p needs at least 3p "
+            "values past the transient, got %d" % len(seq))
+    if refusal is not None:
+        raise refusal
+    raise ValueError(
+        "no quadratic quasi-polynomial with period <= %d and transient "
+        "<= %d fits the data" % (max_period, max_transient))
+
+
+def _outcome(fn, seq, *window):
+    """(period, transient, classes, head) of a fit, or the message of
+    its ValueError."""
+    try:
+        q = fn(seq, *window)
+    except ValueError as exc:
+        return str(exc)
+    return q.period, q.transient, q.classes, q._head
+
+
+@st.composite
+def mixed_sequences(draw):
+    """Up to 30 samples of one shape: a quasi-polynomial, a cubic on
+    top of one, a periodic run or noise, behind up to three arbitrary
+    samples and sometimes with one sample knocked off.  Each value
+    comes as an int when it is one, a Fraction or a numeric string."""
+    kind = draw(st.sampled_from(["quasi", "cubic", "periodic", "noise"]))
+    length = draw(st.integers(0, 30))
+    if kind == "noise":
+        vals = [Fraction(draw(st.integers(-9, 9)),
+                         draw(st.sampled_from([1, 1, 2, 3])))
+                for _ in range(length)]
+    elif kind == "periodic":
+        pattern = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+        vals = [Fraction(pattern[n % len(pattern)]) for n in range(length)]
+    else:
+        q = draw(quasi_polys())
+        c3 = 0 if kind == "quasi" else Fraction(
+            draw(st.sampled_from([-2, -1, 1, 2])),
+            draw(st.sampled_from([1, 6])))
+        vals = [q.evaluate(n) + c3 * n ** 3 for n in range(length)]
+    head = draw(st.lists(st.integers(-20, 20), max_size=3))
+    vals[:len(head)] = [Fraction(v) for v in head[:length]]
+    if vals and draw(st.booleans()):
+        vals[draw(st.integers(0, len(vals) - 1))] += Fraction(
+            draw(st.sampled_from([-3, 1, 2])), draw(st.sampled_from([1, 4])))
+    return [draw(st.sampled_from(
+                [v, str(v)] + ([int(v)] if v.denominator == 1 else [])))
+            for v in vals]
+
+
+WINDOWS = st.one_of(st.just((1, 0)),
+                    st.just((quasifit.MAX_PERIOD, quasifit.MAX_TRANSIENT)),
+                    st.tuples(st.integers(1, 8), st.integers(0, 4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_sequences(), WINDOWS)
+def test_fit_matches_pair_by_pair_reference(seq, window):
+    got = _outcome(fit, seq, *window)
+    assert got == _outcome(_fit_reference, seq, *window)
+    if not isinstance(got, str):
+        assert all(isinstance(c, Fraction)
+                   for trip in got[2] for c in trip)
+        assert all(isinstance(x, Fraction) for x in got[3])
+
+
+@st.composite
+def periodic_runs(draw):
+    """A run of small integers that repeats from some index on, behind
+    up to five arbitrary ones, sometimes with one sample knocked off."""
+    pattern = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+    seq = draw(st.lists(st.integers(-2, 2), max_size=5))
+    seq = seq + [pattern[n % len(pattern)]
+                 for n in range(draw(st.integers(0, 30)))]
+    if seq and draw(st.booleans()):
+        seq[draw(st.integers(0, len(seq) - 1))] += 1
+    return seq
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(periodic_runs(), mixed_sequences()), WINDOWS)
+def test_detect_period_matches_pair_by_pair_reference(seq, window):
+    seq = [Fraction(x) for x in seq]
+    outcomes = []
+    for fn in (detect_period, _detect_period_reference):
+        try:
+            outcomes.append(fn(seq, *window))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
