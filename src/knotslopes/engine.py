@@ -33,7 +33,8 @@ a register.  A step reads the fields of the registers it consumes,
 ``local = key & cmask``, and that int keys its rules directly.  Each
 rule outcome holds one int ``flip`` that clears those fields and
 writes the new values, so the new state is ``key ^ flip``, with an
-exponent shift and a packed factor.  The two local algebras are
+exponent shift and the index of a packed factor.  The two local
+algebras are
 
 - weight labels on arcs (``_Weights``), the vertex model of
   Reshetikhin-Turaev and Kirby-Melvin: a value is the label of a basis
@@ -42,12 +43,12 @@ exponent shift and a packed factor.  The two local algebras are
   from its turning number (``_turning_numbers``).  What does not depend
   on the color (the steps, crossing signs, writhe and turning numbers)
   is one frame per diagram (``_frame``, cached), which gives each
-  step a shape.  A step's rules are built once per process per (color,
-  shape), label-keyed (``_shape_table``), and placed once per process
-  per (color, shape, registers) on the registers of the steps of that
-  shape (``_placed``); a call only packs their factors at its bits and
-  fills one table per distinct (shape, registers), and still charges
-  the tables it reads;
+  step a shape.  A step's table is built once per process per (color,
+  shape, registers), on plain ints straight from the R-matrix entries
+  (``_placed``), and the state sum reads it in place: an outcome names
+  its factor by an index, and a call only packs the distinct
+  coefficient tuples of its shapes at its bits, and still charges the
+  rules of each shape it reads;
 - Temperley-Lieb matchings (``_Matchings``) for the cabled bracket: a
   value is the register of the open arc that the strand comes back
   by, which stays put while both arcs are open, and ``_pattern_rule``
@@ -345,7 +346,9 @@ def _frontier(steps, algebra, byte_limit):
     and maps the state through the rule of ``local``, which the
     algebra's per-step table holds or compiles on a miss, storing it
     only when it has an outcome: for each outcome an int ``flip``, an
-    exponent shift, and a packed factor, None for 1.  ``key ^ flip`` is
+    exponent shift, and an index i into the step's packed factors, with
+    i = 0 for 1.  A table of ``_Weights`` has every rule, so a miss
+    there has none and nothing is written to it.  ``key ^ flip`` is
     the new state: ``flip`` clears the consumed fields and writes the
     opened arcs' values, and in a matching it also rewrites each kept
     register whose partner was consumed.  A field that no open arc
@@ -369,7 +372,7 @@ def _frontier(steps, algebra, byte_limit):
     dp = {0: (0, 1, True)}
     for step, info in enumerate(steps, 1):
         cmask = sum(field << (r * width) for r in info[2])
-        rules, compile_rule = algebra.rules(step - 1, info)
+        rules, factors, compile_rule = algebra.rules(step - 1, info)
         ndp = {}
         new_bits = 0
         for key, (lo, packed, _) in dp.items():
@@ -379,10 +382,10 @@ def _frontier(steps, algebra, byte_limit):
                 rule = compile_rule(local)
                 if rule:
                     rules[local] = rule
-            for flip, shift, factor in rule:
+            for flip, shift, i in rule:
                 new = key ^ flip
                 e = lo + shift
-                p = packed if factor is None else packed * factor
+                p = packed * factors[i] if i else packed
                 dst = ndp.get(new)
                 if dst is None:
                     own = p is not packed
@@ -435,36 +438,32 @@ def _frontier(steps, algebra, byte_limit):
 
 
 # bytes charged per rule of a shape's table besides its packed factor's
-# digits, calibrated by sys.getsizeof on 8_19 at colors 2, 5 and 7 and
-# on 9_49 at colors 4 and 5.  The tables a sum reads, a dict slot and an
-# int key per consumed-label tuple and a rule's (flip, shift, factor)
-# tuple, its ints flip and shift and its factor's header, take 213, 214
-# and 210 bytes a rule on 8_19 and 281 and 281 on 9_49, whose 11 steps
-# have 7 shapes and 11 placements; the tables of one shape share its
-# packed factors, so charging each shape's rules once bounds them.  The
-# label-keyed rules (``_shape_table``, 271-345 bytes a rule with their
-# coefficient tuples) and the placed ones (``_placed``, 183-253 more,
-# whose all-monomial rules a call's tables share) are kept for the
-# process, as the frames and ``_r_tables`` are, and are not charged:
-# all three together, packed digits included, hold 40,374 bytes where
-# 24,462 are charged on 8_19 at color 2, 307,880 for 190,588 at 5 and
-# 858,956 for 553,604 at 7, and 283,892 for 152,152 and 509,568 for
-# 282,712 on 9_49 at 4 and 5.  From the command line's post-import
-# floor, VmHWM growth stays 4.7-9.9 MiB below the peak charge on 8_19
-# at colors 6 and 7, 9_49 at 4 and 5, and 9_42 and 8_20 at 6, where it
-# stayed 3.4-8.6 MiB below before these tables were kept, in one session
-# (the probe varies by about 1.5 MiB from run to run)
+# digits.  By sys.getsizeof, a placement of a shape (``_placed``) holds
+# its rules in 160-167 bytes a rule, a dict slot and an int key per
+# consumed-label tuple and a rule's (flip, shift, index) tuple with its
+# ints, on 8_19 at colors 2, 5 and 7 and on 9_49 at colors 4 and 5,
+# whose 11 steps have 7 shapes and 11 placements.  With their
+# coefficient tuples and use counts and a call's packed factors, the
+# placements a sum reads hold 16,080 bytes where 24,462 are charged on
+# 8_19 at color 2, 108,360 for 190,588 at 5 and 265,616 for 553,604 at
+# 7, and 117,728 for 152,152 and 200,996 for 282,712 on 9_49 at 4 and
+# 5; so charging each shape's rules once at this rate bounds them, though
+# they are kept for the process, as the frames and ``_r_tables`` are,
+# and every budget and pinned peak keeps the rate it was set at.  From
+# the command line's post-import floor, VmHWM growth stays 2.6-7.7 MiB
+# below the peak charge on 8_19 at colors 6 and 7, 9_49 at 4 and 5, and
+# 9_42 and 8_20 at 6 (the probe varies by about 1.5 MiB from run to run)
 _RULE_BYTES = 344
 
 
 @functools.cache
 def _r_tables(n):
     """The entries of R and R**-1 on V_n (x) V_n, keyed by crossing sign,
-    True for R at a positive crossing: tuples (a, b, nw, ne, terms,
-    norm), one per term e_nw (x) e_ne of the image of e_a (x) e_b, with
-    ``terms`` its coefficient in quarter-keys and ``norm`` the sum of
-    the absolute values of its coefficients.  In the basis e_i of
-    weight n - 2i,
+    True for R at a positive crossing: tuples (a, b, nw, ne, lo, coeffs,
+    norm), one per term e_nw (x) e_ne of the image of e_a (x) e_b, whose
+    coefficient has lowest quarter-key ``lo`` and the int coefficients
+    ``coeffs`` at stride 2 from it, None for the monomial 1; ``norm`` is
+    the sum of their absolute values.  In the basis e_i of weight n - 2i,
 
         R(e_a (x) e_b) = sum_k q**(k(k-1)/4) [n-a+k choose k]
             prod_{j=1..k} (q**((b+j)/2) - q**(-(b+j)/2))
@@ -473,39 +472,52 @@ def _r_tables(n):
             prod_{j=1..k} (q**((a+j)/2) - q**(-(a+j)/2))
             q**(-w(a) w(b)/4) e_{b-k} (x) e_{a+k},
 
-    with w(i) = n - 2i and symmetric quantum binomials.  Cached per
-    color, as are the step shapes' tables built from them
-    (``_shape_table``): a shape's rules at a color are worked out once
-    per process, whatever diagrams share it, so these entries are read
-    once per distinct (color, shape)."""
-    def q(key, c=1):
-        return LaurentPoly({key: c})
-    # [m choose k] = q**(-(m-k)/2) [m-1 choose k-1] + q**(k/2) [m-1 choose k]
-    binom = [[LaurentPoly.one()]]
+    with w(i) = n - 2i and symmetric quantum binomials.  An entry is a
+    monomial times a Laurent polynomial in v = q**(1/2), whose powers
+    are quarter-keys 2 apart, so its coefficients are at stride 2; its
+    lowest key has the parity of n**2, which is checked.  Cached per
+    color, as are the step tables built from these entries
+    (``_placed``)."""
+    # [m choose k] = v**-(m-k) [m-1 choose k-1] + v**k [m-1 choose k],
+    # as coefficients of the powers of v from v**(-k(m-k))
+    binom = [[[1]]]
     for m in range(1, n + 1):
-        row = binom[-1] + [LaurentPoly()]
-        binom.append([row[0]] + [q(-2 * (m - k)) * row[k - 1]
-                                 + q(2 * k) * row[k] for k in range(1, m + 1)])
+        prev = binom[-1] + [[]]
+        row = [[1]]
+        for k in range(1, m + 1):
+            c = prev[k - 1] + [0] * (2 * k * (m - k) + 1 - len(prev[k - 1]))
+            for i, x in enumerate(prev[k], 2 * k):
+                c[i] += x
+            row.append(c)
+        binom.append(row)
+
+    def entry(a, b, nw, ne, key, sign, m, k, j0):
+        # sign q**(key/4) [m choose k] prod_{j=j0+1..j0+k} (v**j - v**-j)
+        c, lo = binom[m][k], key - 2 * k * (m - k)
+        for j in range(j0 + 1, j0 + k + 1):
+            c = [-x for x in c] + [0] * (2 * j)
+            for i, x in enumerate(c[:-2 * j]):
+                c[i + 2 * j] -= x
+            lo -= 2 * j
+        if (lo - n) & 1:
+            raise AssertionError("R-matrix entry exponents of mixed parity")
+        coeffs = None if c == [1] and sign == 1 else tuple(
+            [sign * x for x in c])
+        return a, b, nw, ne, lo, coeffs, sum(map(abs, c))
     w = [n - 2 * i for i in range(n + 1)]
     tables = {True: [], False: []}
     for a in range(n + 1):
         for b in range(n + 1):
             for k in range(n + 1):
                 if k <= a and b + k <= n:
-                    c = q(k * (k - 1) + w[a - k] * w[b + k]) \
-                        * binom[n - a + k][k]
-                    for j in range(b, b + k):
-                        c = c * _binomial(j)
-                    tables[True].append((a, b, b + k, a - k, c.terms))
+                    tables[True].append(entry(
+                        a, b, b + k, a - k, k * (k - 1) + w[a - k] * w[b + k],
+                        1, n - a + k, k, b))
                 if k <= b and a + k <= n:
-                    c = q(-k * (k - 1) - w[a] * w[b], (-1) ** k) \
-                        * binom[n - b + k][k]
-                    for j in range(a, a + k):
-                        c = c * _binomial(j)
-                    tables[False].append((a, b, b - k, a + k, c.terms))
-    return {sign: tuple(entry + (sum(map(abs, entry[4].values())),)
-                        for entry in entries)
-            for sign, entries in tables.items()}
+                    tables[False].append(entry(
+                        a, b, b - k, a + k, -k * (k - 1) - w[a] * w[b],
+                        (-1) ** k, n - b + k, k, a))
+    return {sign: tuple(entries) for sign, entries in tables.items()}
 
 
 def _turning_numbers(pd, ends, left_faces, into):
@@ -561,8 +573,7 @@ def _frame(pd):
     factor it charges, each with twice its arc's turning number
     (``_turning_numbers``): its opened slots and the first slot of each
     self-arc.  A shape names slots, not registers, so steps of one
-    shape, in any diagram, share one label-keyed table per color
-    (``_shape_table``), which is placed on each step's registers
+    shape and registers, in any diagram, share one table per color
     (``_placed``).  The signs and turning numbers are read off the
     diagram's strand walk and faces (``knots._reading``, which checks
     it).
@@ -598,105 +609,74 @@ def _upright(sign):
     return (3, 0, 1, 2) if sign else (0, 1, 2, 3)
 
 
-def _shape_rules(n, shape):
-    """The rules of one step shape (``_frame``) at color n before
-    packing: consumed-label tuple -> {opened-label tuple: quarter-key
-    polynomial}, with labels in slot order, and the step's factor h of
-    the coefficient bound (``_Weights``)."""
-    sign, at, links, opened, turns = shape
+@functools.cache
+def _placed(n, shape, consumed, opened):
+    """The rules of a step of ``shape`` (``_frame``) at color n whose
+    consumed arcs sit in the registers ``consumed`` and whose opened
+    arcs go to ``opened``, both in slot order, built once per process
+    straight from the R-matrix entries (``_r_tables``): (table, h,
+    coeffs, uses).
+
+    ``table`` maps each consumed-label tuple with an outcome, as
+    ``local``, its labels in their registers' fields of n.bit_length()
+    bits, to its outcomes (flip, shift, i): ``flip`` is the xor of
+    ``local`` and the opened labels in their fields, ``shift`` the
+    outcome's lowest quarter-key, and ``coeffs[i]`` its coefficients at
+    stride 2 from that key, None at i = 0 for the monomial 1.  Each
+    entry whose labels agree on the two slots of every self-arc gives
+    the outcome of its labels, shifted by (2 label - n) t over the
+    shape's ``turns``; entries that differ only in a self-arc's label
+    share an outcome, the sum of their polynomials, and a sum that is 0
+    has none.  ``uses[i]`` counts the outcomes with factor i, and ``h``
+    is the step's factor of the coefficient bound (``_Weights``).  The
+    state sum reads ``table`` in place and writes nothing to it
+    (``_frontier``)."""
+    sign, at, links, opened_at, turns = shape
     sw, se, ne, nw = _upright(sign)
     linked = [(s, t) for s, t in enumerate(links) if t is not None and t > s]
-    rules, norms = {}, {}
-    label = [0] * 4
-    for a, b, to_nw, to_ne, terms, norm in _r_tables(n)[sign]:
+    width = n.bit_length()
+    found, norms, label = {}, {}, [0] * 4
+    for a, b, to_nw, to_ne, lo, coeffs, norm in _r_tables(n)[sign]:
         label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
         if linked and any(label[s] != label[t] for s, t in linked):
             continue
-        writes = tuple([label[s] for s in opened])
+        local = writes = 0
+        for s, r in zip(at, consumed):
+            local |= label[s] << (r * width)
+        for s, r in zip(opened_at, opened):
+            writes |= label[s] << (r * width)
         norms[writes] = norms.get(writes, 0) + norm
-        shift = sum([(2 * label[s] - n) * t for s, t in turns])
-        outs = rules.setdefault(tuple([label[s] for s in at]), {})
-        poly = outs.get(writes)
-        if poly is None:
-            outs[writes] = {key + shift: c for key, c in terms.items()}
-            continue
-        for key, c in terms.items():
-            poly[key + shift] = poly.get(key + shift, 0) + c
-    return rules, max(norms.values())
-
-
-@functools.cache
-def _shape_table(n, shape):
-    """The rules of one step shape (``_frame``) at color n, label-keyed
-    and built once per process: (rules, h, factors, uses).  ``rules``
-    holds one (consumed labels, outcomes) pair per consumed-label tuple
-    with an outcome, and an outcome is (opened labels, lowest key,
-    factor index) for a nonzero quarter-key polynomial of
-    ``_shape_rules``.  ``factors[i]`` is a distinct coefficient tuple of
-    those polynomials at stride 2 above their lowest key, None at i = 0
-    for the monomial 1, and ``uses[i]`` counts the outcomes with factor
-    i.  ``h`` is the step's factor of the coefficient bound
-    (``_Weights``)."""
-    rules, h = _shape_rules(n, shape)
-    index, uses, table = {None: 0}, [0], []
-    for labels, outs in rules.items():
-        found = []
-        for writes, poly in outs.items():
-            poly = {key: c for key, c in poly.items() if c}
-            if not poly:
-                continue
-            lo = min(poly)
-            coeffs = None
-            if poly != {lo: 1}:
-                coeffs = [0] * ((max(poly) - lo) // 2 + 1)
-                for key, c in poly.items():
-                    if (key - lo) & 1:
-                        raise AssertionError("entry exponents of mixed "
-                                             "parity")
-                    coeffs[(key - lo) >> 1] = c
-                coeffs = tuple(coeffs)
+        shift = lo + sum([(2 * label[s] - n) * t for s, t in turns])
+        found.setdefault(local, {}).setdefault(local ^ writes, []).append(
+            (shift, coeffs))
+    index, uses, table = {None: 0}, [0], {}
+    for local, outs in found.items():
+        rule = []
+        for flip, terms in outs.items():
+            shift, coeffs = terms[0]
+            if len(terms) > 1:
+                # every entry's lowest key has the parity of n**2 and
+                # every turn is even, so the sum keeps the stride 2
+                poly = {}
+                for lo, c in terms:
+                    for i, x in enumerate(c or (1,)):
+                        poly[lo + 2 * i] = poly.get(lo + 2 * i, 0) + x
+                keys = [key for key, x in poly.items() if x]
+                if not keys:
+                    continue
+                shift = min(keys)
+                coeffs = tuple([poly.get(key, 0)
+                                for key in range(shift, max(keys) + 1, 2)])
+                if coeffs == (1,):
+                    coeffs = None
             i = index.setdefault(coeffs, len(index))
             if i == len(uses):
                 uses.append(0)
             uses[i] += 1
-            found.append((writes, lo, i))
-        if found:
-            table.append((labels, tuple(found)))
-    return tuple(table), h, tuple(index), tuple(uses)
-
-
-@functools.cache
-def _placed(n, shape, consumed, opened):
-    """The rules of a shape at color n (``_shape_table``) placed on the
-    registers of a step, built once per process: its consumed arcs sit
-    in the registers ``consumed`` and its opened arcs go to ``opened``,
-    both in slot order.  One (local, ((flip, shift, factor), ...)) per
-    consumed-label tuple, with ``local`` its labels in their registers'
-    fields of n.bit_length() bits, and ``flip`` the xor of ``local`` and
-    the opened labels in their fields.  ``factor`` is None on every
-    outcome of a tuple whose outcomes are all monomials, which the
-    frontier reads as they are, and a factor index otherwise."""
-    width = n.bit_length()
-    placed = {}
-
-    def place(labels, registers):
-        key = 0
-        for label, r in zip(labels, registers):
-            key |= label << (r * width)
-        return key
-    out = []
-    for labels, rules in _shape_table(n, shape)[0]:
-        local = place(labels, consumed)
-        found = []
-        for writes, shift, i in rules:
-            key = placed.get(writes)
-            if key is None:
-                key = placed[writes] = place(writes, opened)
-            found.append((local ^ key, shift, i))
-        if not any(i for _, _, i in rules):
-            found = [(flip, shift, None) for flip, shift, _ in found]
-        out.append((local, tuple(found)))
-    return tuple(out)
+            rule.append((flip, shift, i))
+        if rule:
+            table[local] = tuple(rule)
+    return table, max(norms.values()), tuple(index), tuple(uses)
 
 
 class _Weights:
@@ -714,17 +694,13 @@ class _Weights:
     (``_turning_numbers``) carries q**(-(n - 2i) t / 2), charged at the
     step that opens it, or, for a self-arc, at its crossing.  A step's
     rules are worked out for every consumed-label tuple before the sum
-    runs, once per process per (color, shape) (``_shape_table``), and
-    placed once per process per (color, shape, registers) on the
-    registers of its ``steps`` (``_placed``).  What depends on ``bits``
-    is all that a call builds: it packs each distinct coefficient tuple
-    once, and fills one table per distinct (shape, registers), which
-    steps of that shape and registers share and ``tables`` holds one per
-    step; a consumed-label tuple whose outcomes are all monomials keeps
-    its placed rules as they are.  A register holds a label in
-    ``width`` = n.bit_length() bits.  The tables a call fills live as
-    long as the algebra, one call, and a state sum adds nothing to them
-    (``_frontier``).
+    runs, once per process per (color, shape, registers) (``_placed``),
+    and ``tables`` holds those cached tables themselves, one per step,
+    so that steps of one shape and registers share one.  What depends
+    on ``bits`` is all that a call builds: it packs each distinct
+    coefficient tuple of its shapes once, and ``factors`` holds per step
+    the packed factors that its table's outcomes index, None at index 0
+    for 1.  A register holds a label in ``width`` = n.bit_length() bits.
 
     Exponents are quarter-keys at stride 2.  Every entry's exponents
     share the parity of n**2: k(k-1), the quantum binomials' and the
@@ -747,47 +723,38 @@ class _Weights:
     The budget charges the rules of each distinct shape that a call
     reads once, in ``table_bytes``: ``_RULE_BYTES`` a rule plus its
     packed factor's bytes, on top of the frontier states, though the
-    label-keyed and placed rules outlive the call.  The tables of one
-    shape share its packed factors (see ``_RULE_BYTES``).
+    placed tables outlive the call.  The placements of one shape hold
+    its rules on other registers and share its packed factors (see
+    ``_RULE_BYTES``).
     """
 
     shift = 1
 
     def __init__(self, n, steps, shapes):
-        built = {shape: _shape_table(n, shape)
-                 for shape in dict.fromkeys(shapes)}
-        bound = prod(built[shape][1] for shape in shapes)
+        placed = [_placed(n, shape, tuple(consumed),
+                          tuple([opens[s] for s in shape[3]]))
+                  for shape, (_, _, consumed, _, opens) in zip(shapes, steps)]
+        bound = prod(h for _, h, _, _ in placed)
         self.bound, self.bits = bound, bound.bit_length() + 1
-        # each distinct coefficient tuple packed once, and per shape its
-        # packed factors by index, None for 1
+        # the placements of one shape share its coefficient tuples and
+        # their counts; each distinct tuple is packed once
         packed, factors, count, digits = {None: None}, {}, 0, 0
-        for shape, (_, _, coeffs, uses) in built.items():
-            ints = factors[shape] = []
+        for shape, (_, _, coeffs, uses) in dict(zip(shapes, placed)).items():
             for c, used in zip(coeffs, uses):
                 if c not in packed:
                     packed[c] = _pack(c, self.bits)
-                p = packed[c]
-                if p is not None:
-                    digits += used * p.bit_length()
-                ints.append(p)
+                if c is not None:
+                    digits += used * packed[c].bit_length()
                 count += used
+            factors[shape] = tuple([packed[c] for c in coeffs])
         self.table_bytes = count * _RULE_BYTES + digits * 2 // 15
         self.width = n.bit_length()
-        tables, self.tables = {}, []
-        for shape, (_, _, consumed, _, opens) in zip(shapes, steps):
-            regs = shape, tuple(consumed), tuple([opens[s] for s in shape[3]])
-            table = tables.get(regs)
-            if table is None:
-                ints = factors[shape]
-                table = tables[regs] = {
-                    local: rules if rules[0][2] is None else tuple(
-                        [(flip, shift, ints[i]) for flip, shift, i in rules])
-                    for local, rules in _placed(n, *regs)}
-            self.tables.append(table)
+        self.tables = [table for table, _, _, _ in placed]
+        self.factors = [factors[shape] for shape in shapes]
 
     def rules(self, k, step):
         # a consumed-label key without a rule has no outcome
-        return self.tables[k], lambda local: ()
+        return self.tables[k], self.factors[k], lambda local: ()
 
 
 def bracket_colored_jones(pd, n, limit_mb=None):
@@ -798,10 +765,9 @@ def bracket_colored_jones(pd, n, limit_mb=None):
     the products of R and R**-1 entries and arc factors, contracted
     along the frontier core.  The diagram's frame (``_frame``: the
     contraction steps, the writhe and each step's shape) is built once
-    per diagram and cached, at color 0 too.  A step's rules are built
-    once per process per (color, shape) and placed once per (color,
-    shape, registers); a call packs their factors at its bits and keeps
-    the tables it fills for that call only.  With w the writhe,
+    per diagram and cached, at color 0 too.  A step's table is built
+    once per process per (color, shape, registers) and read in place; a
+    call only packs the factors at its bits.  With w the writhe,
     J_n = mirror(Z q**(-w (n**2 + 2n)/4) / [n+1]), with
     [n+1] = (q**((n+1)/2) - q**(-(n+1)/2)) / (q**(1/2) - q**(-1/2)).  Each
     state's polynomial is packed into one int at stride 2 in
@@ -904,8 +870,10 @@ class _Matchings:
     is the register of the open arc that the strand through this one
     comes back by, in ``width`` bits, enough for any register, and the
     rules are the A and B smoothings of ``_compile_rule``, compiled on
-    a miss into a per-step memo.  It holds no tables, so the budget
-    charges its states only."""
+    a miss into a per-step memo.  An outcome's factor index is the
+    number of circles it closes, and ``factors[c]`` is delta**c packed
+    without its power of A, None for c = 0.  It holds no tables, so the
+    budget charges its states only."""
 
     shift, table_bytes = 2, 0
 
@@ -919,8 +887,8 @@ class _Matchings:
 
     def rules(self, k, step):
         _, at, consumed, links, opens = step
-        return {}, lambda local: _compile_rule(
-            local, at, consumed, links, opens, self.width, self.factors)
+        return {}, self.factors, lambda local: _compile_rule(
+            local, at, consumed, links, opens, self.width)
 
 
 def _bracket_raw(crossings, free_circles, byte_limit):
@@ -932,7 +900,7 @@ def _bracket_raw(crossings, free_circles, byte_limit):
     through that arc comes back through the partner.  A smoothing's
     outcome depends on a state only through the partners of the
     consumed registers, so those fields key a per-step memo of rules
-    (new links as a ``flip``, A-shift, packed circle factor) that
+    (new links as a ``flip``, A-shift, circles closed) that
     ``_compile_rule`` fills on a miss.
 
     A state's polynomial is its lowest A-exponent lo and the polynomial
@@ -970,12 +938,12 @@ def _bracket_raw(crossings, free_circles, byte_limit):
     return _wrap(terms) * result_scale, peak
 
 
-def _compile_rule(local, at, consumed, self_links, ends, width, factors):
+def _compile_rule(local, at, consumed, self_links, ends, width):
     """The A and B outcomes of one step for the states whose consumed
     registers hold the partners in ``local`` (fields of ``width``
     bits): for each, the ``flip`` that clears the consumed fields and
-    links the outward ends, the A-shift, and the packed circle factor
-    ``factors[circles]``, None for no circle.  ``consumed[j]`` sits at
+    links the outward ends, the A-shift, and the number of circles it
+    closes, which indexes ``_Matchings.factors``.  ``consumed[j]`` sits at
     slot ``at[j]``, and ``ends[s]`` is the register an opened slot s
     goes to.  A consumed partner links two slots as a self-arc does; a
     kept partner makes the slot an outward end at the partner's
@@ -998,7 +966,7 @@ def _compile_rule(local, at, consumed, self_links, ends, width, factors):
         for s, t in pairs:
             flip ^= (ends[t] << (ends[s] * width)) | \
                 (ends[s] << (ends[t] * width))
-        rules.append((flip, shift, factors[circles]))
+        rules.append((flip, shift, circles))
     return rules
 
 

@@ -133,10 +133,6 @@ class RationalGF:
             if d < 1 or m < 0:
                 raise ValueError("bad denominator factor %r^%r" % (d, m))
 
-    def den_poly(self):
-        """Ascending integer coefficients of the denominator."""
-        return list(_den_coeffs(tuple(sorted(self.den.items()))))
-
     def reduced(self):
         """Cancel the factors F_d that divide the numerator.  Each F_d is
         primitive with constant term 1, so it divides over Q exactly when

@@ -1,6 +1,8 @@
 """Tests for the colored Jones engines and degree sequences."""
 
+import copy
 import hashlib
+import itertools
 import os
 import re
 import sys
@@ -523,6 +525,51 @@ def _seq_names():
     return names
 
 
+def _r_matrix(n, sign):
+    """The entries of R (sign True) or R**-1 at color n as a map from
+    each basis pair (a, b) of V_n (x) V_n to its image {(nw, ne): poly},
+    with the polynomials in quarter-keys."""
+    image = {}
+    for a, b, nw, ne, lo, coeffs, norm in engine._r_tables(n)[sign]:
+        terms = {lo + 2 * i: c for i, c in enumerate(coeffs or (1,)) if c}
+        assert norm == sum(map(abs, terms.values())) and lo == min(terms)
+        out = image.setdefault((a, b), {})
+        assert (nw, ne) not in out
+        out[nw, ne] = LaurentPoly(terms)
+    return image
+
+
+def _act(image, vector, at):
+    """``image`` applied to the tensor factors at, at + 1 of ``vector``,
+    {basis tuple: poly}."""
+    out = {}
+    for basis, c in vector.items():
+        for pair, r in image.get(basis[at:at + 2], {}).items():
+            new = basis[:at] + pair + basis[at + 2:]
+            out[new] = out.get(new, LaurentPoly()) + c * r
+    return {basis: c for basis, c in out.items() if c}
+
+
+def test_r_matrix_entries_satisfy_reidemeister_2_and_the_braid_relation():
+    # the integer R-matrix tables checked entry by entry, not through
+    # whole invariants: R**-1 R = R R**-1 = 1 on V_n (x) V_n, and
+    # (R (x) 1)(1 (x) R)(R (x) 1) = (1 (x) R)(R (x) 1)(1 (x) R) on V_n**3
+    one = LaurentPoly.one()
+    for n in (1, 2, 3):
+        r, inverse = _r_matrix(n, True), _r_matrix(n, False)
+        labels = range(n + 1)
+        for pair in itertools.product(labels, repeat=2):
+            for first, second in ((r, inverse), (inverse, r)):
+                assert _act(second, _act(first, {pair: one}, 0), 0) == \
+                    {pair: one}, (n, pair)
+        for triple in itertools.product(labels, repeat=3):
+            left = right = {triple: one}
+            for at in (0, 1, 0):
+                left = _act(r, left, at)
+                right = _act(r, right, 1 - at)
+            assert left == right, (n, triple)
+
+
 def test_vertex_model_matches_cabled_bracket_at_colors_1_and_2():
     # every bundled diagram and every pretzel of the benchmark, odd p
     # from -15 to 19, in both chiralities
@@ -644,10 +691,10 @@ def _per_step_tables(pd, n, steps):
     """The vertex model's rule tables built step by step, each from the
     diagram's strand walk and turning numbers and keyed by the step's
     registers, with (bound, bits), each factor packed at stride 2 from
-    its lowest key: the oracle of the tables ``_Weights`` fills from
-    the rules that it builds once per shape and places once per
-    registers.  It walks the diagram itself, not through the cached
-    reading (``knots._reading``)."""
+    its lowest key: the oracle of the tables that ``_placed`` builds
+    once per shape and registers, with their factor indices resolved
+    through the packed factors of ``_Weights``.  It walks the diagram
+    itself, not through the cached reading (``knots._reading``)."""
     ends = knots._arc_endpoints(pd)
     signs = [None] * len(pd)
     for ci, slot in knots._component_walk(pd, ends):
@@ -670,7 +717,9 @@ def _per_step_tables(pd, n, steps):
         turns = [(s, 2 * turning[pd[idx][s]])
                  for s in out + [s for s, t in linked if t > s]]
         rules, norms = {}, {}
-        for a, b, to_nw, to_ne, terms, norm in engine._r_tables(n)[signs[idx]]:
+        for a, b, to_nw, to_ne, lo, coeffs, norm in \
+                engine._r_tables(n)[signs[idx]]:
+            terms = {lo + 2 * i: c for i, c in enumerate(coeffs or (1,))}
             label = [0] * 4
             label[sw], label[se], label[nw], label[ne] = a, b, to_nw, to_ne
             if linked and any(label[s] != label[t] for s, t in linked):
@@ -723,7 +772,12 @@ def test_shared_tables_equal_the_per_step_build():
                 tables, bound, bits = _per_step_tables(
                     validate_pd(diagram), n, steps)
                 assert (algebra.bound, algebra.bits) == (bound, bits)
-                assert algebra.tables == tables, (key, n)
+                assert [{local: tuple([(flip, shift, factors[i])
+                                       for flip, shift, i in outs])
+                         for local, outs in table.items()}
+                        for table, factors in zip(algebra.tables,
+                                                  algebra.factors)] == \
+                    tables, (key, n)
 
 
 def _algebras(monkeypatch):
@@ -799,43 +853,44 @@ def test_steps_of_one_shape_share_one_table(monkeypatch):
 
 
 def test_rule_tables_built_once_per_color_and_shape(monkeypatch):
-    # the 18 pretzels of the benchmark have 11 distinct step shapes and
-    # 16 distinct placements on registers at each color, and each is
-    # built once per process, whatever diagram asks for it
+    # the 18 pretzels of the benchmark have 16 distinct placements of
+    # step shapes on registers at each color, and each is built once per
+    # process, whatever diagram asks for it
     algebras = _algebras(monkeypatch)
-    engine._shape_table.cache_clear()
     engine._placed.cache_clear()
     pds = [pretzel_pd([-2, 3, p]) for p in range(-15, 20, 2)]
     for n in (1, 2):
         for pd in pds:
             bracket_colored_jones(pd, n)
-        assert engine._shape_table.cache_info().misses == 11 * n
         assert engine._placed.cache_info().misses == 16 * n
     assert len(algebras) == 36
 
 
 def test_state_sum_leaves_the_tables_unchanged():
-    # a state sum reads its tables and writes none: a consumed-label key
-    # without a rule is not stored, though 8_19 at color 3 meets 48 of
-    # them, and the tables built once per process, tuples, are still
-    # the ones the caches hand out
+    # a state sum reads the cached tables in place and writes none: a
+    # consumed-label key without a rule is not stored, though 8_19 at
+    # color 3 meets 48 of them.  After every sum has run, the cache
+    # hands out the same placements, with the contents they had before
     cases = [(pretzel_pd([-2, 3, p]), n) for p in range(-15, 20, 2)
              for n in (1, 2)] + [(bundled_knot_table()["8_19"], 3)]
-    for pd, n in cases:
-        steps, _, shapes = engine._frame(validate_pd(pd))
+    frames = [(engine._frame(validate_pd(pd)), n) for pd, n in cases]
+    before = {}
+    for (steps, _, shapes), n in frames:
+        for shape, (_, _, consumed, _, opens) in zip(shapes, steps):
+            args = n, shape, tuple(consumed), tuple(opens[s] for s in shape[3])
+            placed = engine._placed(*args)
+            before[args] = placed, copy.deepcopy(placed)
+    assert len(before) == 16 * 2 + 6
+    for (steps, _, shapes), n in frames:
         algebra = engine._Weights(n, steps, shapes)
-        tables = [dict(table) for table in algebra.tables]
-        cached = [(engine._shape_table(n, shape),
-                   engine._placed(n, shape, tuple(consumed),
-                                  tuple(opens[s] for s in shape[3])))
-                  for shape, (_, _, consumed, _, opens) in zip(shapes, steps)]
+        assert all(table is engine._placed(
+                       n, shape, tuple(consumed),
+                       tuple(opens[s] for s in shape[3]))[0]
+                   for table, shape, (_, _, consumed, _, opens)
+                   in zip(algebra.tables, shapes, steps))
         engine._frontier(steps, algebra, 1 << 30)
-        assert algebra.tables == tables
-        assert all(engine._shape_table(n, shape) is built and
-                   engine._placed(n, shape, tuple(consumed),
-                                  tuple(opens[s] for s in shape[3])) is placed
-                   for shape, (_, _, consumed, _, opens), (built, placed)
-                   in zip(shapes, steps, cached))
+    assert all(engine._placed(*args) is placed and placed == copied
+               for args, (placed, copied) in before.items())
 
 
 def test_frame_built_once_per_diagram(monkeypatch):
@@ -920,11 +975,11 @@ def test_budget_charges_each_shared_table_once(monkeypatch):
     monkeypatch.setattr(engine, "_check_budget", recorded)
     pd = bundled_knot_table()["8_19"]
     bracket_colored_jones(pd, 3)
-    tables = algebras[0].tables
-    per_shape = dict(zip(engine._frame(pd)[2], tables))
+    tables, factors = algebras[0].tables, algebras[0].factors
+    per_shape = dict(zip(engine._frame(pd)[2], zip(tables, factors)))
     assert len(tables) == 8 and len(per_shape) == 5
     assert len({id(table) for table in tables}) == 6
-    rules = [rule for table in per_shape.values() for outs in table.values()
-             for rule in outs]
-    digits = sum(f.bit_length() for _, _, f in rules if f is not None)
+    rules = [(rule, ints) for table, ints in per_shape.values()
+             for outs in table.values() for rule in outs]
+    digits = sum(ints[i].bit_length() for (_, _, i), ints in rules if i)
     assert charged == {len(rules) * engine._RULE_BYTES + digits * 2 // 15}
