@@ -23,7 +23,7 @@ import json
 import sys
 from collections import Counter
 
-from . import quasifit
+from . import engine, quasifit
 from . import verify as slopecheck
 from .engine import EngineLimitError, degree_sequence
 from .knots import Named, bundled_knot_table, load_slope_db, parse_knot
@@ -238,11 +238,13 @@ _OPTIONS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--limit-mb": dict(type=_integer_option,
                        help="memory budget of the vertex model's state "
-                       "sum in MiB (default 512): each stored frontier "
+                       "sum in MiB (default %d): each stored frontier "
                        "state is charged a fixed overhead plus the bytes "
                        "of its packed polynomial, for the frontier a step "
-                       "reads and the one it writes; checked every 1024 "
-                       "new states, exit code 3 when exceeded"),
+                       "reads and the one it writes, and the rule tables "
+                       "of each distinct step shape are charged once; "
+                       "checked every %d new states, exit code 3 when "
+                       "exceeded" % (engine._LIMIT_MB, engine._CHECK_EVERY)),
 }
 
 _WINDOW = ("--max-period", "--max-transient")

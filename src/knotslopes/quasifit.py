@@ -17,8 +17,14 @@ model; the scan order makes it the smallest one, so nothing is reduced
 to find the period and transient.  Both tests run on the integer
 numerators of the class coefficients, and Fractions are built only for
 the model that is returned.  Its generating function is built only
-when read.  A sequence whose third difference settles into a period
-with a nonzero sum grows like n^3 and is refused.
+when read.
+
+A sequence whose lag-1 third difference settles into a period with a
+nonzero sum is refused as cubic.  That covers a cubic polynomial plus
+an eventually periodic part.  It does not cover a cubic whose lower
+terms depend on the residue class, such as n^3 + (-1)^n n^2: its third
+differences never settle into a period, and the class scan may fit it
+with no sample left to check.
 
 The arithmetic is exact: integer kernels, Fractions at the interface.
 The cubic check, the class scan and its coefficients, the series
@@ -36,12 +42,11 @@ from math import lcm
 from .laurent import LaurentPoly
 
 __all__ = [
-    "QuasiPolynomial", "RationalGF", "difference",
-    "detect_period", "fit", "slopes",
+    "QuasiPolynomial", "RationalGF", "fit", "slopes",
     "integrality_check", "load_sequence",
 ]
 
-# the default fit window of ``fit`` and ``detect_period``
+# the default fit window of ``fit``
 MAX_PERIOD = 16
 MAX_TRANSIENT = 8
 
@@ -256,50 +261,6 @@ class QuasiPolynomial:
                 % (self.period, self.transient, self.classes))
 
 
-# ---------------------------------------------------------------------------
-# elementary sequence operations
-
-
-def difference(seq, k=1):
-    """k-th forward difference of a sequence; k elements shorter.
-
-    k = 0 returns a copy.  Raises when the sequence has no room left to
-    difference.
-    """
-    if k < 0:
-        raise ValueError("difference order must be >= 0")
-    out = list(seq)
-    for _ in range(k):
-        if len(out) < 2:
-            raise ValueError("sequence too short for a %d-th difference" % k)
-        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
-    return out
-
-
-def detect_period(seq, max_period=MAX_PERIOD, max_transient=MAX_TRANSIENT):
-    """Smallest (transient, period) in lexicographic order making the
-    sequence eventually periodic; returned as (period, transient).
-
-    A candidate is only accepted when the data shows at least two full
-    periods past the transient plus three more matching points:
-    len(seq) >= transient + 2 * period + 3.  The sequence is periodic
-    with period p from t on exactly when t is at or past p's settle
-    index on lag-p first differences, so each period takes one
-    backward pass and its smallest transient is that index.
-    """
-    seq = list(seq)
-    best = None
-    for p in range(1, min(max_period, (len(seq) - 3) // 2) + 1):
-        t = _settle(seq, p, 1)
-        if (t <= min(max_transient, len(seq) - 3 - 2 * p)
-                and (best is None or t < best[1])):
-            best = p, t
-    if best is None:
-        raise ValueError("no period up to %d with transient up to %d fits "
-                         "%d samples" % (max_period, max_transient, len(seq)))
-    return best
-
-
 def _cyclotomic_split(power_of, mult):
     """Denominator dict for (1 - z^p)^mult."""
     den = {1: mult}
@@ -313,17 +274,13 @@ def _cyclotomic_split(power_of, mult):
 # the fit
 
 
-def _settle(seq, lag, order):
+def _settle(seq, lag):
     """The settle index of ``seq`` for ``lag``: the first index n from
-    which every lag-``lag`` difference of ``order`` (1 or 3) vanishes,
-    that of order 3 being seq[n + 3 lag] - 3 seq[n + 2 lag]
-    + 3 seq[n + lag] - seq[n].  One backward pass from the last
-    difference stops at the first one that is nonzero."""
-    n = len(seq) - order * lag      # one past the last difference
-    if order == 1:
-        while n > 0 and seq[n - 1 + lag] == seq[n - 1]:
-            n -= 1
-        return n
+    which every lag-``lag`` third difference seq[n + 3 lag]
+    - 3 seq[n + 2 lag] + 3 seq[n + lag] - seq[n] vanishes.  One backward
+    pass from the last difference stops at the first one that is
+    nonzero."""
+    n = len(seq) - 3 * lag          # one past the last difference
     while n > 0 and seq[n - 1 + 3 * lag] - seq[n - 1] == \
             3 * (seq[n - 1 + 2 * lag] - seq[n - 1 + lag]):
         n -= 1
@@ -400,7 +357,7 @@ def _fit_classes(seq, ints, scale, max_period, max_transient):
             lo, hi = (1, room // 4) if spare else (room // 4 + 1, room // 3)
             for p in range(lo, min(max_period, hi) + 1):
                 if p not in settle:
-                    settle[p] = _settle(ints, p, 3)
+                    settle[p] = _settle(ints, p)
                 if t < settle[p]:
                     continue
                 classes = _try_classes(ints, t, p)
@@ -426,18 +383,28 @@ def _fit_classes(seq, ints, scale, max_period, max_transient):
 
 def _reject_cubic(ints, max_period, max_transient):
     """Refuse a sequence whose third difference is eventually periodic
-    with a nonzero sum over one period: it grows like n^3, and the class
-    scan would otherwise interpolate it with no sample left to check.
-    The differences run on ``ints``, the samples scaled to integers,
-    which keeps both their period and whether their sum vanishes."""
-    if len(ints) < 4:
-        return
-    d3 = difference(ints, 3)
-    try:
-        period, t = detect_period(d3, max_period, max_transient)
-    except ValueError:
-        return
-    if sum(d3[t:t + period]):
+    with a nonzero sum over one period: a cubic polynomial plus an
+    eventually periodic part, which grows like n^3 and which the class
+    scan would otherwise interpolate with no sample left to check.
+
+    The lag-1 third differences d3 run on ``ints``, the samples scaled
+    to integers, which keeps both their period and whether their sum
+    vanishes.  For each period p, one backward pass finds the first
+    index t from which d3[m + p] == d3[m]; the pair counts when d3 shows
+    two full periods and three more values past t, and t is within
+    ``max_transient``.  The smallest t wins, the smallest p on a tie,
+    and its period's sum decides."""
+    d3 = [ints[n + 3] - ints[n] - 3 * (ints[n + 2] - ints[n + 1])
+          for n in range(len(ints) - 3)]
+    best = None
+    for p in range(1, min(max_period, (len(d3) - 3) // 2) + 1):
+        t = len(d3) - p
+        while t > 0 and d3[t - 1 + p] == d3[t - 1]:
+            t -= 1
+        if (t <= min(max_transient, len(d3) - 3 - 2 * p)
+                and (best is None or t < best[0])):
+            best = t, p
+    if best is not None and sum(d3[best[0]:best[0] + best[1]]):
         raise ValueError("sequence is not quasi-quadratic in the "
                          "window: third differences have period but "
                          "a nonzero mean")
@@ -455,7 +422,11 @@ def fit(seq, max_period=MAX_PERIOD, max_transient=MAX_TRANSIENT):
     is the smallest model in the window.  When candidates fit but none
     passes the integrality check, the check's last message is raised.
     Sequences whose third difference settles into a period with a
-    nonzero sum are refused as cubic.
+    nonzero sum, a cubic polynomial plus an eventually periodic part,
+    are refused as cubic.  A cubic with class-dependent lower terms,
+    such as n^3 + (-1)^n n^2, is not: its third differences never
+    settle into a period, and it can come back as a model whose
+    thinnest class has no sample past its three interpolation points.
 
     The samples are scaled to integers once (a Fraction passes as it
     is; anything else goes through ``Fraction``).  Each period's settle

@@ -540,3 +540,7 @@ def test_parser_options_are_pinned():
            for name, p in subs.items()}
     assert list(got) == list(PARSER)
     assert got == PARSER
+    # the budget's help reads its numbers from the engine
+    limit = subs["compute"]._actions[-1]
+    assert ("(default %d)" % engine._LIMIT_MB in limit.help
+            and "every %d new states" % engine._CHECK_EVERY in limit.help)
