@@ -33,8 +33,12 @@ a register.  A step reads the fields of the registers it consumes,
 ``local = key & cmask``, and that int keys its rules directly.  Each
 rule outcome holds one int ``flip`` that clears those fields and
 writes the new values, so the new state is ``key ^ flip``, with an
-exponent shift and the index of a packed factor.  The two local
-algebras are
+exponent shift and the index of a packed factor.  A new state is
+multiplied and stored only if the next step has a rule for its
+consumed fields: one with none has no continuation and adds nothing
+to the sum, so it is dropped, and every stored polynomial, and with
+it every coefficient bound, is what it was without that test.  The
+two local algebras are
 
 - weight labels on arcs (``_Weights``), the vertex model of
   Reshetikhin-Turaev and Kirby-Melvin: a value is the label of a basis
@@ -343,18 +347,29 @@ def _frontier(steps, algebra, byte_limit):
     X = q**(stride/4) above it evaluated at X = 2**bits, and whether
     the packed int is its own rather than the read state's.  A step
     reads the fields of its consumed registers, ``local = key & cmask``,
-    and maps the state through the rule of ``local``, which the
-    algebra's per-step table holds or compiles on a miss, storing it
-    only when it has an outcome: for each outcome an int ``flip``, an
-    exponent shift, and an index i into the step's packed factors, with
-    i = 0 for 1.  A table of ``_Weights`` has every rule, so a miss
-    there has none and nothing is written to it.  ``key ^ flip`` is
-    the new state: ``flip`` clears the consumed fields and writes the
-    opened arcs' values, and in a matching it also rewrites each kept
-    register whose partner was consumed.  A field that no open arc
-    holds is 0, so the state after the last step is 0.  Every exponent
-    of a state agrees modulo the stride, so a merge is one shift and
-    add, and a misaligned merge raises.
+    and maps the state through the rule of ``local`` in the algebra's
+    per-step table: for each outcome an int ``flip``, an exponent
+    shift, and an index i into the step's packed factors, with i = 0
+    for 1.  ``key ^ flip`` is the new state: ``flip`` clears the
+    consumed fields and writes the opened arcs' values, and in a
+    matching it also rewrites each kept register whose partner was
+    consumed.  A field that no open arc holds is 0, so the state after
+    the last step is 0, and it alone is alive there.
+
+    Each step's rules are fetched once, and a step looks ahead at the
+    next step's: a new state is multiplied by its factor and stored only
+    if the next step has a rule for its consumed labels, which the
+    algebra's table holds or compiles on a miss and keeps when it has
+    an outcome.  A table of ``_Weights`` has every rule, so a miss there
+    has none: the state has no continuation, adds nothing to the sum,
+    and is dropped, and nothing is written to the table.  A matching
+    always has two outcomes, so the cabled bracket drops nothing.  So
+    every state a step reads has its rule, and the states that remain
+    have exactly the polynomials they had without the look-ahead, so
+    every bound on them, ``bits`` among them, still holds.  A stored
+    state may still have no completion further on.  Every exponent of
+    a state agrees modulo the stride, so a merge is one shift and add,
+    and a misaligned merge raises.
 
     The budget (``_check_budget``) charges the states and the packed
     ints' bits of the frontier a step reads and the one it writes,
@@ -369,25 +384,38 @@ def _frontier(steps, algebra, byte_limit):
     low, stride, field = (1 << bits) - 1, 1 << sh, (1 << width) - 1
     table_bytes = algebra.table_bytes
     peak = held_bits = 0
+    masks = [sum(field << (r * width) for r in info[2]) for info in steps]
+    # each step's rules are fetched once, as the next step's at the
+    # look-ahead; the empty state's rule is the first step's only one
+    nrules, nfactors, ncompile = algebra.rules(0, steps[0])
+    if 0 not in nrules:
+        nrules[0] = ncompile(0)
     dp = {0: (0, 1, True)}
-    for step, info in enumerate(steps, 1):
-        cmask = sum(field << (r * width) for r in info[2])
-        rules, factors, compile_rule = algebra.rules(step - 1, info)
+    for step, cmask in enumerate(masks, 1):
+        rules, factors = nrules, nfactors
+        if step < len(steps):
+            nmask = masks[step]
+            nrules, nfactors, ncompile = algebra.rules(step, steps[step])
+        else:
+            # the state after the last step is 0, and it is the sum
+            nmask, nrules = 0, {0: ()}
         ndp = {}
         new_bits = 0
         for key, (lo, packed, _) in dp.items():
-            local = key & cmask
-            rule = rules.get(local)
-            if rule is None:
-                rule = compile_rule(local)
-                if rule:
-                    rules[local] = rule
-            for flip, shift, i in rule:
+            for flip, shift, i in rules[key & cmask]:
                 new = key ^ flip
                 e = lo + shift
-                p = packed * factors[i] if i else packed
                 dst = ndp.get(new)
                 if dst is None:
+                    # a new state is written only if the next step has a
+                    # rule for it, compiled here on a miss
+                    local = new & nmask
+                    if local not in nrules:
+                        rule = ncompile(local)
+                        if not rule:
+                            continue
+                        nrules[local] = rule
+                    p = packed * factors[i] if i else packed
                     own = p is not packed
                     ndp[new] = e, p, own
                     if own:
@@ -397,6 +425,7 @@ def _frontier(steps, algebra, byte_limit):
                             byte_limit, step, len(dp), len(ndp),
                             held_bits + new_bits, table_bytes))
                     continue
+                p = packed * factors[i] if i else packed
                 lo0, p0, own = dst
                 d = e - lo0
                 if d & (stride - 1):
@@ -450,9 +479,10 @@ def _frontier(steps, algebra, byte_limit):
 # 5; so charging each shape's rules once at this rate bounds them, though
 # they are kept for the process, as the frames and ``_r_tables`` are,
 # and every budget and pinned peak keeps the rate it was set at.  From
-# the command line's post-import floor, VmHWM growth stays 2.6-7.7 MiB
+# the command line's post-import floor, VmHWM growth stays 0.4-4.1 MiB
 # below the peak charge on 8_19 at colors 6 and 7, 9_49 at 4 and 5, and
-# 9_42 and 8_20 at 6 (the probe varies by about 1.5 MiB from run to run)
+# 9_42 and 8_20 at 6, on a 2-core VM with CPython 3.11 (the probe varies
+# by about 1.5 MiB from run to run)
 _RULE_BYTES = 344
 
 
@@ -629,7 +659,8 @@ def _placed(n, shape, consumed, opened):
     share an outcome, the sum of their polynomials, and a sum that is 0
     has none.  ``uses[i]`` counts the outcomes with factor i, and ``h``
     is the step's factor of the coefficient bound (``_Weights``).  The
-    state sum reads ``table`` in place and writes nothing to it
+    state sum reads ``table`` in place and writes nothing to it, and a
+    state whose consumed labels have no entry is not stored
     (``_frontier``)."""
     sign, at, links, opened_at, turns = shape
     sw, se, ne, nw = _upright(sign)
@@ -718,7 +749,14 @@ class _Weights:
     value before it, and every coefficient is at most the product H of
     the steps' h (``bound``).  ``bits`` = H.bit_length() + 1 gives
     |c| < 2**(bits - 1), which ``_unpack`` reads back exactly; the
-    decoded sum is checked against H.
+    decoded sum is checked against H.  ``_frontier`` drops a new state
+    whose consumed labels have no rule at the next step, before it is
+    multiplied or stored: such a state adds nothing to the sum, and
+    every state it keeps has the polynomial it had without the test,
+    so the bound holds for each.  About a third of 8_19's stored states
+    still have no completion at colors 5 and 7, and a tenth of 9_49's
+    at 5 and 8_20's at 7: their labels have rules at the next step but
+    not at some later one.
 
     The budget charges the rules of each distinct shape that a call
     reads once, in ``table_bytes``: ``_RULE_BYTES`` a rule plus its

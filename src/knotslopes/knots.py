@@ -279,7 +279,7 @@ class _DiagramSpec(_Spec):
             "a diagram that is not adequate on both sides has no default "
             "color depth without bundled degrees: every color is a vertex "
             "model state sum that costs several times the one before "
-            "(8_19: 0.2 s at color 5, 3 s at color 7); pass --max-n")
+            "(8_19: 0.1 s at color 5, 1.2 s at color 7); pass --max-n")
 
     def alternating_data(self):
         """Counts of an alternating diagram adequate on both sides."""

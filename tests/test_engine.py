@@ -475,12 +475,24 @@ def test_vertex_model_matches_cabled_bracket_at_color_3():
 
 
 @pytest.mark.slow
-def test_vertex_model_matches_degree_files_at_color_5():
-    names = _seq_names()
-    for key in names:
-        j = bracket_colored_jones(bundled_knot_table()[key], 5)
-        dmax, dmin = engine.bundled_degrees(key, 5)
-        assert (j.deg(), j.mindeg()) == (dmax[5], dmin[5]), key
+def test_vertex_model_matches_degree_files_at_colors_5_to_7():
+    # both sides of every .seq knot, in about 30 s, of which 9_49 at
+    # color 7 takes about 11
+    for key in _seq_names():
+        dmax, dmin = engine.bundled_degrees(key, 7)
+        for n in (5, 6, 7):
+            j = bracket_colored_jones(bundled_knot_table()[key], n)
+            assert (j.deg(), j.mindeg()) == (dmax[n], dmin[n]), (key, n)
+
+
+@pytest.mark.slow
+def test_vertex_model_computes_8_19_at_color_10():
+    # the highest color of a non-alternating knot computed in-process
+    # under the default budget: about 35 s, a peak charge of 403,951,827
+    # bytes and 400 MB of RSS
+    j = bracket_colored_jones(bundled_knot_table()["8_19"], 10)
+    dmax, dmin = engine.bundled_degrees("8_19", 10)
+    assert (j.deg(), j.mindeg()) == (dmax[10], dmin[10]) == (355, 30)
 
 
 @pytest.mark.slow
@@ -626,8 +638,10 @@ def test_vertex_model_does_not_depend_on_the_outer_face():
         assert bracket_colored_jones(relabelled, 2) == want
 
 
-# peak stored bytes of the vertex state sum of 8_19 at color 5
-PEAK_8_19_WEIGHTS_5 = 6214112
+# peak stored bytes of the vertex state sums of 8_19 at color 5 and of
+# 9_49 at color 4
+PEAK_8_19_WEIGHTS_5 = 4711367
+PEAK_9_49_WEIGHTS_4 = 6213079
 
 
 def _weights_sum(pd, n, byte_limit):
@@ -637,10 +651,15 @@ def _weights_sum(pd, n, byte_limit):
 
 
 def test_vertex_budget_stops_inside_a_step_below_its_peak(monkeypatch):
-    # --limit-mb is a bound on this peak, so it must not drift; the whole
-    # MiB below it (5 MiB) stops the sum at a check inside a step, before
-    # the step has written its whole frontier
-    pd = bundled_knot_table()["8_19"]
+    # --limit-mb is a bound on these peaks, so they must not drift; on
+    # 9_49 at color 4 the whole MiB below its peak (5 MiB) stops the sum
+    # at a check inside a step, before the step has written its whole
+    # frontier.  On 8_19 at color 5 the 4 MiB below its peak stop at the
+    # end of step 5, at 3,961 new states
+    table = bundled_knot_table()
+    assert _weights_sum(table["8_19"], 5, PEAK_8_19_WEIGHTS_5)[2] == \
+        PEAK_8_19_WEIGHTS_5
+    pd = table["9_49"]
     written = {}
     check_budget = engine._check_budget
 
@@ -648,10 +667,10 @@ def test_vertex_budget_stops_inside_a_step_below_its_peak(monkeypatch):
         written[step] = new
         return check_budget(byte_limit, step, read, new, *rest)
     monkeypatch.setattr(engine, "_check_budget", recorded)
-    assert _weights_sum(pd, 5, PEAK_8_19_WEIGHTS_5)[2] == PEAK_8_19_WEIGHTS_5
+    assert _weights_sum(pd, 4, PEAK_9_49_WEIGHTS_4)[2] == PEAK_9_49_WEIGHTS_4
     monkeypatch.undo()
     with pytest.raises(EngineLimitError, match="memory budget") as info:
-        bracket_colored_jones(pd, 5, limit_mb=PEAK_8_19_WEIGHTS_5 >> 20)
+        bracket_colored_jones(pd, 4, limit_mb=PEAK_9_49_WEIGHTS_4 >> 20)
     step, new = map(int, re.search(r"step (\d+), at (\d+) new",
                                    str(info.value)).groups())
     assert new % engine._CHECK_EVERY == 0
@@ -866,11 +885,65 @@ def test_rule_tables_built_once_per_color_and_shape(monkeypatch):
     assert len(algebras) == 36
 
 
+class _CountedTable(dict):
+    """A copy of a step's rule table that records each consumed-label
+    key read from it by ``get`` or ``[]`` that it has no rule for."""
+
+    def __init__(self, table, reads, misses):
+        super().__init__(table)
+        self.reads, self.misses = reads, misses
+
+    def _read(self, local):
+        self.reads.append(local)
+        if local not in self:
+            self.misses.append(local)
+
+    def get(self, local, default=None):
+        self._read(local)
+        return super().get(local, default)
+
+    def __getitem__(self, local):
+        self._read(local)
+        return super().__getitem__(local)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("8_19", 2), ("8_19", 3), ("8_19", 4), ("9_49", 3), ("pretzel_7", 2)])
+def test_every_stored_state_has_a_rule_at_the_next_step(monkeypatch, name,
+                                                        n):
+    # a state whose consumed labels have no rule at the next step adds
+    # nothing to the sum, so it is not stored: every state a step reads
+    # finds its rule in the step's table, and the sum is unchanged
+    pd = (pretzel_pd([-2, 3, 7]) if name == "pretzel_7"
+          else bundled_knot_table()[name])
+    reads, misses = {}, {}
+
+    class Counted(engine._Weights):
+        def rules(self, k, step):
+            table, factors, compile_rule = super().rules(k, step)
+            return (_CountedTable(table, reads.setdefault(k, []),
+                                  misses.setdefault(k, [])),
+                    factors, compile_rule)
+    monkeypatch.setattr(engine, "_Weights", Counted)
+    j = bracket_colored_jones(pd, n)
+    monkeypatch.undo()
+    assert sorted(reads) == list(range(len(engine._frame(pd)[0])))
+    assert all(reads.values())
+    assert not any(misses.values()), {k: len(v) for k, v in misses.items()}
+    if name == "8_19":
+        assert j == morton_colored_jones(3, 4, n)
+    elif name == "9_49":
+        assert (j.deg(), j.mindeg()) == (50, 6)
+    else:
+        assert j == engine._cabled_colored_jones(pd, n)
+
+
 def test_state_sum_leaves_the_tables_unchanged():
     # a state sum reads the cached tables in place and writes none: a
-    # consumed-label key without a rule is not stored, though 8_19 at
-    # color 3 meets 48 of them.  After every sum has run, the cache
-    # hands out the same placements, with the contents they had before
+    # consumed-label key without a rule at the next step is not stored,
+    # though 8_19 at color 3 looks up 647 of them.  After every sum has
+    # run, the cache hands out the same placements, with the contents
+    # they had before
     cases = [(pretzel_pd([-2, 3, p]), n) for p in range(-15, 20, 2)
              for n in (1, 2)] + [(bundled_knot_table()["8_19"], 3)]
     frames = [(engine._frame(validate_pd(pd)), n) for pd, n in cases]
