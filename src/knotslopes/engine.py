@@ -33,12 +33,14 @@ a register.  A step reads the fields of the registers it consumes,
 ``local = key & cmask``, and that int keys its rules directly.  Each
 rule outcome holds one int ``flip`` that clears those fields and
 writes the new values, so the new state is ``key ^ flip``, with an
-exponent shift and the index of a packed factor.  A new state is
-multiplied and stored only if the next step has a rule for its
-consumed fields: one with none has no continuation and adds nothing
-to the sum, so it is dropped, and every stored polynomial, and with
-it every coefficient bound, is what it was without that test.  The
-two local algebras are
+exponent shift and the index of a packed factor.  An algebra gives the
+core plain data per step k: ``tables[k]``, its rules by ``local``, and
+``factors[k]``, its packed factors; ``local in tables[k]`` means a
+rule there.  A new state is multiplied and stored only if it is in the
+next step's table: one that is not has no continuation and adds
+nothing to the sum, so it is dropped, and every stored polynomial, and
+with it every coefficient bound, is what it was without that test.
+The two local algebras are
 
 - weight labels on arcs (``_Weights``), the vertex model of
   Reshetikhin-Turaev and Kirby-Melvin: a value is the label of a basis
@@ -49,14 +51,16 @@ two local algebras are
   is one frame per diagram (``_frame``, cached), which gives each
   step a shape.  A step's table is built once per process per (color,
   shape, registers), on plain ints straight from the R-matrix entries
-  (``_placed``), and the state sum reads it in place: an outcome names
-  its factor by an index, and a call only packs the distinct
-  coefficient tuples of its shapes at its bits, and still charges the
-  rules of each shape it reads;
+  (``_placed``), holds the keys with an outcome, and is read in place:
+  an outcome names its factor by an index, and a call only packs the
+  distinct coefficient tuples of its shapes at its bits, and still
+  charges the rules of each shape it reads;
 - Temperley-Lieb matchings (``_Matchings``) for the cabled bracket: a
   value is the register of the open arc that the strand comes back
   by, which stays put while both arcs are open, and ``_pattern_rule``
-  works out the smoothings of each 4-slot pattern once per process.
+  works out the smoothings of each 4-slot pattern once per process; a
+  step's table, fresh per sum, fills a key on its first read and holds
+  every key, as every pattern has two outcomes (``_SmoothingRules``).
   The bracket runs in A with q = A**-4; every closed circle, the last
   one included, is a factor -A**2 - A**-2, and the empty diagram has
   bracket 1.
@@ -347,29 +351,26 @@ def _frontier(steps, algebra, byte_limit):
     X = q**(stride/4) above it evaluated at X = 2**bits, and whether
     the packed int is its own rather than the read state's.  A step
     reads the fields of its consumed registers, ``local = key & cmask``,
-    and maps the state through the rule of ``local`` in the algebra's
-    per-step table: for each outcome an int ``flip``, an exponent
-    shift, and an index i into the step's packed factors, with i = 0
+    and maps the state through its rule in ``algebra.tables[k]`` at
+    step k: for each outcome an int ``flip``, an exponent shift, and an
+    index i into the packed factors ``algebra.factors[k]``, with i = 0
     for 1.  ``key ^ flip`` is the new state: ``flip`` clears the
     consumed fields and writes the opened arcs' values, and in a
     matching it also rewrites each kept register whose partner was
     consumed.  A field that no open arc holds is 0, so the state after
     the last step is 0, and it alone is alive there.
 
-    Each step's rules are fetched once, and a step looks ahead at the
-    next step's: a new state is multiplied by its factor and stored only
-    if the next step has a rule for its consumed labels, which the
-    algebra's table holds or compiles on a miss and keeps when it has
-    an outcome.  A table of ``_Weights`` has every rule, so a miss there
-    has none: the state has no continuation, adds nothing to the sum,
-    and is dropped, and nothing is written to the table.  A matching
-    always has two outcomes, so the cabled bracket drops nothing.  So
-    every state a step reads has its rule, and the states that remain
-    have exactly the polynomials they had without the look-ahead, so
-    every bound on them, ``bits`` among them, still holds.  A stored
-    state may still have no completion further on.  Every exponent of
-    a state agrees modulo the stride, so a merge is one shift and add,
-    and a misaligned merge raises.
+    A step looks ahead: a new state is multiplied by its factor and
+    stored only if its consumed labels at the next step are ``in`` that
+    step's table, that is, if it has a rule there.  A ``_Weights`` table
+    holds the keys with an outcome, so a state outside it has no
+    continuation, adds nothing to the sum, and is dropped; a
+    ``_Matchings`` table holds every key and drops nothing.  So every state a step reads has its rule, and the states
+    that remain have the polynomials they had without the look-ahead,
+    so every bound on them, ``bits`` among them, still holds.  A stored
+    state may still have no completion further on.  The core writes
+    into no table.  Every exponent of a state agrees modulo the stride,
+    so a merge is one shift and add, and a misaligned merge raises.
 
     The budget (``_check_budget``) charges the states and the packed
     ints' bits of the frontier a step reads and the one it writes,
@@ -384,21 +385,13 @@ def _frontier(steps, algebra, byte_limit):
     low, stride, field = (1 << bits) - 1, 1 << sh, (1 << width) - 1
     table_bytes = algebra.table_bytes
     peak = held_bits = 0
+    # after the last step only the state 0 is alive, and it is the sum
     masks = [sum(field << (r * width) for r in info[2]) for info in steps]
-    # each step's rules are fetched once, as the next step's at the
-    # look-ahead; the empty state's rule is the first step's only one
-    nrules, nfactors, ncompile = algebra.rules(0, steps[0])
-    if 0 not in nrules:
-        nrules[0] = ncompile(0)
+    masks.append(0)
+    tables = list(algebra.tables) + [{0}]
     dp = {0: (0, 1, True)}
-    for step, cmask in enumerate(masks, 1):
-        rules, factors = nrules, nfactors
-        if step < len(steps):
-            nmask = masks[step]
-            nrules, nfactors, ncompile = algebra.rules(step, steps[step])
-        else:
-            # the state after the last step is 0, and it is the sum
-            nmask, nrules = 0, {0: ()}
+    for step, (rules, factors, cmask, nrules, nmask) in enumerate(zip(
+            tables, algebra.factors, masks, tables[1:], masks[1:]), 1):
         ndp = {}
         new_bits = 0
         for key, (lo, packed, _) in dp.items():
@@ -408,13 +401,9 @@ def _frontier(steps, algebra, byte_limit):
                 dst = ndp.get(new)
                 if dst is None:
                     # a new state is written only if the next step has a
-                    # rule for it, compiled here on a miss
-                    local = new & nmask
-                    if local not in nrules:
-                        rule = ncompile(local)
-                        if not rule:
-                            continue
-                        nrules[local] = rule
+                    # rule for it
+                    if (new & nmask) not in nrules:
+                        continue
                     p = packed * factors[i] if i else packed
                     own = p is not packed
                     ndp[new] = e, p, own
@@ -749,9 +738,10 @@ class _Weights:
     value before it, and every coefficient is at most the product H of
     the steps' h (``bound``).  ``bits`` = H.bit_length() + 1 gives
     |c| < 2**(bits - 1), which ``_unpack`` reads back exactly; the
-    decoded sum is checked against H.  ``_frontier`` drops a new state
-    whose consumed labels have no rule at the next step, before it is
-    multiplied or stored: such a state adds nothing to the sum, and
+    decoded sum is checked against H.  A table holds just the keys with
+    an outcome, so ``local in tables[k]`` means a rule at step k, and
+    ``_frontier`` drops a new state not in the next step's table before
+    it is multiplied or stored: such a state adds nothing to the sum, and
     every state it keeps has the polynomial it had without the test,
     so the bound holds for each.  About a third of 8_19's stored states
     still have no completion at colors 5 and 7, and a tenth of 9_49's
@@ -789,10 +779,6 @@ class _Weights:
         self.width = n.bit_length()
         self.tables = [table for table, _, _, _ in placed]
         self.factors = [factors[shape] for shape in shapes]
-
-    def rules(self, k, step):
-        # a consumed-label key without a rule has no outcome
-        return self.tables[k], self.factors[k], lambda local: ()
 
 
 def bracket_colored_jones(pd, n, limit_mb=None):
@@ -840,22 +826,20 @@ def bracket_colored_jones(pd, n, limit_mb=None):
 
 
 def _cable(pd, m):
-    """The m-parallel of a diagram, as a raw list of crossings over
-    hashable sub-arc tokens, plus a count of crossing-free circles."""
+    """The m-parallel of a diagram of int labels, as a raw list of
+    crossings over hashable sub-arc tokens, plus a count of
+    crossing-free circles.  An arc's sub-arcs are numbered from its
+    first end in the cached reading (``knots._reading``)."""
     if m == 0:
         return [], 0
     if not pd:
         return [], m
-    first = {}
-    for ci, cr in enumerate(pd):
-        for slot, arc in enumerate(cr):
-            if arc not in first:
-                first[arc] = (ci, slot)
+    ends = _reading(pd)[0]
 
     def port(ci, slot, p):
         # sub-arc token for CCW port p of this crossing side
         arc = pd[ci][slot]
-        if first[arc] == (ci, slot):
+        if ends[arc][0] == (ci, slot):
             return ("a", arc, p)
         return ("a", arc, m - 1 - p)
 
@@ -902,31 +886,77 @@ def _apply_smoothing(pattern, pairing):
     return tuple(pairs), circles
 
 
+class _SmoothingRules(dict):
+    """The rules of one step (``_steps``) of the cabled bracket, keyed
+    by ``local``, the partners that its consumed registers hold in
+    fields of ``width`` bits: the A and B outcomes of those states, for
+    each the ``flip`` that clears the consumed fields and links the
+    outward ends, the A-shift, and the number of circles it closes,
+    which indexes ``_Matchings.factors``.  A key's rules are worked out
+    on its first read (``__missing__``) and kept for the rest of the
+    state sum, and every key is ``in`` the table, as every Temperley-Lieb
+    pattern has two outcomes.
+
+    ``consumed[j]`` sits at slot ``at[j]``, and ``opens[s]`` is the
+    register an opened slot s goes to.  A consumed partner links two
+    slots as a self-arc does; a kept partner makes the slot an outward
+    end at the partner's register, as an opened arc is, and that
+    register, which held the consumed one, is rewritten by every
+    outcome, as every outward end is joined to another."""
+
+    def __init__(self, step, width):
+        super().__init__()
+        _, self.at, self.consumed, self.links, self.opens = step
+        self.width = width
+
+    def __contains__(self, local):
+        return True
+
+    def __missing__(self, local):
+        width, at, consumed = self.width, self.at, self.consumed
+        field = (1 << width) - 1
+        pattern, ends = list(self.links), list(self.opens)
+        clear = local
+        for s, r in zip(at, consumed):
+            p = (local >> (r * width)) & field
+            if p in consumed:
+                pattern[s] = at[consumed.index(p)]
+            else:
+                ends[s] = p
+                clear ^= r << (p * width)
+        rule = []
+        for pairs, shift, circles in _pattern_rule(tuple(pattern)):
+            flip = clear
+            for s, t in pairs:
+                flip ^= (ends[t] << (ends[s] * width)) | \
+                    (ends[s] << (ends[t] * width))
+            rule.append((flip, shift, circles))
+        self[local] = rule
+        return rule
+
+
 class _Matchings:
-    """The Temperley-Lieb local algebra of the cabled bracket, with
-    ``bits`` a coefficient, over ``registers`` registers: a state value
-    is the register of the open arc that the strand through this one
-    comes back by, in ``width`` bits, enough for any register, and the
-    rules are the A and B smoothings of ``_compile_rule``, compiled on
-    a miss into a per-step memo.  An outcome's factor index is the
-    number of circles it closes, and ``factors[c]`` is delta**c packed
-    without its power of A, None for c = 0.  It holds no tables, so the
-    budget charges its states only."""
+    """The Temperley-Lieb local algebra of the cabled bracket along
+    ``steps``, with ``bits`` a coefficient, over ``registers``
+    registers: a state value is the register of the open arc that the
+    strand through this one comes back by, in ``width`` bits, enough
+    for any register.  ``tables`` holds a fresh ``_SmoothingRules`` per
+    step, so no state sum reads another's.  An outcome's factor index
+    is the number of circles it closes, and ``factors[k][c]`` is
+    delta**c packed without its power of A, None for c = 0, at every
+    step.  The budget charges its states, not its tables."""
 
     shift, table_bytes = 2, 0
 
-    def __init__(self, bits, registers):
+    def __init__(self, bits, steps, registers):
         self.bits = bits
         self.width = max(1, (registers - 1).bit_length())
         # a smoothing closes at most two circles, each through two slots
-        self.factors = (None,) + tuple(
+        factors = (None,) + tuple(
             _pack([(-1) ** c * comb(c, j) for j in range(c + 1)], bits)
             for c in (1, 2))
-
-    def rules(self, k, step):
-        _, at, consumed, links, opens = step
-        return {}, self.factors, lambda local: _compile_rule(
-            local, at, consumed, links, opens, self.width)
+        self.tables = [_SmoothingRules(step, self.width) for step in steps]
+        self.factors = [factors] * len(steps)
 
 
 def _bracket_raw(crossings, free_circles, byte_limit):
@@ -937,9 +967,9 @@ def _bracket_raw(crossings, free_circles, byte_limit):
     register, the register of its partner: the strand that leaves
     through that arc comes back through the partner.  A smoothing's
     outcome depends on a state only through the partners of the
-    consumed registers, so those fields key a per-step memo of rules
-    (new links as a ``flip``, A-shift, circles closed) that
-    ``_compile_rule`` fills on a miss.
+    consumed registers, so those fields key the step's table of rules
+    (new links as a ``flip``, A-shift, circles closed), which works out
+    a key's rules on its first read (``_SmoothingRules``).
 
     A state's polynomial is its lowest A-exponent lo and the polynomial
     in X = A**4 above it evaluated at X = 2**bits (``_frontier``).  The
@@ -969,43 +999,11 @@ def _bracket_raw(crossings, free_circles, byte_limit):
     if not crossings:
         return result_scale, 0
     steps, registers = _steps(crossings, _pick_order(crossings))
-    algebra = _Matchings(2 * len(crossings) + 3, registers)
+    algebra = _Matchings(2 * len(crossings) + 3, steps, registers)
     lo, packed, peak = _frontier(steps, algebra, byte_limit)
     terms = {-lo - 4 * i: c
              for i, c in enumerate(_unpack(packed, algebra.bits)) if c}
     return _wrap(terms) * result_scale, peak
-
-
-def _compile_rule(local, at, consumed, self_links, ends, width):
-    """The A and B outcomes of one step for the states whose consumed
-    registers hold the partners in ``local`` (fields of ``width``
-    bits): for each, the ``flip`` that clears the consumed fields and
-    links the outward ends, the A-shift, and the number of circles it
-    closes, which indexes ``_Matchings.factors``.  ``consumed[j]`` sits at
-    slot ``at[j]``, and ``ends[s]`` is the register an opened slot s
-    goes to.  A consumed partner links two slots as a self-arc does; a
-    kept partner makes the slot an outward end at the partner's
-    register, as an opened arc is, and that register, which held the
-    consumed one, is rewritten by every outcome, as every outward end
-    is joined to another."""
-    field = (1 << width) - 1
-    pattern, ends = list(self_links), list(ends)
-    clear = local
-    for s, r in zip(at, consumed):
-        p = (local >> (r * width)) & field
-        if p in consumed:
-            pattern[s] = at[consumed.index(p)]
-        else:
-            ends[s] = p
-            clear ^= r << (p * width)
-    rules = []
-    for pairs, shift, circles in _pattern_rule(tuple(pattern)):
-        flip = clear
-        for s, t in pairs:
-            flip ^= (ends[t] << (ends[s] * width)) | \
-                (ends[s] << (ends[t] * width))
-        rules.append((flip, shift, circles))
-    return rules
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Tests for the colored Jones engines and degree sequences."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import os
@@ -314,14 +315,52 @@ def _brute_force_bracket(crossings, free_circles):
     return total.mirror() * delta ** free_circles
 
 
-def test_state_sum_matches_brute_force_bracket():
+@functools.cache
+def _small_cables():
+    """The 1-cables of the bundled diagrams and two 2-cables, of at most
+    16 crossings, each with its ``_brute_force_bracket``."""
     cables = [engine._cable(pd, 1) for pd in bundled_knot_table().values()]
     cables += [engine._cable(torus_pd(2, 3), 2),
                engine._cable(two_bridge_pd([2, 1, 1]), 2)]
     assert max(len(crossings) for crossings, _ in cables) == 16
-    for crossings, circles in cables:
-        assert engine._bracket_raw(crossings, circles, 10 ** 7)[0] == \
-            _brute_force_bracket(crossings, circles)
+    return tuple((crossings, circles, _brute_force_bracket(crossings, circles))
+                 for crossings, circles in cables)
+
+
+def test_state_sum_matches_brute_force_bracket():
+    for crossings, circles, want in _small_cables():
+        assert engine._bracket_raw(crossings, circles, 10 ** 7)[0] == want
+
+
+def test_matching_rules_worked_out_once_per_key_and_call(monkeypatch):
+    # a step's table of smoothing rules works out each key on its first
+    # read and keeps it for the rest of the sum, and a call of
+    # ``_bracket_raw`` starts from empty tables: the same cable twice
+    # works out the same keys twice, into tables of its own
+    algebras = _algebras(monkeypatch)
+    worked = []
+    missing = engine._SmoothingRules.__missing__
+
+    def counted(table, local):
+        worked.append((id(table), local))
+        return missing(table, local)
+    monkeypatch.setattr(engine._SmoothingRules, "__missing__", counted)
+    for crossings, circles, want in _small_cables():
+        sizes = []
+        for _ in range(2):
+            worked[:] = []
+            assert engine._bracket_raw(crossings, circles, 10 ** 7)[0] == \
+                want
+            tables = algebras[-1].tables
+            assert len(tables) == len(crossings)
+            assert len(worked) == len(set(worked)) == \
+                sum(len(table) for table in tables)
+            assert all(len(rule) == 2 for table in tables
+                       for rule in table.values())
+            sizes.append([len(table) for table in tables])
+        assert sizes[0] == sizes[1]
+        assert not {id(table) for table in algebras[-2].tables} & \
+            {id(table) for table in tables}
 
 
 def test_smoothings_compiled_once_per_pattern(monkeypatch):
@@ -907,6 +946,32 @@ class _CountedTable(dict):
         return super().__getitem__(local)
 
 
+def test_vertex_state_sum_makes_no_python_call_per_state():
+    # the look-ahead is a plain ``in`` on the next step's table and the
+    # tables are plain dicts, so a ``_Weights`` sum runs no Python frame
+    # per state: only the budget checks and the core's own
+    # comprehensions
+    pd = bundled_knot_table()["8_19"]
+    steps, _, shapes = engine._frame(validate_pd(pd))
+    algebra = engine._Weights(3, steps, shapes)
+    want = engine._frontier(steps, algebra, 1 << 30)
+    frontier = engine._frontier.__code__
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is not frontier:
+            called.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        got = engine._frontier(steps, algebra, 1 << 30)
+    finally:
+        sys.setprofile(None)
+    assert got == want
+    assert called.count("_check_budget") >= len(steps)
+    assert set(called) <= {"_check_budget", "<listcomp>", "<dictcomp>",
+                           "<genexpr>"}, sorted(set(called))
+
+
 @pytest.mark.parametrize("name, n", [
     ("8_19", 2), ("8_19", 3), ("8_19", 4), ("9_49", 3), ("pretzel_7", 2)])
 def test_every_stored_state_has_a_rule_at_the_next_step(monkeypatch, name,
@@ -919,11 +984,11 @@ def test_every_stored_state_has_a_rule_at_the_next_step(monkeypatch, name,
     reads, misses = {}, {}
 
     class Counted(engine._Weights):
-        def rules(self, k, step):
-            table, factors, compile_rule = super().rules(k, step)
-            return (_CountedTable(table, reads.setdefault(k, []),
-                                  misses.setdefault(k, [])),
-                    factors, compile_rule)
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.tables = [_CountedTable(table, reads.setdefault(k, []),
+                                         misses.setdefault(k, []))
+                           for k, table in enumerate(self.tables)]
     monkeypatch.setattr(engine, "_Weights", Counted)
     j = bracket_colored_jones(pd, n)
     monkeypatch.undo()
